@@ -1,4 +1,4 @@
-"""Dense complex linear algebra over composite (tensor-product) Hilbert spaces.
+"""Complex linear algebra over composite (tensor-product) Hilbert spaces.
 
 Conventions
 -----------
@@ -9,6 +9,13 @@ Conventions
   matrices.  Pure states are never auto-promoted to densities except
   inside :func:`mix` -- moments are computed on the vector directly, which
   keeps truncated bosonic spaces cheap.
+* The conditions never build a lifted operator.  They apply a sum of
+  products ``sum_t c_t F_t1 (x) ... (x) F_tk`` to the state one factor at a
+  time (:func:`_lifted_moments`), so memory stays at the size of the state.
+  ``kron`` builds the dense lifted matrix and serves as the reference the
+  tests compare against.
+* State constructors refuse, before allocating, any state that would take
+  more than half of the machine's physical memory.
 * All values are immutable after construction and all operations are pure,
   so everything here is safe for concurrent read access.
 """
@@ -16,6 +23,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -264,6 +272,56 @@ def variance(A: ComplexMatrix, s: QuantumState, *,
     return var
 
 
+def _lifted_moments(terms: Sequence[tuple[complex, Sequence[ComplexMatrix]]],
+                    s: QuantumState, power: int = 2) -> tuple[complex, float]:
+    """Mean and ``power``-th moment of ``M = sum_t c_t F_t1 (x) ... (x) F_tk``.
+
+    ``terms`` lists ``(c_t, (F_t1, ..., F_tk))``; factor ``j`` acts on state
+    factor ``j``.  M is never formed: each factor multiplies the amplitude
+    vector, or the row index of the density, viewed as ``(left, d_j, right)``
+    (the vec trick, Van Loan 2000), so the cost is that of a few matrix
+    products on the state.  ``power`` is 1 (the mean alone), 2 or 4, and the
+    moments assume M Hermitian.  The mean is returned complex, which also
+    covers anti-Hermitian sums such as a lifted commutator.
+    """
+    def apply(X: Array) -> Array:
+        out = None
+        for c, factors in terms:
+            Y, left = X, 1
+            for F, d in zip(factors, s.dims):
+                Y = np.matmul(F.data, Y.reshape(left, d, -1))
+                left *= d
+            Y = Y.reshape(X.shape)
+            if c != 1:
+                Y = c * Y
+            out = Y if out is None else out + Y
+        return out
+
+    if s.kind == "pure":
+        Y = apply(s.amplitudes)
+        mean = complex(np.vdot(s.amplitudes, Y))
+        if power == 1:
+            return mean, mean.real
+        if power == 4:
+            Y = apply(Y)
+        return mean, float(np.vdot(Y, Y).real)
+    # Mixed: <M^k> = trace(M^k rho), applying M to the rows of rho k times.
+    Y = apply(s.density.data)
+    mean = complex(np.trace(Y))
+    for _ in range(power - 1):
+        Y = apply(Y)
+    return mean, float(np.trace(Y).real)
+
+
+def _refuse_oversize(nbytes: int, what: str) -> None:
+    """Raise ValueError, before allocating, when ``nbytes`` exceeds half of
+    the machine's physical memory."""
+    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    if nbytes > budget:
+        raise ValueError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than half of "
+                         f"this machine's physical memory ({budget / 2**30:.3g} GiB)")
+
+
 def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumState:
     """Convex mixture ``sum_n p_n rho_n``; pure inputs become projectors."""
     if len(states) != len(weights):
@@ -281,6 +339,7 @@ def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumStat
         if s.dims != dims:
             raise ValueError(f"all mixture components need dims {dims}, got {s.dims}")
     side = math.prod(dims)
+    _refuse_oversize(16 * side * side, f"a density of side {side}")
     rho = np.zeros((side, side), dtype=np.complex128)
     for weight, s in zip(w, states):
         if weight == 0.0:

@@ -179,8 +179,8 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     and a final Rayleigh quotient squeezes the eigenvalue to round-off so
     nested truncations stay monotone well below the bisection tolerance.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     diag, off = M.diag, M.offdiag
     if M.size == 1:
         return float(diag[0]), np.array([1.0])

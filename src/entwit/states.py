@@ -19,7 +19,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .hilbert import QuantumState, mix
+from .hilbert import QuantumState, _refuse_oversize, mix
 
 __all__ = [
     "StateSpec",
@@ -69,6 +69,7 @@ def fock_pair_superposition(c: Sequence[float], cutoff: int | None = None) -> Qu
     D = pair_cutoff(coeffs.size) if cutoff is None else int(cutoff)
     if 2 * N + 1 > D:
         raise ValueError(f"cutoff {D} too small for top level {2 * N} (need D >= {2 * N + 1})")
+    _refuse_oversize(16 * D * D, f"a pure state at cutoff {D}")
     amps = np.zeros(D * D, dtype=np.complex128)
     for n, cn in enumerate(coeffs):
         amps[(2 * n) * D + 2 * n] = cn
@@ -101,6 +102,7 @@ def squeezed_vacuum(lam: float, cutoff: int | None = None) -> QuantumState:
     D = squeezed_cutoff(lam) if cutoff is None else int(cutoff)
     if D < 1:
         raise ValueError(f"cutoff must be positive, got {D}")
+    _refuse_oversize(16 * D * D, f"a pure state at cutoff {D}")
     diag = lam ** np.arange(D, dtype=float)
     diag = diag / np.linalg.norm(diag)
     amps = np.zeros(D * D, dtype=np.complex128)
@@ -113,6 +115,7 @@ def bell(n: int) -> QuantumState:
     n = int(n)
     if n < 2:
         raise ValueError(f"bell needs at least 2 parties, got {n}")
+    _refuse_oversize(16 * 2**n, f"a {n}-party pure state")
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return QuantumState.pure(amps, (2,) * n)

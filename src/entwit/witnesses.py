@@ -23,8 +23,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .hilbert import (ComplexMatrix, QuantumState, _second_moment, commutator,
-                      expectation, kron, variance)
+from .hilbert import ComplexMatrix, QuantumState, _lifted_moments, commutator
 from .operators import rotated_spin
 from .states import schmidt_pair
 
@@ -92,15 +91,42 @@ def _check_quadruple(A: ComplexMatrix, Ap: ComplexMatrix,
                              f"(max deviation {defect:.3e})")
 
 
-def _mean(M: ComplexMatrix, s: QuantumState) -> float:
-    return expectation(M, s).real
+def _mean(terms: Sequence[tuple[complex, Sequence[ComplexMatrix]]], s: QuantumState) -> float:
+    return _lifted_moments(terms, s, 1)[0].real
+
+
+def _product_moments(factors: Sequence[ComplexMatrix],
+                     s: QuantumState) -> tuple[float, float, float]:
+    """Mean, second moment and variance of the lifted product of ``factors``.
+
+    The lifted matrix is never built, so its Hermiticity is checked through
+    the factors: the max-abs entry of ``F_1 (x) ... (x) F_n`` minus its
+    adjoint is at most ``sum_k delta_k * prod_{j != k} max|F_j|``, with
+    ``delta_k`` the defect of factor k.  The product is rejected when that
+    bound exceeds the tolerance ``hilbert.variance`` applies to the lifted
+    matrix, and round-off below zero is clamped as there.
+    """
+    sizes = [float(np.abs(F.data).max()) for F in factors]
+    bound = sum(F.hermiticity_defect() * math.prod(sizes[:k] + sizes[k + 1:])
+                for k, F in enumerate(factors))
+    if bound > DEFAULT.hermitian:
+        raise ValueError(f"variance requires a Hermitian observable "
+                         f"(max deviation bound {bound:.3e} > {DEFAULT.hermitian})")
+    mean, second = _lifted_moments([(1, factors)], s)
+    mean = mean.real
+    var = second - mean * mean
+    if var < 0.0:
+        if var < -DEFAULT.variance_clamp:
+            raise ValueError(f"variance {var:.3e} is negative beyond round-off")
+        var = 0.0
+    return mean, second, var
 
 
 def _comm_mean(A: ComplexMatrix, Ap: ComplexMatrix,
                B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> float:
     # [A,A'] and [B,B'] are anti-Hermitian, so their tensor product is
     # Hermitian and the expectation is real up to round-off.
-    return _mean(kron(commutator(A, Ap), commutator(B, Bp)), s)
+    return _mean([(1, (commutator(A, Ap), commutator(B, Bp)))], s)
 
 
 def _guarded_ratio(lhs: float, rhs: float) -> float | None:
@@ -114,11 +140,8 @@ def variance_product(A: ComplexMatrix, Ap: ComplexMatrix,
                      *, tol: float = DEFAULT.violation) -> WitnessReport:
     """Product condition: sigma_AB * sigma_A'B' >= (1/4)|<[A,A'] (x) [B,B']>|."""
     _check_quadruple(A, Ap, B, Bp, s)
-    AB, ApBp = kron(A, B), kron(Ap, Bp)
-    m_ab, m_apbp = _mean(AB, s), _mean(ApBp, s)
-    s_ab, s_apbp = _second_moment(AB, s), _second_moment(ApBp, s)
-    var_ab = variance(AB, s)
-    var_apbp = variance(ApBp, s)
+    m_ab, s_ab, var_ab = _product_moments((A, B), s)
+    m_apbp, s_apbp, var_apbp = _product_moments((Ap, Bp), s)
     m_comm = _comm_mean(A, Ap, B, Bp, s)
     lhs = math.sqrt(var_ab) * math.sqrt(var_apbp)
     rhs = 0.25 * abs(m_comm)
@@ -133,10 +156,8 @@ def variance_sum(A: ComplexMatrix, Ap: ComplexMatrix,
                  *, tol: float = DEFAULT.violation) -> WitnessReport:
     """Sum condition: sigma²_AB + sigma²_A'B' >= (1/2)|<[A,A'] (x) [B,B']>|."""
     _check_quadruple(A, Ap, B, Bp, s)
-    AB, ApBp = kron(A, B), kron(Ap, Bp)
-    m_ab, m_apbp = _mean(AB, s), _mean(ApBp, s)
-    var_ab = variance(AB, s)
-    var_apbp = variance(ApBp, s)
+    m_ab, _, var_ab = _product_moments((A, B), s)
+    m_apbp, _, var_apbp = _product_moments((Ap, Bp), s)
     m_comm = _comm_mean(A, Ap, B, Bp, s)
     lhs = var_ab + var_apbp
     rhs = 0.5 * abs(m_comm)
@@ -169,17 +190,9 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
             if defect > DEFAULT.hermitian:
                 raise ValueError(f"operator {label} is not Hermitian "
                                  f"(max deviation {defect:.3e})")
-    prod = As[0]
-    prod_p = Aps[0]
-    comm = commutator(As[0], Aps[0])
-    for Ak, Apk in zip(As[1:], Aps[1:]):
-        prod = kron(prod, Ak)
-        prod_p = kron(prod_p, Apk)
-        comm = kron(comm, commutator(Ak, Apk))
-    m_prod, m_prod_p = _mean(prod, s), _mean(prod_p, s)
-    var_prod = variance(prod, s)
-    var_prod_p = variance(prod_p, s)
-    m_comm = _mean(comm, s)
+    m_prod, _, var_prod = _product_moments(As, s)
+    m_prod_p, _, var_prod_p = _product_moments(Aps, s)
+    m_comm = _mean([(1, [commutator(Ak, Apk) for Ak, Apk in zip(As, Aps)])], s)
     lhs = math.sqrt(var_prod) * math.sqrt(var_prod_p)
     rhs = abs(m_comm) / 2.0**n
     details = {"m_A1..An": m_prod, "m_Ap1..Apn": m_prod_p,
@@ -187,13 +200,6 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
                "m_comm": m_comm, "n_parties": float(n)}
     return _make_report("multipartite", lhs, rhs, leq=False,
                         V=_guarded_ratio(lhs, rhs), details=details, tol=tol)
-
-
-def _power_moment(M: ComplexMatrix, s: QuantumState, n: int) -> float:
-    """``<M^n>`` for Hermitian M and even n in {2, 4}."""
-    if n == 2:
-        return _second_moment(M, s)
-    return _second_moment(M @ M, s)
 
 
 def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
@@ -210,16 +216,15 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
     if n not in (2, 4):
         raise ValueError(f"power-sum condition is only available for n in {{2, 4}}, got {n}")
     _check_quadruple(A, Ap, B, Bp, s)
-    AB, ABp = kron(A, B), kron(A, Bp)
-    ApB, ApBp = kron(Ap, B), kron(Ap, Bp)
-    m_ab, m_abp = _mean(AB, s), _mean(ABp, s)
-    m_apb, m_apbp = _mean(ApB, s), _mean(ApBp, s)
+    AB, ABp, ApB, ApBp = (A, B), (A, Bp), (Ap, B), (Ap, Bp)
+    m_ab, m_abp = _mean([(1, AB)], s), _mean([(1, ABp)], s)
+    m_apb, m_apbp = _mean([(1, ApB)], s), _mean([(1, ApBp)], s)
     lhs = ((m_ab + m_abp + m_apb) ** n
            + (m_abp + m_apb + m_apbp) ** n
            + (m_ab - m_apbp) ** n)
-    pow1 = _power_moment(ABp - ApB, s, n)
-    pow2 = _power_moment(ApB + ApBp + AB, s, n)
-    pow3 = _power_moment(ApBp + AB + ABp, s, n)
+    pow1 = _lifted_moments([(1, ABp), (-1, ApB)], s, n)[1]
+    pow2 = _lifted_moments([(1, ApB), (1, ApBp), (1, AB)], s, n)[1]
+    pow3 = _lifted_moments([(1, ApBp), (1, AB), (1, ABp)], s, n)[1]
     rhs = pow1 + pow2 + pow3
     details = {"m_AB": m_ab, "m_ABp": m_abp, "m_ApB": m_apb, "m_ApBp": m_apbp,
                f"pow{n}_ABp_minus_ApB": pow1,
@@ -234,13 +239,10 @@ def uffink(A: ComplexMatrix, Ap: ComplexMatrix,
            *, tol: float = DEFAULT.violation) -> WitnessReport:
     """Quadratic condition <AB - A'B'>² + <AB' + A'B>² <= <(A² + A'²)(x)(B² + B'²)>."""
     _check_quadruple(A, Ap, B, Bp, s)
-    AB, ABp = kron(A, B), kron(A, Bp)
-    ApB, ApBp = kron(Ap, B), kron(Ap, Bp)
-    m_ab, m_abp = _mean(AB, s), _mean(ABp, s)
-    m_apb, m_apbp = _mean(ApB, s), _mean(ApBp, s)
+    m_ab, m_abp = _mean([(1, (A, B))], s), _mean([(1, (A, Bp))], s)
+    m_apb, m_apbp = _mean([(1, (Ap, B))], s), _mean([(1, (Ap, Bp))], s)
     lhs = (m_ab - m_apbp) ** 2 + (m_abp + m_apb) ** 2
-    square_product = kron(A @ A + Ap @ Ap, B @ B + Bp @ Bp)
-    m_sq = _mean(square_product, s)
+    m_sq = _mean([(1, (A @ A + Ap @ Ap, B @ B + Bp @ Bp))], s)
     details = {"m_AB": m_ab, "m_ABp": m_abp, "m_ApB": m_apb, "m_ApBp": m_apbp,
                "m_square_product": m_sq}
     return _make_report("uffink", lhs, m_sq, leq=True,
@@ -255,12 +257,10 @@ def four_variance(A: ComplexMatrix, Ap: ComplexMatrix,
     sigma²_AB + sigma²_AB' + sigma²_A'B + sigma²_A'B' >= |<[A,A'] (x) [B,B']>|.
     """
     _check_quadruple(A, Ap, B, Bp, s)
-    AB, ABp = kron(A, B), kron(A, Bp)
-    ApB, ApBp = kron(Ap, B), kron(Ap, Bp)
-    means = {"m_AB": _mean(AB, s), "m_ABp": _mean(ABp, s),
-             "m_ApB": _mean(ApB, s), "m_ApBp": _mean(ApBp, s)}
-    variances = {"var_AB": variance(AB, s), "var_ABp": variance(ABp, s),
-                 "var_ApB": variance(ApB, s), "var_ApBp": variance(ApBp, s)}
+    means, variances = {}, {}
+    for label, factors in (("AB", (A, B)), ("ABp", (A, Bp)),
+                           ("ApB", (Ap, B)), ("ApBp", (Ap, Bp))):
+        means[f"m_{label}"], _, variances[f"var_{label}"] = _product_moments(factors, s)
     m_comm = _comm_mean(A, Ap, B, Bp, s)
     lhs = sum(variances.values())
     rhs = abs(m_comm)
@@ -279,8 +279,9 @@ def heisenberg_floor(A: ComplexMatrix, Ap: ComplexMatrix,
     callers compare it with the commutator bound themselves.
     """
     _check_quadruple(A, Ap, B, Bp, s)
-    lifted_comm = commutator(kron(A, B), kron(Ap, Bp))
-    return 0.5 * abs(expectation(lifted_comm, s))
+    # [A(x)B, A'(x)B'] = AA'(x)BB' - A'A(x)B'B
+    terms = [(1, (A @ Ap, B @ Bp)), (-1, (Ap @ A, Bp @ B))]
+    return 0.5 * abs(_lifted_moments(terms, s, 1)[0])
 
 
 def schmidt_optimal_witness(alpha: complex, beta: complex

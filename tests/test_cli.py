@@ -148,6 +148,22 @@ def test_bell_variance_report(capsys):
     assert rep["violated"] is False
 
 
+def test_sizes_beyond_dense_lifting(capsys):
+    # a dense lifted operator here would take several GB (D = 132, side 2^14)
+    code, doc, _ = invoke(capsys, "squeezed", "--lambda", "0.9")
+    assert code == 0
+    assert doc["meta"]["cutoffs"] == {"state": 132}
+    res = doc["results"]
+    assert abs(res["closed_form_v"] - 90.7506925208) < 1e-6
+    assert abs(res["report"]["V"] - res["closed_form_v"]) < 1e-6
+
+    code, doc, _ = invoke(capsys, "bell", "--parties", "14", "--condition", "variance")
+    assert code == 0
+    rep = doc["results"]["report"]
+    assert rep["lhs"] < 1e-12 and abs(rep["rhs"] - 1.0) < 1e-12
+    assert rep["violated"] is True
+
+
 def test_schmidt_report(capsys):
     code, doc, _ = invoke(capsys, "schmidt", "--alpha", "0.6,0",
                           "--beta", "0.8,0")
@@ -307,6 +323,30 @@ def test_domain_errors_exit_1(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_cmatrix_non_finite_tolerance_exits_1(capsys, tol):
+    assert run(["cmatrix", "--n", "200", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bell", "--parties", "40", "--condition", "variance"],
+        # 16 MB pure components, but a 16 TB density
+        ["mixture", "--p", "0.5", "--coeffs", "0.8,0.6", "--cutoff", "1000"],
+    ],
+)
+def test_oversized_states_refused_exit_1(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "physical memory" in captured.err and "Traceback" not in captured.err
 
 
 def test_eval_error_reports_offset(capsys):

@@ -149,6 +149,13 @@ def test_min_eigenvalue_rejects_bad_tolerance():
         min_eigenvalue(c_matrix(3), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_min_eigenvalue_rejects_non_finite_tolerance(tol):
+    # a NaN tolerance fails every comparison, so it would skip the bisection
+    with pytest.raises(ValueError, match="finite"):
+        min_eigenvalue(c_matrix(200), tol=tol)
+
+
 def test_convergence_study_is_monotone():
     pairs = convergence_study([1, 2, 5, 10, 50, 200])
     assert [N for N, _ in pairs] == [1, 2, 5, 10, 50, 200]

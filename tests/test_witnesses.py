@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entwit import (
     ComplexMatrix,
@@ -33,6 +35,7 @@ from entwit import (
     variance_product,
     variance_sum,
 )
+from entwit.hilbert import _second_moment
 
 from _support import (
     random_hermitian,
@@ -384,3 +387,120 @@ def test_separable_states_pass_everything_spot_check():
         assert not ramanujan_witness(A, Ap, B, Bp, s, 2).violated
         assert not ramanujan_witness(A, Ap, B, Bp, s, 4).violated
         assert not multipartite([A, B], [Ap, Bp], s).violated
+
+
+# --- dense Kronecker oracle ------------------------------------------------------
+#
+# The conditions apply lifted products factor by factor on the state.  The
+# reference below builds every lifted operator densely with ``kron`` and
+# takes its moments with ``expectation``, ``variance`` and ``_second_moment``.
+
+ORACLE_TOL = 1e-12
+
+
+def assert_matches(got, want):
+    assert abs(got - want) <= ORACLE_TOL * max(1.0, abs(want)), (got, want)
+
+
+def dense_multipartite(As, Aps, s):
+    prod, prod_p, comm = As[0], Aps[0], commutator(As[0], Aps[0])
+    for Ak, Apk in zip(As[1:], Aps[1:]):
+        prod, prod_p = kron(prod, Ak), kron(prod_p, Apk)
+        comm = kron(comm, commutator(Ak, Apk))
+    var, var_p = variance(prod, s), variance(prod_p, s)
+    m_comm = expectation(comm, s).real
+    details = {"m_A1..An": expectation(prod, s).real, "m_Ap1..Apn": expectation(prod_p, s).real,
+               "var_A1..An": var, "var_Ap1..Apn": var_p,
+               "m_comm": m_comm, "n_parties": float(len(As))}
+    return math.sqrt(var) * math.sqrt(var_p), abs(m_comm) / 2.0 ** len(As), details
+
+
+def dense_bipartite(A, Ap, B, Bp, s):
+    """{report name: (lhs, rhs, details)} for every bipartite condition, plus
+    the Heisenberg floor under "floor"."""
+    AB, ABp, ApB, ApBp = kron(A, B), kron(A, Bp), kron(Ap, B), kron(Ap, Bp)
+    m = {"m_AB": expectation(AB, s).real, "m_ABp": expectation(ABp, s).real,
+         "m_ApB": expectation(ApB, s).real, "m_ApBp": expectation(ApBp, s).real}
+    var = {"var_AB": variance(AB, s), "var_ABp": variance(ABp, s),
+           "var_ApB": variance(ApB, s), "var_ApBp": variance(ApBp, s)}
+    m_comm = expectation(kron(commutator(A, Ap), commutator(B, Bp)), s).real
+    m_sq = expectation(kron(A @ A + Ap @ Ap, B @ B + Bp @ Bp), s).real
+    pair = {"m_AB": m["m_AB"], "m_ApBp": m["m_ApBp"]}
+    pair_var = {"var_AB": var["var_AB"], "var_ApBp": var["var_ApBp"]}
+    out = {
+        "variance_product": (
+            math.sqrt(var["var_AB"]) * math.sqrt(var["var_ApBp"]), 0.25 * abs(m_comm),
+            {**pair, "s_AB": _second_moment(AB, s), "s_ApBp": _second_moment(ApBp, s),
+             **pair_var, "m_comm": m_comm}),
+        "variance_sum": (var["var_AB"] + var["var_ApBp"], 0.5 * abs(m_comm),
+                         {**pair, **pair_var, "m_comm": m_comm}),
+        "four_variance": (sum(var.values()), abs(m_comm), {**m, **var, "m_comm": m_comm}),
+        "uffink": ((m["m_AB"] - m["m_ApBp"]) ** 2 + (m["m_ABp"] + m["m_ApB"]) ** 2,
+                   m_sq, {**m, "m_square_product": m_sq}),
+        "floor": 0.5 * abs(expectation(commutator(AB, ApBp), s)),
+    }
+    a, b, c, d = m.values()
+    for n in (2, 4):
+        def power(M):
+            return _second_moment(M if n == 2 else M @ M, s)
+        pows = {f"pow{n}_ABp_minus_ApB": power(ABp - ApB),
+                f"pow{n}_ApB_plus_ApBp_plus_AB": power(ApB + ApBp + AB),
+                f"pow{n}_ApBp_plus_AB_plus_ABp": power(ApBp + AB + ABp)}
+        lhs = (a + b + c) ** n + (b + c + d) ** n + (a - d) ** n
+        out[f"ramanujan_{n}"] = (lhs, sum(pows.values()), {**m, **pows})
+    return out
+
+
+def assert_report_matches(rep, want):
+    lhs, rhs, details = want
+    assert_matches(rep.lhs, lhs)
+    assert_matches(rep.rhs, rhs)
+    assert rep.details.keys() == details.keys()
+    for key, value in details.items():
+        assert_matches(rep.details[key], value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
+       pure=st.booleans())
+def test_conditions_match_dense_kron_oracle(seed, dims, pure):
+    gen = rng(seed)
+    s = random_pure(gen, dims) if pure else random_mixed(gen, dims)
+    A, Ap = random_hermitian(gen, dims[0]), random_hermitian(gen, dims[0])
+    B, Bp = random_hermitian(gen, dims[1]), random_hermitian(gen, dims[1])
+    want = dense_bipartite(A, Ap, B, Bp, s)
+    for rep in (variance_product(A, Ap, B, Bp, s), variance_sum(A, Ap, B, Bp, s),
+                ramanujan_witness(A, Ap, B, Bp, s, 2), ramanujan_witness(A, Ap, B, Bp, s, 4),
+                uffink(A, Ap, B, Bp, s), four_variance(A, Ap, B, Bp, s)):
+        assert_report_matches(rep, want[rep.name])
+    assert_report_matches(multipartite([A, B], [Ap, Bp], s),
+                          dense_multipartite([A, B], [Ap, Bp], s))
+    assert_matches(heisenberg_floor(A, Ap, B, Bp, s), want["floor"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), dims=st.sampled_from([(2, 3, 2), (3, 2, 2), (2, 2, 3)]),
+       pure=st.booleans())
+def test_multipartite_matches_dense_kron_oracle_three_parties(seed, dims, pure):
+    gen = rng(seed)
+    s = random_pure(gen, dims) if pure else random_mixed(gen, dims)
+    As = [random_hermitian(gen, d) for d in dims]
+    Aps = [random_hermitian(gen, d) for d in dims]
+    assert_report_matches(multipartite(As, Aps, s), dense_multipartite(As, Aps, s))
+
+
+def test_lifted_hermiticity_defect_is_rejected():
+    # each factor passes the 1e-10 check, but the lifted product's defect,
+    # about 0.9e-10 * 20, does not
+    skew = np.zeros((2, 2), dtype=complex)
+    skew[0, 1] = 0.9e-10
+    A = ComplexMatrix(S_X.data + skew, (2,))
+    B = S_X * 20.0
+    assert A.hermiticity_defect() < 1e-10
+    with pytest.raises(ValueError, match="Hermitian"):
+        variance(kron(A, B), bell(2))
+    for condition in (variance_product, variance_sum, four_variance):
+        with pytest.raises(ValueError, match="Hermitian"):
+            condition(A, S_Y, B, S_Y, bell(2))
+    with pytest.raises(ValueError, match="Hermitian"):
+        multipartite([A, B], [S_Y, S_Y], bell(2))
