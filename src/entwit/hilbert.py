@@ -14,8 +14,9 @@ Conventions
   time (:func:`_lifted_moments`), so memory stays at the size of the state.
   ``kron`` builds the dense lifted matrix and serves as the reference the
   tests compare against.
-* State constructors refuse, before allocating, any state that would take
-  more than half of the machine's physical memory.
+* State constructors refuse, before allocating, any state that would take,
+  with the working copies a condition makes of it, more than half of the
+  machine's physical memory.
 * All values are immutable after construction and all operations are pure,
   so everything here is safe for concurrent read access.
 """
@@ -259,12 +260,24 @@ def variance(A: ComplexMatrix, s: QuantumState, *,
     below ``-clamp`` signals misuse and raises.
     """
     _check_state_dims(A, s, "variance")
-    defect = A.hermiticity_defect()
-    if defect > hermitian_atol:
-        raise ValueError(f"variance requires a Hermitian observable "
-                         f"(max deviation {defect:.3e} > {hermitian_atol})")
+    _require_hermitian(A.hermiticity_defect(), hermitian_atol)
     mean = expectation(A, s).real
-    var = _second_moment(A, s) - mean * mean
+    return _clamped_variance(_second_moment(A, s), mean, clamp)
+
+
+def _require_hermitian(defect: float, atol: float = DEFAULT.hermitian,
+                       what: str = "max deviation") -> None:
+    """Reject an observable whose Hermiticity ``defect`` exceeds ``atol``."""
+    if defect > atol:
+        raise ValueError(f"variance requires a Hermitian observable "
+                         f"({what} {defect:.3e} > {atol})")
+
+
+def _clamped_variance(second: float, mean: float,
+                      clamp: float = DEFAULT.variance_clamp) -> float:
+    """``second - mean**2``, with round-off below zero (above ``-clamp``)
+    clamped to zero and anything lower rejected."""
+    var = second - mean * mean
     if var < 0.0:
         if var < -clamp:
             raise ValueError(f"variance {var:.3e} is negative beyond round-off")
@@ -276,9 +289,11 @@ def _lifted_moments(terms: Sequence[tuple[complex, Sequence[ComplexMatrix]]],
                     s: QuantumState, power: int = 2) -> tuple[complex, float]:
     """Mean and ``power``-th moment of ``M = sum_t c_t F_t1 (x) ... (x) F_tk``.
 
-    ``terms`` lists ``(c_t, (F_t1, ..., F_tk))``; factor ``j`` acts on state
-    factor ``j``.  M is never formed: each factor multiplies the amplitude
-    vector, or the row index of the density, viewed as ``(left, d_j, right)``
+    ``terms`` lists ``(c_t, (F_t1, ..., F_tk))``; the factors act on
+    consecutive blocks of state factors, left to right, and a factor may
+    span several of them (``F.dims`` is a run of ``s.dims``).  M is never
+    formed: each factor multiplies the amplitude vector, or the row index of
+    the density, viewed as ``(left, F.side, right)``
     (the vec trick, Van Loan 2000), so the cost is that of a few matrix
     products on the state.  ``power`` is 1 (the mean alone), 2 or 4, and the
     moments assume M Hermitian.  The mean is returned complex, which also
@@ -288,9 +303,9 @@ def _lifted_moments(terms: Sequence[tuple[complex, Sequence[ComplexMatrix]]],
         out = None
         for c, factors in terms:
             Y, left = X, 1
-            for F, d in zip(factors, s.dims):
-                Y = np.matmul(F.data, Y.reshape(left, d, -1))
-                left *= d
+            for F in factors:
+                Y = np.matmul(F.data, Y.reshape(left, F.side, -1))
+                left *= F.side
             Y = Y.reshape(X.shape)
             if c != 1:
                 Y = c * Y
@@ -313,13 +328,25 @@ def _lifted_moments(terms: Sequence[tuple[complex, Sequence[ComplexMatrix]]],
     return mean, float(np.trace(Y).real)
 
 
+# Building a state and evaluating a condition on it hold several arrays of
+# the state's size at once: the constructor's buffer and its frozen copy,
+# then the products and sums inside _lifted_moments.
+_WORKING_COPIES = 4
+
+
 def _refuse_oversize(nbytes: int, what: str) -> None:
-    """Raise ValueError, before allocating, when ``nbytes`` exceeds half of
-    the machine's physical memory."""
-    budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-    if nbytes > budget:
-        raise ValueError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than half of "
-                         f"this machine's physical memory ({budget / 2**30:.3g} GiB)")
+    """Raise ValueError, before allocating, when a state of ``nbytes`` and its
+    working copies would take more than half of the machine's physical
+    memory.  Skipped where the platform does not report physical memory."""
+    try:
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    except (AttributeError, ValueError, OSError):
+        return
+    need = _WORKING_COPIES * nbytes
+    if need > budget:
+        raise ValueError(f"{what} needs {need / 2**30:.3g} GiB with its working copies, "
+                         f"more than half of this machine's physical memory "
+                         f"({budget / 2**30:.3g} GiB)")
 
 
 def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumState:

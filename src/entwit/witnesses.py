@@ -23,7 +23,14 @@ from typing import Any, Sequence
 import numpy as np
 
 from .config import DEFAULT
-from .hilbert import ComplexMatrix, QuantumState, _lifted_moments, commutator
+from .hilbert import (
+    ComplexMatrix,
+    QuantumState,
+    _clamped_variance,
+    _lifted_moments,
+    _require_hermitian,
+    commutator,
+)
 from .operators import rotated_spin
 from .states import schmidt_pair
 
@@ -109,17 +116,10 @@ def _product_moments(factors: Sequence[ComplexMatrix],
     sizes = [float(np.abs(F.data).max()) for F in factors]
     bound = sum(F.hermiticity_defect() * math.prod(sizes[:k] + sizes[k + 1:])
                 for k, F in enumerate(factors))
-    if bound > DEFAULT.hermitian:
-        raise ValueError(f"variance requires a Hermitian observable "
-                         f"(max deviation bound {bound:.3e} > {DEFAULT.hermitian})")
+    _require_hermitian(bound, what="max deviation bound")
     mean, second = _lifted_moments([(1, factors)], s)
     mean = mean.real
-    var = second - mean * mean
-    if var < 0.0:
-        if var < -DEFAULT.variance_clamp:
-            raise ValueError(f"variance {var:.3e} is negative beyond round-off")
-        var = 0.0
-    return mean, second, var
+    return mean, second, _clamped_variance(second, mean)
 
 
 def _comm_mean(A: ComplexMatrix, Ap: ComplexMatrix,

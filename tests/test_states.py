@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -204,3 +205,24 @@ def test_spec_resolved_cutoffs():
     assert StateSpec("squeezed", {"lambda": 0.5}).resolved_cutoff() == 20
     assert StateSpec("bell", {"parties": 2}).resolved_cutoff() is None
     assert StateSpec("schmidt", {"alpha": 1.0, "beta": 0.0}).resolved_cutoff() is None
+
+
+def fake_sysconf(page_size, pages):
+    return lambda name: {"SC_PAGE_SIZE": page_size, "SC_PHYS_PAGES": pages}[name]
+
+
+def test_size_refusal_counts_working_copies(monkeypatch):
+    # 2 MiB of physical memory leaves a 1 MiB budget for a state and the
+    # four working copies a condition makes of it
+    monkeypatch.setattr(os, "sysconf", fake_sysconf(4096, 512))
+    assert bell(14).side == 2**14  # 256 KiB, 1 MiB with its copies
+    with pytest.raises(ValueError, match="physical memory"):
+        bell(15)
+    with pytest.raises(ValueError, match="physical memory"):
+        squeezed_vacuum(0.5, cutoff=200)
+
+
+def test_size_refusal_skipped_without_sysconf(monkeypatch):
+    monkeypatch.delattr(os, "sysconf")
+    assert bell(3).dims == (2, 2, 2)
+    assert vacuum_mixture(0.5, [0.8, 0.6]).kind == "mixed"

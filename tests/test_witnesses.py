@@ -460,21 +460,33 @@ def assert_report_matches(rep, want):
         assert_matches(rep.details[key], value)
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10**6), dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]),
-       pure=st.booleans())
-def test_conditions_match_dense_kron_oracle(seed, dims, pure):
+def hermitian_on(gen, dims):
+    """Random Hermitian acting on the block of state factors ``dims``."""
+    return ComplexMatrix(random_hermitian(gen, math.prod(dims)).data, dims)
+
+
+# (A's factors, B's factors): a side may span several state factors.
+BIPARTITIONS = [((2,), (2,)), ((2,), (3,)), ((3,), (3,)),
+                ((2, 2), (2,)), ((2, 2), (3,)), ((2,), (2, 3))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), split=st.sampled_from(BIPARTITIONS), pure=st.booleans())
+def test_conditions_match_dense_kron_oracle(seed, split, pure):
     gen = rng(seed)
+    dims_a, dims_b = split
+    dims = dims_a + dims_b
     s = random_pure(gen, dims) if pure else random_mixed(gen, dims)
-    A, Ap = random_hermitian(gen, dims[0]), random_hermitian(gen, dims[0])
-    B, Bp = random_hermitian(gen, dims[1]), random_hermitian(gen, dims[1])
+    A, Ap = hermitian_on(gen, dims_a), hermitian_on(gen, dims_a)
+    B, Bp = hermitian_on(gen, dims_b), hermitian_on(gen, dims_b)
     want = dense_bipartite(A, Ap, B, Bp, s)
     for rep in (variance_product(A, Ap, B, Bp, s), variance_sum(A, Ap, B, Bp, s),
                 ramanujan_witness(A, Ap, B, Bp, s, 2), ramanujan_witness(A, Ap, B, Bp, s, 4),
                 uffink(A, Ap, B, Bp, s), four_variance(A, Ap, B, Bp, s)):
         assert_report_matches(rep, want[rep.name])
-    assert_report_matches(multipartite([A, B], [Ap, Bp], s),
-                          dense_multipartite([A, B], [Ap, Bp], s))
+    if len(dims) == 2:
+        assert_report_matches(multipartite([A, B], [Ap, Bp], s),
+                              dense_multipartite([A, B], [Ap, Bp], s))
     assert_matches(heisenberg_floor(A, Ap, B, Bp, s), want["floor"])
 
 
