@@ -5,10 +5,12 @@ Conventions
 * Every matrix carries a factor signature ``dims``; the matrix side equals
   ``prod(dims)`` and factors are ordered left to right.  ``kron``
   concatenates signatures.
-* Pure states are unit amplitude vectors; mixed states are density
-  matrices.  Pure states are never auto-promoted to densities except
-  inside :func:`mix` -- moments are computed on the vector directly, which
-  keeps truncated bosonic spaces cheap.
+* Every state is an ensemble ``rho = sum_i w_i |v_i><v_i|`` of ``r``
+  vectors; a pure state is the case ``r = 1``.  :func:`mix` concatenates
+  ensembles and :meth:`QuantumState.mixed` keeps the eigenpairs of a given
+  density, so a mixture costs ``r`` vectors, never a dense density.  The
+  density is built only on request (:attr:`QuantumState.density`), for the
+  dense reference path.
 * The conditions never build a lifted operator.  They apply a sum of
   products ``sum_t c_t F_t1 (x) ... (x) F_tk`` to the state one factor at a
   time (:func:`_lifted_moments`), so memory stays at the size of the state.
@@ -143,21 +145,29 @@ class ComplexMatrix:
 
 
 class QuantumState:
-    """Pure or mixed state on a composite Hilbert space.
+    """Pure or mixed state on a composite Hilbert space, held as an ensemble.
 
-    Use the :meth:`pure` / :meth:`mixed` constructors.  Invariants enforced
-    at construction: pure amplitudes have unit norm within 1e-12; densities
-    are Hermitian within 1e-12, have unit trace within 1e-12, and have no
-    eigenvalue below -1e-10.
+    The state is ``rho = sum_i w_i |v_i><v_i|``: ``weights`` has shape
+    ``(r,)`` and ``vectors`` has shape ``(r, side)``, both read-only.  A pure
+    state is the case ``r = 1`` with weight 1; its vector is
+    :attr:`amplitudes`.  The dense density is never stored; :attr:`density`
+    builds it on demand for the dense reference path.
+
+    Use the :meth:`pure` / :meth:`mixed` constructors or :func:`mix`.
+    Invariants enforced at construction: pure amplitudes have unit norm
+    within 1e-12; a density given to :meth:`mixed` is Hermitian within
+    1e-12, has unit trace within 1e-12, and has no eigenvalue below -1e-10.
     """
 
-    __slots__ = ("kind", "dims", "amplitudes", "density")
+    __slots__ = ("kind", "dims", "weights", "vectors")
 
-    def __init__(self, kind, dims, amplitudes, density):
+    def __init__(self, kind, dims, weights, vectors):
+        weights.setflags(write=False)
+        vectors.setflags(write=False)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", amplitudes)
-        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "vectors", vectors)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumState is immutable")
@@ -176,12 +186,16 @@ class QuantumState:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > DEFAULT.state_norm:
             raise ValueError(f"pure state norm is {norm!r}, not 1 within {DEFAULT.state_norm}")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        return cls("pure", resolved, amps, None)
+        return cls("pure", resolved, np.ones(1), amps.reshape(1, -1).copy())
 
     @classmethod
     def mixed(cls, density, dims: Iterable[int] | None = None) -> "QuantumState":
+        """The ensemble of the eigenpairs of ``density``.
+
+        Every eigenpair with a nonzero eigenvalue is kept, tiny negative ones
+        (down to the floor) included, so moments equal ``trace(M^k rho)`` up
+        to round-off.
+        """
         if isinstance(density, ComplexMatrix):
             rho = density if dims is None else ComplexMatrix(density.data, dims)
         else:
@@ -192,21 +206,34 @@ class QuantumState:
         tr = complex(np.trace(rho.data))
         if abs(tr - 1.0) > DEFAULT.density_atol:
             raise ValueError(f"density trace is {tr!r}, not 1 within {DEFAULT.density_atol}")
-        lo = float(np.linalg.eigvalsh(rho.data).min())
-        if lo < -DEFAULT.eigenvalue_floor:
-            raise ValueError(f"density has eigenvalue {lo:.3e} below the floor "
+        evals, evecs = np.linalg.eigh(rho.data)
+        if evals[0] < -DEFAULT.eigenvalue_floor:
+            raise ValueError(f"density has eigenvalue {evals[0]:.3e} below the floor "
                              f"-{DEFAULT.eigenvalue_floor}")
-        return cls("mixed", rho.dims, None, rho)
+        keep = evals != 0.0
+        return cls("mixed", rho.dims, evals[keep], np.ascontiguousarray(evecs[:, keep].T))
 
     @property
     def side(self) -> int:
         return math.prod(self.dims)
 
+    @property
+    def amplitudes(self) -> Array | None:
+        """The amplitude vector of a pure state; None for a mixed one."""
+        return self.vectors[0] if self.kind == "pure" else None
+
+    @property
+    def density(self) -> ComplexMatrix:
+        """The dense ``sum_i w_i |v_i><v_i|`` (a projector for a pure state),
+        built on each access and refused, like a state, when too large."""
+        side = self.side
+        _refuse_oversize(16 * side * side, f"a density of side {side}")
+        V = self.vectors
+        return ComplexMatrix((self.weights[:, None] * V).T @ V.conj(), self.dims)
+
     def density_matrix(self) -> ComplexMatrix:
-        """Density-matrix view (projector for pure states)."""
-        if self.kind == "mixed":
-            return self.density
-        return ComplexMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), self.dims)
+        """Same as :attr:`density`."""
+        return self.density
 
     def __repr__(self):
         return f"QuantumState(kind={self.kind!r}, dims={self.dims})"
@@ -292,17 +319,17 @@ def _lifted_moments(terms: Sequence[tuple[complex, Sequence[ComplexMatrix]]],
     ``terms`` lists ``(c_t, (F_t1, ..., F_tk))``; the factors act on
     consecutive blocks of state factors, left to right, and a factor may
     span several of them (``F.dims`` is a run of ``s.dims``).  M is never
-    formed: each factor multiplies the amplitude vector, or the row index of
-    the density, viewed as ``(left, F.side, right)``
-    (the vec trick, Van Loan 2000), so the cost is that of a few matrix
-    products on the state.  ``power`` is 1 (the mean alone), 2 or 4, and the
+    formed: each factor multiplies the state's ``r`` ensemble vectors, viewed
+    as ``(left, F.side, right)`` with ``left`` starting at ``r`` (the vec
+    trick, Van Loan 2000), so the cost is that of a few matrix products on
+    the state.  ``power`` is 1 (the mean alone), 2 or 4, and the
     moments assume M Hermitian.  The mean is returned complex, which also
     covers anti-Hermitian sums such as a lifted commutator.
     """
     def apply(X: Array) -> Array:
         out = None
         for c, factors in terms:
-            Y, left = X, 1
+            Y, left = X, X.shape[0]
             for F in factors:
                 Y = np.matmul(F.data, Y.reshape(left, F.side, -1))
                 left *= F.side
@@ -312,20 +339,15 @@ def _lifted_moments(terms: Sequence[tuple[complex, Sequence[ComplexMatrix]]],
             out = Y if out is None else out + Y
         return out
 
-    if s.kind == "pure":
-        Y = apply(s.amplitudes)
-        mean = complex(np.vdot(s.amplitudes, Y))
-        if power == 1:
-            return mean, mean.real
-        if power == 4:
-            Y = apply(Y)
-        return mean, float(np.vdot(Y, Y).real)
-    # Mixed: <M^k> = trace(M^k rho), applying M to the rows of rho k times.
-    Y = apply(s.density.data)
-    mean = complex(np.trace(Y))
-    for _ in range(power - 1):
+    # <M^k> = sum_i w_i <v_i|M^k|v_i>, with M applied to all r vectors at once.
+    w = s.weights[:, None]
+    Y = apply(s.vectors)
+    mean = complex(np.vdot(w * s.vectors, Y))
+    if power == 1:
+        return mean, mean.real
+    if power == 4:
         Y = apply(Y)
-    return mean, float(np.trace(Y).real)
+    return mean, float(np.vdot(w * Y, Y).real)
 
 
 # Building a state and evaluating a condition on it hold several arrays of
@@ -350,7 +372,9 @@ def _refuse_oversize(nbytes: int, what: str) -> None:
 
 
 def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumState:
-    """Convex mixture ``sum_n p_n rho_n``; pure inputs become projectors."""
+    """Convex mixture ``sum_n p_n rho_n``: the components' ensembles, each
+    with its weight multiplied in.  A convex sum of valid states is a valid
+    state, so nothing is re-checked and no density is formed."""
     if len(states) != len(weights):
         raise ValueError(f"{len(states)} states but {len(weights)} weights")
     if not states:
@@ -365,11 +389,9 @@ def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumStat
     for s in states:
         if s.dims != dims:
             raise ValueError(f"all mixture components need dims {dims}, got {s.dims}")
-    side = math.prod(dims)
-    _refuse_oversize(16 * side * side, f"a density of side {side}")
-    rho = np.zeros((side, side), dtype=np.complex128)
-    for weight, s in zip(w, states):
-        if weight == 0.0:
-            continue
-        rho += weight * s.density_matrix().data
-    return QuantumState.mixed(ComplexMatrix(rho, dims))
+    parts = [(weight, s) for weight, s in zip(w, states) if weight != 0.0]
+    rank, side = sum(s.weights.size for _, s in parts), math.prod(dims)
+    _refuse_oversize(16 * rank * side, f"a mixture of {rank} vectors of side {side}")
+    return QuantumState("mixed", dims,
+                        np.concatenate([weight * s.weights for weight, s in parts]),
+                        np.concatenate([s.vectors for _, s in parts]))

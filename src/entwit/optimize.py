@@ -178,6 +178,10 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     comes from inverse iteration at the converged value shifted by 1e-12,
     and a final Rayleigh quotient squeezes the eigenvalue to round-off so
     nested truncations stay monotone well below the bisection tolerance.
+    A Sturm count then checks that no eigenvalue lies below the Rayleigh
+    quotient minus its residual ``||Cv - lambda v||`` (plus 1e-12 of the
+    Gershgorin bound); otherwise, as when ``tol`` is so loose that bisection
+    stopped away from the bottom of the spectrum, ValueError is raised.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -189,6 +193,7 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     radius[1:] += np.abs(off)
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
+    slack = 1e-12 * max(abs(lo), abs(hi))
     off2 = off * off
     pivmin = 1e-20 * max(1.0, float(off2.max()))
     while hi - lo > tol:
@@ -208,7 +213,17 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
         v = w / norm
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
-    rayleigh = float(v @ M.matvec(v))
+    Cv = M.matvec(v)
+    rayleigh = float(v @ Cv)
+    # Some eigenvalue lies within the residual of the Rayleigh quotient;
+    # it is the smallest only if the Sturm count finds none further below.
+    residual = float(np.linalg.norm(Cv - rayleigh * v))
+    floor = rayleigh - residual - slack
+    below = _count_below(diag, off2, floor, pivmin)
+    if below:
+        raise ValueError(f"eigenvalue {rayleigh:.6g} is not the smallest: {below} "
+                         f"eigenvalue(s) lie below {floor:.6g}; tolerance {tol} "
+                         f"is too loose")
     return rayleigh, v
 
 

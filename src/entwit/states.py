@@ -46,11 +46,22 @@ def pair_cutoff(num_coeffs: int) -> int:
 
 
 def squeezed_cutoff(lam: float) -> int:
-    """Smallest even cutoff D with lambda^(2D) below the tail-mass budget."""
-    if abs(lam) >= 1.0:
+    """Smallest even cutoff D >= 2 with lambda^(2D) below the tail-mass budget.
+
+    D is estimated as log(tail) / (2 log|lambda|), then moved in steps of 2
+    against the exact condition, so the result is that of stepping D = 2,
+    4, ... until the condition holds, in O(1) time even for |lambda| near 1.
+    """
+    r = abs(lam)
+    if r >= 1.0:
         raise ValueError(f"squeezing parameter must satisfy |lambda| < 1, got {lam}")
+    tail = DEFAULT.tail_mass
     D = 2
-    while abs(lam) ** (2 * D) >= DEFAULT.tail_mass:
+    if r > 0.0:
+        D = max(2, 2 * math.ceil(math.log(tail) / (4.0 * math.log(r))))
+    while D > 2 and r ** (2 * (D - 2)) < tail:
+        D -= 2
+    while r ** (2 * D) >= tail:
         D += 2
     return D
 

@@ -65,6 +65,26 @@ def test_cmatrix_report(capsys):
     assert doc["meta"]["tolerances"]["violation"] == 1e-9
 
 
+def test_cmatrix_default_tolerance_output_frozen(capsys):
+    code, doc, _ = invoke(capsys, "cmatrix", "--n", "200")
+    assert code == 0
+    assert doc["results"] == {
+        "lambda_min": -0.0449537542791,
+        "eigenvector_head": [0.995874887735, 0.089536629992, 0.0144357812492,
+                             0.00276729034291, 0.000577302508792, 0.000126651899886,
+                             2.87301823639e-05, 6.67444576025e-06],
+        "vmax": 1.21923714878,
+    }
+
+
+def test_cmatrix_oversized_tolerance_exits_1(capsys):
+    # bisection to 1e3 would report an interior eigenvalue, 454.9
+    assert run(["cmatrix", "--n", "200", "--tol", "1e3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "not the smallest" in captured.err
+
+
 def test_cmatrix_trivial_truncation(capsys):
     code, doc, _ = invoke(capsys, "cmatrix", "--n", "0")
     assert code == 0
@@ -337,8 +357,8 @@ def test_cmatrix_non_finite_tolerance_exits_1(capsys, tol):
     "argv",
     [
         ["bell", "--parties", "40", "--condition", "variance"],
-        # 16 MB pure components, but a 16 TB density
-        ["mixture", "--p", "0.5", "--coeffs", "0.8,0.6", "--cutoff", "1000"],
+        # the pure component alone is 640 GB
+        ["mixture", "--p", "0.5", "--coeffs", "0.8,0.6", "--cutoff", "200000"],
     ],
 )
 def test_oversized_states_refused_exit_1(capsys, argv):
@@ -347,6 +367,15 @@ def test_oversized_states_refused_exit_1(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "physical memory" in captured.err and "Traceback" not in captured.err
+
+
+def test_mixture_beyond_dense_density_size(capsys):
+    # two 230 KB ensemble vectors where the density would take 3.3 GB
+    code, doc, _ = invoke(capsys, "mixture", "--p", "0.5", "--coeffs", "0.8,0.6",
+                          "--cutoff", "120")
+    assert code == 0
+    res = doc["results"]
+    assert abs(res["report"]["lhs"] - res["closed_form_lhs"]) < 1e-9
 
 
 def test_eval_error_reports_offset(capsys):

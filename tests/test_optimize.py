@@ -156,6 +156,20 @@ def test_min_eigenvalue_rejects_non_finite_tolerance(tol):
         min_eigenvalue(c_matrix(200), tol=tol)
 
 
+def test_min_eigenvalue_refuses_tolerance_that_misses_the_bottom():
+    # bisection to 1e3 stops near 455, where inverse iteration finds an
+    # interior eigenvalue; the Sturm count puts eleven eigenvalues below it
+    with pytest.raises(ValueError, match="not the smallest"):
+        min_eigenvalue(c_matrix(200), tol=1e3)
+
+
+@pytest.mark.parametrize("N", [200, 2000])
+@pytest.mark.parametrize("tol", [1e-10, 1e-6, 1e-2, 1.0])
+def test_min_eigenvalue_certified_across_tolerances(N, tol):
+    lam, _ = min_eigenvalue(c_matrix(N), tol)
+    assert abs(lam - LAMBDA_200) < 1e-9
+
+
 def test_convergence_study_is_monotone():
     pairs = convergence_study([1, 2, 5, 10, 50, 200])
     assert [N for N, _ in pairs] == [1, 2, 5, 10, 50, 200]

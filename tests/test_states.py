@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
 from entwit import (
+    DEFAULT,
     StateSpec,
     bell,
     build_state,
@@ -59,6 +61,33 @@ def test_squeezed_tail_rule_cutoffs():
     assert squeezed_cutoff(0.7) == 40
     with pytest.raises(ValueError):
         squeezed_cutoff(1.0)
+
+
+def stepped_cutoff(lam):
+    """The cutoff rule evaluated one even D at a time."""
+    D = 2
+    while abs(lam) ** (2 * D) >= DEFAULT.tail_mass:
+        D += 2
+    return D
+
+
+def test_squeezed_cutoff_closed_form_matches_stepping():
+    grid = [0.0, 1e-300, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.999, 0.9999, -0.9999]
+    grid += list(np.linspace(-0.999, 0.999, 801))
+    grid += list(1.0 - np.logspace(-4, -1, 40))
+    for lam in grid:
+        assert squeezed_cutoff(lam) == stepped_cutoff(lam), lam
+    assert squeezed_cutoff(0.0) == 2
+    assert squeezed_cutoff(0.9) == 132
+    assert squeezed_cutoff(0.99) == 1376
+
+
+def test_squeezed_near_one_refused_quickly(monkeypatch):
+    monkeypatch.setattr(os, "sysconf", fake_sysconf(4096, 2**21))  # 8 GiB
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="physical memory"):
+        squeezed_vacuum(1.0 - 1e-12)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_squeezed_amplitudes_geometric_and_normalized():
@@ -220,6 +249,16 @@ def test_size_refusal_counts_working_copies(monkeypatch):
         bell(15)
     with pytest.raises(ValueError, match="physical memory"):
         squeezed_vacuum(0.5, cutoff=200)
+
+
+def test_size_refusal_counts_ensemble_not_density(monkeypatch):
+    # the 1 MiB budget holds a cutoff-64 mixture, two 64 KiB vectors (512 KiB
+    # with its copies), but not its 256 MiB density
+    monkeypatch.setattr(os, "sysconf", fake_sysconf(4096, 512))
+    s = vacuum_mixture(0.5, [0.8, 0.6], cutoff=64)
+    assert s.vectors.shape == (2, 64 * 64)
+    with pytest.raises(ValueError, match="physical memory"):
+        s.density
 
 
 def test_size_refusal_skipped_without_sysconf(monkeypatch):

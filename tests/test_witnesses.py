@@ -24,7 +24,9 @@ from entwit import (
     fock_pair_superposition,
     heisenberg_floor,
     kron,
+    mix,
     multipartite,
+    quadratic_form,
     quadratures,
     ramanujan_witness,
     schmidt_optimal_witness,
@@ -32,6 +34,7 @@ from entwit import (
     spin_ops,
     uffink,
     variance,
+    vacuum_mixture,
     variance_product,
     variance_sum,
 )
@@ -42,6 +45,7 @@ from _support import (
     random_mixed,
     random_pure,
     random_separable_mixture,
+    random_unit_vector,
     rng,
 )
 
@@ -516,3 +520,77 @@ def test_lifted_hermiticity_defect_is_rejected():
             condition(A, S_Y, B, S_Y, bell(2))
     with pytest.raises(ValueError, match="Hermitian"):
         multipartite([A, B], [S_Y, S_Y], bell(2))
+
+
+# --- ensembles against the dense oracle --------------------------------------
+#
+# A mixed state is an ensemble of weighted vectors; the dense oracle reads the
+# density it stands for.
+
+
+def assert_all_conditions_match_oracle(gen, s, dims_a, dims_b):
+    A, Ap = hermitian_on(gen, dims_a), hermitian_on(gen, dims_a)
+    B, Bp = hermitian_on(gen, dims_b), hermitian_on(gen, dims_b)
+    want = dense_bipartite(A, Ap, B, Bp, s)
+    for rep in (variance_product(A, Ap, B, Bp, s), variance_sum(A, Ap, B, Bp, s),
+                ramanujan_witness(A, Ap, B, Bp, s, 2), ramanujan_witness(A, Ap, B, Bp, s, 4),
+                uffink(A, Ap, B, Bp, s), four_variance(A, Ap, B, Bp, s)):
+        assert_report_matches(rep, want[rep.name])
+    assert_report_matches(multipartite([A, B], [Ap, Bp], s),
+                          dense_multipartite([A, B], [Ap, Bp], s))
+    assert_matches(heisenberg_floor(A, Ap, B, Bp, s), want["floor"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+def test_mixture_of_non_orthogonal_pure_states_matches_oracle(seed, dims):
+    gen = rng(seed)
+    parts = [random_pure(gen, dims) for _ in range(3)]
+    w = gen.uniform(0.1, 1.0, size=3)
+    s = mix(parts, w / w.sum())
+    assert s.weights.shape == (3,) and s.vectors.shape == (3, math.prod(dims))
+    overlaps = [abs(np.vdot(a.amplitudes, b.amplitudes)) for a, b in zip(parts, parts[1:])]
+    assert min(overlaps) > 1e-6
+    assert_all_conditions_match_oracle(gen, s, dims[:1], dims[1:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), dims=st.sampled_from([(2, 2), (2, 3), (3, 3)]))
+def test_mixture_with_mixed_components_matches_oracle(seed, dims):
+    gen = rng(seed)
+    inner = mix([random_pure(gen, dims), random_mixed(gen, dims)], [0.4, 0.6])
+    s = mix([random_mixed(gen, dims), inner, random_pure(gen, dims)], [0.3, 0.5, 0.2])
+    side = math.prod(dims)
+    assert s.weights.size == side + (1 + side) + 1
+    assert abs(s.weights.sum() - 1.0) < 1e-12
+    assert_all_conditions_match_oracle(gen, s, dims[:1], dims[1:])
+
+
+def test_rank_deficient_density_with_negative_round_off_matches_oracle():
+    gen = rng(31)
+    side = 6
+    U = np.linalg.qr(np.column_stack([random_unit_vector(gen, side) for _ in range(side)]))[0]
+    spectrum = np.array([0.5, 0.3, 0.2 + 5e-11, -5e-11, 0.0, 0.0])
+    rho = U @ np.diag(spectrum) @ U.conj().T
+    rho = 0.5 * (rho + rho.conj().T)
+    s = QuantumState.mixed(rho, (2, 3))
+    # the negative eigenvalue is kept as a weight, not clamped
+    assert s.weights.min() < -4e-11
+    assert np.abs(s.density.data - rho).max() < 1e-14
+    assert_all_conditions_match_oracle(gen, s, (2,), (3,))
+
+
+def test_mix_and_vacuum_mixture_call_no_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigen-solver was called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    gen = rng(41)
+    parts = [random_pure(gen, (2, 3)) for _ in range(3)]
+    m = mix([mix(parts, [0.2, 0.3, 0.5]), parts[0]], [0.5, 0.5])
+    assert m.kind == "mixed" and m.weights.size == 4
+    s = vacuum_mixture(0.5, [0.8, 0.6])
+    quad = quadratures(s.dims[0])
+    report = variance_product(quad.x, quad.p, quad.p, quad.x, s)
+    assert abs(report.lhs - (0.25 + 0.5 * quadratic_form([0.8, 0.6]))) < 1e-12
