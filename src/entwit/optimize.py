@@ -8,8 +8,13 @@ The variance product on the family with real coefficients c_n is
 so the strongest violation at truncation N comes from the minimal
 eigenvalue of the symmetric tridiagonal matrix C_N that represents Q.
 Eigenvalues are located by bisection on the Sturm sequence (sign-change
-count of the shifted LDL^T recurrence) -- robust for symmetric tridiagonal
-input and free of any general eigensolver dependency.
+count of the shifted LDL^T recurrence; Barth, Martin and Wilkinson, Numer.
+Math. 9, 1967) -- robust for symmetric tridiagonal input and free of any
+general eigensolver dependency.  The scalar recurrences (the Sturm count
+and the pivoted tridiagonal solve of inverse iteration) run on Python
+floats read and written through memoryviews of numpy buffers, never on
+numpy scalars; the psi2 grid is evaluated as one array expression.  Requests whose
+arrays would not fit in memory are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -20,7 +25,20 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .hilbert import _refuse_oversize
+
 Array = np.ndarray
+
+# Float arrays of the matrix size that c_matrix and min_eigenvalue hold at
+# once: the matrix and its build temporaries, off2, the Gershgorin radii,
+# the inverse-iteration vectors and the buffers of _tridiag_solve.
+_SOLVE_ARRAYS = 12
+# Floats per grid point of psi2_scan: the grid, the values, their
+# temporaries and the copies ScanResult keeps (6), doubled for the lists and
+# text of a JSON report of the scan.  With the four working copies that
+# _refuse_oversize counts, that is 384 bytes per point; `psi2 --scan` peaks
+# at about 375.
+_SCAN_FLOATS = 12
 
 __all__ = [
     "TridiagonalMatrix",
@@ -81,11 +99,14 @@ def c_matrix(N: int) -> TridiagonalMatrix:
 
     The off-diagonal carries the minus sign of Q's cross term; flipping the
     signs of off-diagonal entries is a diagonal similarity, so the spectrum
-    would be unchanged either way.
+    would be unchanged either way.  An N whose arrays (counted for
+    :func:`min_eigenvalue` too) would not fit in memory is refused with
+    ValueError before allocation.
     """
     N = int(N)
     if N < 0:
         raise ValueError(f"truncation order must be non-negative, got {N}")
+    _refuse_oversize(8 * _SOLVE_ARRAYS * (N + 1), f"C_N at N = {N}")
     ns = np.arange(N + 1, dtype=float)
     diag = 2.0 * ns * (2.0 * ns + 1.0)
     ms = np.arange(N, dtype=float)
@@ -113,19 +134,25 @@ def quadratic_form(c: Sequence[float]) -> float:
 
 
 def _count_below(diag: Array, off2: Array, x: float, pivmin: float) -> int:
-    """Number of eigenvalues strictly below x (Sturm sign-change count)."""
+    """Number of eigenvalues strictly below x (Sturm sign-change count).
+
+    The loop runs over memoryviews of the arrays, which yield Python floats
+    and copy nothing.  A pivot q with |q| < pivmin is replaced by -pivmin,
+    so every q below pivmin counts as negative.
+    """
+    neg_pivmin = -pivmin
+    q = float(diag[0]) - x
     count = 0
-    q = diag[0] - x
-    if abs(q) < pivmin:
-        q = -pivmin
-    if q < 0.0:
-        count += 1
-    for i in range(1, diag.size):
-        q = (diag[i] - x) - off2[i - 1] / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
+    if q < pivmin:
+        count = 1
+        if q > neg_pivmin:
+            q = neg_pivmin
+    for d, e2 in zip(memoryview(diag)[1:], memoryview(off2)):
+        q = (d - x) - e2 / q
+        if q < pivmin:
             count += 1
+            if q > neg_pivmin:
+                q = neg_pivmin
     return count
 
 
@@ -134,16 +161,17 @@ def _tridiag_solve(diag: Array, off: Array, sigma: float, rhs: Array) -> Array:
 
     Pivoting keeps the solve stable at the nearly singular shifts used by
     inverse iteration; the factored upper triangle gains a second
-    superdiagonal, nothing more.
+    superdiagonal, nothing more.  The loops index memoryviews of the numpy
+    buffers, which read and write Python floats.
     """
     n = diag.size
-    d = diag.astype(float) - sigma       # main diagonal
-    u1 = np.append(off.astype(float), 0.0)   # first superdiagonal
-    u2 = np.zeros(n)                     # second superdiagonal (pivot fill-in)
-    low = off.astype(float)              # subdiagonal entries, consumed in order
-    b = rhs.astype(float).copy()
-    for i in range(n - 1):
-        sub = low[i]
+    tiny = float(np.finfo(float).tiny)
+    off = np.ascontiguousarray(off, dtype=float)
+    d = memoryview(diag - sigma)                 # main diagonal
+    u1 = memoryview(np.append(off, 0.0))         # first superdiagonal
+    u2 = memoryview(np.zeros(n))                 # second superdiagonal (pivot fill-in)
+    b = memoryview(np.array(rhs, dtype=float))
+    for i, sub in enumerate(memoryview(off)):    # subdiagonal entries, in order
         if abs(sub) > abs(d[i]):
             # swap rows i and i+1
             d[i], sub = sub, d[i]
@@ -152,12 +180,13 @@ def _tridiag_solve(diag: Array, off: Array, sigma: float, rhs: Array) -> Array:
             b[i], b[i + 1] = b[i + 1], b[i]
         pivot = d[i]
         if pivot == 0.0:
-            pivot = np.finfo(float).tiny
+            pivot = tiny
         factor = sub / pivot
         d[i + 1] -= factor * u1[i]
         u1[i + 1] -= factor * u2[i]
         b[i + 1] -= factor * b[i]
-    v = np.zeros(n)
+    solution = np.zeros(n)
+    v = memoryview(solution)
     for i in range(n - 1, -1, -1):
         acc = b[i]
         if i + 1 < n:
@@ -166,22 +195,28 @@ def _tridiag_solve(diag: Array, off: Array, sigma: float, rhs: Array) -> Array:
             acc -= u2[i] * v[i + 2]
         pivot = d[i]
         if pivot == 0.0:
-            pivot = np.finfo(float).tiny
+            pivot = tiny
         v[i] = acc / pivot
-    return v
+    return solution
 
 
 def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Array]:
     """Smallest eigenvalue (within ``tol``) and a unit eigenvector.
 
-    Bisection on the Sturm sequence brackets the eigenvalue; the vector
-    comes from inverse iteration at the converged value shifted by 1e-12,
-    and a final Rayleigh quotient squeezes the eigenvalue to round-off so
-    nested truncations stay monotone well below the bisection tolerance.
-    A Sturm count then checks that no eigenvalue lies below the Rayleigh
-    quotient minus its residual ``||Cv - lambda v||`` (plus 1e-12 of the
-    Gershgorin bound); otherwise, as when ``tol`` is so loose that bisection
-    stopped away from the bottom of the spectrum, ValueError is raised.
+    Bisection on the Sturm sequence brackets the eigenvalue; it stops at
+    ``tol`` or when the midpoint no longer lies strictly inside the bracket
+    (the bracket is one ulp wide).  Each diagonal entry is a Rayleigh
+    quotient, so no Sturm count is needed while the midpoint lies above the
+    smallest diagonal entry (plus a 1e-12 relative slack): the count there is
+    at least one.  The vector comes from inverse iteration at the converged
+    value shifted by 1e-12, and a final Rayleigh quotient squeezes the
+    eigenvalue to round-off so nested truncations stay monotone well below
+    the bisection tolerance.  Two Sturm counts then certify it against its
+    residual ``r = ||Cv - lambda v||`` and ``eps`` = 1e-12 of the Gershgorin
+    bound: none below ``lambda - r - eps`` and at least one below
+    ``lambda + r + eps``; otherwise, as when ``tol`` is so loose that
+    bisection stopped away from the bottom of the spectrum, ValueError is
+    raised.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
@@ -194,11 +229,15 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
     slack = 1e-12 * max(abs(lo), abs(hi))
+    # lambda_min <= min(diag), so the count above this point is at least 1
+    count_known_above = float(np.min(diag)) + slack
     off2 = off * off
     pivmin = 1e-20 * max(1.0, float(off2.max()))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _count_below(diag, off2, mid, pivmin) >= 1:
+        if not lo < mid < hi:
+            break
+        if mid > count_known_above or _count_below(diag, off2, mid, pivmin) >= 1:
             hi = mid
         else:
             lo = mid
@@ -224,6 +263,10 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
         raise ValueError(f"eigenvalue {rayleigh:.6g} is not the smallest: {below} "
                          f"eigenvalue(s) lie below {floor:.6g}; tolerance {tol} "
                          f"is too loose")
+    ceiling = rayleigh + residual + slack
+    if _count_below(diag, off2, ceiling, pivmin) < 1:
+        raise ValueError(f"eigenvalue {rayleigh:.6g} is not certified: no eigenvalue "
+                         f"lies below {ceiling:.6g}")
     return rayleigh, v
 
 
@@ -270,6 +313,25 @@ def _psi2_objective(c0: float) -> float:
     return vmax_from_lambda(quadratic_form([c0, c1]))
 
 
+def _psi2_values(grid: Array) -> Array:
+    """:func:`_psi2_objective` over the whole grid: the same floating-point
+    operations in the same order, on arrays reused in place."""
+    c1 = grid * grid
+    np.subtract(1.0, c1, out=c1)
+    np.maximum(c1, 0.0, out=c1)
+    np.sqrt(c1, out=c1)                  # c1 = sqrt(max(0, 1 - c0^2))
+    values = 6.0 * c1
+    values *= c1                         # (6*c1)*c1
+    c1 *= grid
+    np.subtract(0.0, c1, out=c1)         # 0 - c0*c1
+    values += c1                         # Q
+    values += 0.25
+    if not np.all(values > 0.0):
+        raise ValueError("1/4 + Q is not positive on the whole grid; "
+                         "the ratio form does not apply")
+    return np.divide(0.25, values, out=values)
+
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -295,13 +357,15 @@ def psi2_scan(grid_size: int) -> ScanResult:
 
     The objective is V(c0) = (1/4)/(1/4 + Q(c0, sqrt(1 - c0^2))).  A single
     golden-section pass around the best grid point sharpens the argmax to
-    1e-6 parameter resolution.
+    1e-6 parameter resolution.  A grid too large for memory is refused with
+    ValueError before allocation.
     """
     grid_size = int(grid_size)
     if grid_size < 3:
         raise ValueError(f"grid size must be at least 3, got {grid_size}")
+    _refuse_oversize(8 * _SCAN_FLOATS * grid_size, f"a scan of {grid_size} points")
     grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    values = np.array([_psi2_objective(c0) for c0 in grid])
+    values = _psi2_values(grid)
     i = int(np.argmax(values))
     lo = grid[i - 1] if i > 0 else 0.0
     hi = grid[i + 1] if i + 1 < grid.size else 1.0

@@ -1,9 +1,10 @@
 """Exact polynomial identities in the four commuting scalars a, a', b, b'.
 
 The separability conditions in :mod:`entwit.witnesses` rest on scalar
-polynomial identities.  This module expands both sides exactly (arbitrary
-precision rationals, sparse exponent-vector representation) and decides
-equality term by term -- no floating point anywhere.
+polynomial identities.  This module expands both sides exactly (Python
+integer coefficients, a Fraction only where a caller supplies a rational
+one; sparse exponent-vector representation) and decides equality term by
+term -- no floating point anywhere.
 
 Grammar for :func:`parse`::
 
@@ -49,26 +50,39 @@ _ZERO_EXP: Exponent = (0, 0, 0, 0)
 
 
 class Polynomial:
-    """Sparse polynomial: map from length-4 exponent vectors to Fractions.
+    """Sparse polynomial: map from length-4 exponent vectors to coefficients.
 
-    Instances are canonical (no zero coefficients stored) and immutable;
-    arithmetic returns new objects.
+    An integer coefficient is a Python ``int``; a ``Fraction`` appears only
+    where a caller supplies a coefficient that is not an integer (and in
+    what arithmetic derives from it).  ``Fraction(k) == k`` and both hash
+    alike, so equality and hashing do not depend on which type a
+    coefficient has.  Instances are canonical (no zero coefficients stored)
+    and immutable; arithmetic returns new objects.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
-        canonical: dict[Exponent, Fraction] = {}
+    def __init__(self, terms: Mapping[Exponent, Fraction | int] | None = None):
+        canonical: dict[Exponent, Fraction | int] = {}
         for exp, coeff in (terms or {}).items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != 4 or any(e < 0 for e in exp):
                 raise ValueError(f"exponent vector must be 4 non-negative integers, got {exp}")
             coeff = Fraction(coeff)
+            if coeff.denominator == 1:
+                coeff = coeff.numerator
             if coeff != 0:
-                canonical[exp] = canonical.get(exp, Fraction(0)) + coeff
+                canonical[exp] = canonical.get(exp, 0) + coeff
                 if canonical[exp] == 0:
                     del canonical[exp]
         object.__setattr__(self, "_terms", canonical)
+
+    @classmethod
+    def _nonzero(cls, terms: dict[Exponent, Fraction | int]) -> "Polynomial":
+        """Wrap arithmetic output, already validated, dropping zero terms."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "_terms", {e: c for e, c in terms.items() if c})
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -79,7 +93,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
-        return cls({_ZERO_EXP: Fraction(value)})
+        return cls({_ZERO_EXP: value})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
@@ -87,19 +101,19 @@ class Polynomial:
             raise ValueError(f"unknown variable {name!r}; expected one of {VARIABLES}")
         exp = [0, 0, 0, 0]
         exp[_VAR_INDEX[name]] = 1
-        return cls({tuple(exp): Fraction(1)})
+        return cls({tuple(exp): 1})
 
     @property
-    def terms(self) -> dict[Exponent, Fraction]:
+    def terms(self) -> dict[Exponent, Fraction | int]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
 
-    def constant_value(self) -> Fraction | None:
-        """The value as a Fraction if the polynomial is constant, else None."""
+    def constant_value(self) -> Fraction | int | None:
+        """The value if the polynomial is constant, else None."""
         if not self._terms:
-            return Fraction(0)
+            return 0
         if set(self._terms) == {_ZERO_EXP}:
             return self._terms[_ZERO_EXP]
         return None
@@ -107,22 +121,24 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self._terms)
         for exp, coeff in other._terms.items():
-            out[exp] = out.get(exp, Fraction(0)) + coeff
-        return Polynomial(out)
+            out[exp] = out.get(exp, 0) + coeff
+        return Polynomial._nonzero(out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({exp: -c for exp, c in self._terms.items()})
+        return Polynomial._nonzero({exp: -c for exp, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                out[exp] = out.get(exp, Fraction(0)) + c1 * c2
-        return Polynomial(out)
+        out: dict[Exponent, Fraction | int] = {}
+        get = out.get
+        right = list(other._terms.items())
+        for (a0, a1, a2, a3), c1 in self._terms.items():
+            for (b0, b1, b2, b3), c2 in right:
+                exp = (a0 + b0, a1 + b1, a2 + b2, a3 + b3)
+                out[exp] = get(exp, 0) + c1 * c2
+        return Polynomial._nonzero(out)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -396,7 +412,7 @@ def pretty(e: Expr) -> str:
 
 
 def expand(e: Expr) -> Polynomial:
-    """Fully expanded canonical polynomial with exact rational coefficients."""
+    """Fully expanded canonical polynomial; its coefficients are exact ints."""
     if isinstance(e, Var):
         return Polynomial.variable(e.name)
     if isinstance(e, IntLit):

@@ -1,10 +1,16 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and a fake ``os.sysconf``, shared across the
+test modules."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from entwit import ComplexMatrix, QuantumState, mix
+
+
+def fake_sysconf(page_size, pages):
+    """Stand-in for ``os.sysconf`` reporting ``pages`` of ``page_size`` bytes."""
+    return lambda name: {"SC_PAGE_SIZE": page_size, "SC_PHYS_PAGES": pages}[name]
 
 
 def rng(seed: int) -> np.random.Generator:

@@ -369,6 +369,34 @@ def test_oversized_states_refused_exit_1(capsys, argv):
     assert "physical memory" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cmatrix", "--n", "1000000000000"],
+        ["psi2", "--scan", "1000000000000"],
+    ],
+)
+def test_oversized_solves_refused_exit_1(capsys, argv):
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "physical memory" in captured.err and "Traceback" not in captured.err
+
+
+def test_cmatrix_tiny_tolerance_terminates(capsys):
+    # once the bracket is one ulp wide it cannot shrink below 1e-300; run in
+    # a child so that a bisection that never stops fails instead of hanging
+    proc = subprocess.run(
+        [sys.executable, "-m", "entwit.cli", "cmatrix", "--n", "5", "--tol", "1e-300"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0
+    lam = json.loads(proc.stdout)["results"]["lambda_min"]
+    code, doc, _ = invoke(capsys, "cmatrix", "--n", "5")
+    assert code == 0
+    assert abs(lam - doc["results"]["lambda_min"]) < 1e-12
+
+
 def test_mixture_beyond_dense_density_size(capsys):
     # two 230 KB ensemble vectors where the density would take 3.3 GB
     code, doc, _ = invoke(capsys, "mixture", "--p", "0.5", "--coeffs", "0.8,0.6",

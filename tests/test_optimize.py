@@ -7,10 +7,12 @@ solver (and, for the 2 x 2 case, by the quadratic formula: 3 - sqrt(9.25)).
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from entwit import optimize
 from entwit import (
     ScanResult,
     TridiagonalMatrix,
@@ -22,12 +24,17 @@ from entwit import (
     vmax_from_lambda,
 )
 
-from _support import rng
+from _support import fake_sysconf, rng
 
 LAMBDA_1 = 3.0 - math.sqrt(9.25)          # exact smallest eigenvalue at N = 1
 LAMBDA_200 = -0.04495375427909592         # frozen from a dense solve
 BEST_V = 1.198358336218877                # 0.25 / (0.25 + LAMBDA_1)
 BEST_C0 = 0.9965926760297167              # normalized eigenvector head at N = 1
+# min_eigenvalue(c_matrix(2000)) as computed by the numpy-scalar loops
+LAMBDA_2000 = -0.04495375427909591
+HEAD_2000 = [0.9958748877354319, 0.08953662999196164, 0.014435781249230322,
+             0.002767290342910153, 0.0005773025087923641, 0.00012665189988591275,
+             2.873018236389888e-05, 6.674445760252407e-06]
 
 
 # --- the matrix itself -------------------------------------------------------
@@ -246,3 +253,130 @@ def test_scan_result_validation_and_immutability():
         result.best = 2.0
     with pytest.raises(ValueError):
         result.grid[0] = 0.5
+
+
+# --- the scalar kernels against the numpy-indexing loops they replaced --------
+
+
+def reference_count_below(diag, off2, x, pivmin):
+    count = 0
+    q = diag[0] - x
+    if abs(q) < pivmin:
+        q = -pivmin
+    if q < 0.0:
+        count += 1
+    for i in range(1, diag.size):
+        q = (diag[i] - x) - off2[i - 1] / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def reference_tridiag_solve(diag, off, sigma, rhs):
+    n = diag.size
+    d = diag.astype(float) - sigma
+    u1 = np.append(off.astype(float), 0.0)
+    u2 = np.zeros(n)
+    low = off.astype(float)
+    b = rhs.astype(float).copy()
+    for i in range(n - 1):
+        sub = low[i]
+        if abs(sub) > abs(d[i]):
+            d[i], sub = sub, d[i]
+            u1[i], d[i + 1] = d[i + 1], u1[i]
+            u2[i], u1[i + 1] = u1[i + 1], 0.0
+            b[i], b[i + 1] = b[i + 1], b[i]
+        pivot = d[i]
+        if pivot == 0.0:
+            pivot = np.finfo(float).tiny
+        factor = sub / pivot
+        d[i + 1] -= factor * u1[i]
+        u1[i + 1] -= factor * u2[i]
+        b[i + 1] -= factor * b[i]
+    v = np.zeros(n)
+    for i in range(n - 1, -1, -1):
+        acc = b[i]
+        if i + 1 < n:
+            acc -= u1[i] * v[i + 1]
+        if i + 2 < n:
+            acc -= u2[i] * v[i + 2]
+        pivot = d[i]
+        if pivot == 0.0:
+            pivot = np.finfo(float).tiny
+        v[i] = acc / pivot
+    return v
+
+
+def random_tridiagonals(seed):
+    """Real-valued tridiagonals, and small-integer ones whose shifts at
+    diagonal entries hit exact zero pivots."""
+    gen = rng(seed)
+    for _ in range(40):
+        size = int(gen.integers(1, 40))
+        if gen.uniform() < 0.5:
+            yield gen.normal(size=size) * 5.0, gen.normal(size=size - 1) * 5.0
+        else:
+            yield (gen.integers(-2, 3, size=size).astype(float),
+                   gen.integers(-1, 2, size=size - 1).astype(float))
+
+
+def test_count_below_matches_reference_loop():
+    zero_pivots = 0
+    for diag, off in random_tridiagonals(21):
+        off2 = off * off
+        pivmin = 1e-20 * max(1.0, float(off2.max(initial=0.0)))
+        shifts = list(diag) + [-30.0, -0.5, 0.0, 0.25, 30.0]
+        for x in shifts:
+            want = reference_count_below(diag, off2, x, pivmin)
+            assert optimize._count_below(diag, off2, x, pivmin) == want
+            zero_pivots += diag[0] - x == 0.0
+        want = int(np.sum(np.linalg.eigvalsh(TridiagonalMatrix(diag, off).dense())
+                          < -30.0))
+        assert optimize._count_below(diag, off2, -30.0, pivmin) == want
+    assert zero_pivots > 40  # the pivmin branch was taken
+
+
+def test_tridiag_solve_matches_reference_loop():
+    gen = rng(22)
+    for diag, off in random_tridiagonals(23):
+        rhs = gen.normal(size=diag.size)
+        for sigma in (0.0, float(diag[0]), 0.3):
+            got = optimize._tridiag_solve(diag, off, sigma, rhs)
+            want = reference_tridiag_solve(diag, off, sigma, rhs)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_min_eigenvalue_frozen_bit_for_bit():
+    lam, v = min_eigenvalue(c_matrix(2000))
+    assert lam == LAMBDA_2000
+    assert [float(x) for x in v[:8]] == HEAD_2000
+
+
+@pytest.mark.parametrize("grid_size", [41, 20000])
+def test_psi2_grid_values_equal_scalar_objective(grid_size):
+    result = psi2_scan(grid_size)
+    want = [optimize._psi2_objective(c0) for c0 in result.grid]
+    assert np.array_equal(result.values, want)
+
+
+# --- termination, certificates and size refusal --------------------------------
+
+
+def test_min_eigenvalue_upper_certificate(monkeypatch):
+    # a count that never finds an eigenvalue leaves none below lambda + r
+    monkeypatch.setattr(optimize, "_count_below", lambda *args: 0)
+    with pytest.raises(ValueError, match="not certified"):
+        min_eigenvalue(c_matrix(20))
+
+
+def test_solve_and_scan_refused_before_allocation(monkeypatch):
+    # a 1 MiB budget; both hold 96 bytes per entry, 384 with the working copies
+    monkeypatch.setattr(os, "sysconf", fake_sysconf(4096, 512))
+    assert c_matrix(2729).size == 2730
+    with pytest.raises(ValueError, match="physical memory"):
+        c_matrix(2730)
+    assert psi2_scan(2730).values.size == 2730
+    with pytest.raises(ValueError, match="physical memory"):
+        psi2_scan(2731)

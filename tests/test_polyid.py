@@ -213,3 +213,39 @@ def test_polynomial_evaluate_needs_four_values():
     with pytest.raises(ValueError, match="all 4 variables"):
         p.evaluate([F(1), F(2)])
     assert p.evaluate([F(5), F(0), F(0), F(0)]) == F(5)
+
+
+# --- coefficient types -------------------------------------------------------
+
+
+def test_expansion_coefficients_are_ints():
+    for text in ("(a + a' + b + b')^6", "(a*b - a'*b')^2 - 3*(a - b')^3", "2^3^2"):
+        coefficients = expand(parse(text)).terms.values()
+        assert coefficients and all(type(c) is int for c in coefficients)
+
+
+def test_integer_fraction_equals_int_coefficient():
+    exp = (1, 0, 2, 0)
+    p, q = Polynomial({exp: F(2)}), Polynomial({exp: 2})
+    assert p == q and hash(p) == hash(q)
+    assert type(p.terms[exp]) is int
+
+
+def test_fraction_coefficient_survives_products_and_powers():
+    half = Polynomial.constant(F(1, 2))
+    cube = expand(parse("(a+b)^3"))
+    assert (half * cube).terms == {
+        (3, 0, 0, 0): F(1, 2), (2, 0, 1, 0): F(3, 2),
+        (1, 0, 2, 0): F(3, 2), (0, 0, 3, 0): F(1, 2),
+    }
+    assert (half * expand(parse("a+b"))) ** 3 == Polynomial.constant(F(1, 8)) * cube
+    assert ((half * expand(parse("a+b"))) ** 3).terms[(2, 0, 1, 0)] == F(3, 8)
+
+
+def test_product_that_cancels_is_dropped():
+    # the cross terms a*b and -a*b cancel inside the product
+    p = expand(parse("a + b")) * expand(parse("a - b"))
+    assert p.terms == {(2, 0, 0, 0): 1, (0, 0, 2, 0): -1}
+    half_b = Polynomial.constant(F(1, 2)) * Polynomial.variable("b")
+    a = Polynomial.variable("a")
+    assert ((a + half_b) * (a - half_b)).terms == {(2, 0, 0, 0): 1, (0, 0, 2, 0): F(-1, 4)}

@@ -25,6 +25,8 @@ from entwit import (
     vacuum_mixture,
 )
 
+from _support import fake_sysconf
+
 
 def test_fock_pair_amplitude_placement():
     D = 8
@@ -234,10 +236,6 @@ def test_spec_resolved_cutoffs():
     assert StateSpec("squeezed", {"lambda": 0.5}).resolved_cutoff() == 20
     assert StateSpec("bell", {"parties": 2}).resolved_cutoff() is None
     assert StateSpec("schmidt", {"alpha": 1.0, "beta": 0.0}).resolved_cutoff() is None
-
-
-def fake_sysconf(page_size, pages):
-    return lambda name: {"SC_PAGE_SIZE": page_size, "SC_PHYS_PAGES": pages}[name]
 
 
 def test_size_refusal_counts_working_copies(monkeypatch):
