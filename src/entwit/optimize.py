@@ -315,7 +315,8 @@ def _psi2_objective(c0: float) -> float:
 
 def _psi2_values(grid: Array) -> Array:
     """:func:`_psi2_objective` over the whole grid: the same floating-point
-    operations in the same order, on arrays reused in place."""
+    operations in the same order (only commuted operands, which round the
+    same), on two arrays reused in place."""
     c1 = grid * grid
     np.subtract(1.0, c1, out=c1)
     np.maximum(c1, 0.0, out=c1)
