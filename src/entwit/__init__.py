@@ -15,124 +15,51 @@ The package splits into small layers:
 - :mod:`entwit.polyid` — exact rational polynomial algebra behind the
   power-sum identities;
 - :mod:`entwit.cli` — the ``entwit`` command.
+
+The public names below are re-exported here but loaded on first use
+(PEP 562): ``import entwit`` imports no submodule and no numpy, and
+``entwit.kron`` or ``from entwit import kron`` imports only
+:mod:`entwit.hilbert`.
 """
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .config import DEFAULT, Tolerances
-from .hilbert import (
-    ComplexMatrix,
-    QuantumState,
-    commutator,
-    expectation,
-    kron,
-    mix,
-    variance,
-)
-from .operators import (
-    QuadraturePair,
-    annihilation,
-    block_spin,
-    quadratures,
-    rotated_spin,
-    spin_ops,
-)
-from .optimize import (
-    ScanResult,
-    TridiagonalMatrix,
-    c_matrix,
-    convergence_study,
-    min_eigenvalue,
-    psi2_scan,
-    quadratic_form,
-    vmax_from_lambda,
-)
-from .polyid import (
-    ParseError,
-    Polynomial,
-    builtin_identity,
-    equal,
-    eval_expr,
-    expand,
-    parse,
-    pretty,
-    verify,
-)
-from .states import (
-    StateSpec,
-    bell,
-    build_state,
-    fock_pair_superposition,
-    pair_cutoff,
-    schmidt_pair,
-    squeezed_cutoff,
-    squeezed_vacuum,
-    vacuum_mixture,
-)
-from .witnesses import (
-    WitnessReport,
-    four_variance,
-    heisenberg_floor,
-    multipartite,
-    ramanujan_witness,
-    schmidt_optimal_witness,
-    uffink,
-    variance_product,
-    variance_sum,
-)
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "config": "DEFAULT Tolerances",
+        "hilbert": "ComplexMatrix QuantumState commutator expectation kron mix variance",
+        "operators": "QuadraturePair annihilation block_spin quadratures rotated_spin spin_ops",
+        "optimize": "ScanResult TridiagonalMatrix c_matrix convergence_study min_eigenvalue "
+                    "psi2_scan quadratic_form vmax_from_lambda",
+        "polyid": "ParseError Polynomial builtin_identity equal eval_expr expand parse "
+                  "pretty verify",
+        "states": "StateSpec bell build_state fock_pair_superposition pair_cutoff "
+                  "schmidt_pair squeezed_cutoff squeezed_vacuum vacuum_mixture",
+        "witnesses": "WitnessReport four_variance heisenberg_floor multipartite "
+                     "ramanujan_witness schmidt_optimal_witness uffink variance_product "
+                     "variance_sum",
+    }.items()
+    for name in names.split()
+}
+_SUBMODULES = frozenset(_EXPORTS.values())
 
-__all__ = [
-    "__version__",
-    "DEFAULT",
-    "Tolerances",
-    "ComplexMatrix",
-    "QuantumState",
-    "commutator",
-    "expectation",
-    "kron",
-    "mix",
-    "variance",
-    "QuadraturePair",
-    "annihilation",
-    "block_spin",
-    "quadratures",
-    "rotated_spin",
-    "spin_ops",
-    "ScanResult",
-    "TridiagonalMatrix",
-    "c_matrix",
-    "convergence_study",
-    "min_eigenvalue",
-    "psi2_scan",
-    "quadratic_form",
-    "vmax_from_lambda",
-    "ParseError",
-    "Polynomial",
-    "builtin_identity",
-    "equal",
-    "eval_expr",
-    "expand",
-    "parse",
-    "pretty",
-    "verify",
-    "StateSpec",
-    "bell",
-    "build_state",
-    "fock_pair_superposition",
-    "pair_cutoff",
-    "schmidt_pair",
-    "squeezed_cutoff",
-    "squeezed_vacuum",
-    "vacuum_mixture",
-    "WitnessReport",
-    "four_variance",
-    "heisenberg_floor",
-    "multipartite",
-    "ramanujan_witness",
-    "schmidt_optimal_witness",
-    "uffink",
-    "variance_product",
-    "variance_sum",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

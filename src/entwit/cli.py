@@ -16,24 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from . import __version__
 from .config import DEFAULT
-from .hilbert import ComplexMatrix, QuantumState
-from .operators import block_spin, quadratures, spin_ops
-from .optimize import c_matrix, min_eigenvalue, psi2_scan, quadratic_form, vmax_from_lambda
-from .polyid import equal, expand, parse, verify
-from .states import StateSpec, bell, squeezed_vacuum, vacuum_mixture
-from .witnesses import (
-    four_variance,
-    multipartite,
-    ramanujan_witness,
-    schmidt_optimal_witness,
-    uffink,
-    variance_product,
-    variance_sum,
-)
+
+if TYPE_CHECKING:
+    from .hilbert import ComplexMatrix, QuantumState
 
 __all__ = ["run", "main"]
 
@@ -141,6 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_cmatrix(args) -> tuple[dict, dict, dict]:
+    from .optimize import c_matrix, min_eigenvalue, vmax_from_lambda
+
     lam, vec = min_eigenvalue(c_matrix(args.n), args.tol)
     results = {
         "lambda_min": lam,
@@ -151,11 +142,18 @@ def _run_cmatrix(args) -> tuple[dict, dict, dict]:
 
 
 def _run_psi2(args) -> tuple[dict, dict, dict]:
+    from .optimize import psi2_scan
+
     result = psi2_scan(args.scan)
     return {"scan": args.scan}, {"scan": result.to_json()}, {}
 
 
 def _run_mixture(args) -> tuple[dict, dict, dict]:
+    from .operators import quadratures
+    from .optimize import quadratic_form
+    from .states import vacuum_mixture
+    from .witnesses import variance_product
+
     state = vacuum_mixture(args.p, args.coeffs, args.cutoff)
     dim = state.dims[0]
     quad = quadratures(dim)
@@ -171,6 +169,10 @@ def _run_mixture(args) -> tuple[dict, dict, dict]:
 
 
 def _run_squeezed(args) -> tuple[dict, dict, dict]:
+    from .operators import block_spin
+    from .states import squeezed_vacuum
+    from .witnesses import variance_product
+
     state = squeezed_vacuum(args.lam, args.cutoff)
     dim = state.dims[0]
     X, Y, _ = block_spin(dim)
@@ -187,6 +189,10 @@ def _run_squeezed(args) -> tuple[dict, dict, dict]:
 
 
 def _run_bell(args) -> tuple[dict, dict, dict]:
+    from .operators import spin_ops
+    from .states import bell
+    from .witnesses import multipartite, ramanujan_witness, uffink
+
     state = bell(args.parties)
     s_x, s_y, _, _ = spin_ops()
     inputs: dict[str, Any] = {"parties": args.parties, "condition": args.condition}
@@ -201,6 +207,8 @@ def _run_bell(args) -> tuple[dict, dict, dict]:
 
 
 def _run_schmidt(args) -> tuple[dict, dict, dict]:
+    from .witnesses import schmidt_optimal_witness
+
     *_, report = schmidt_optimal_witness(args.alpha, args.beta)
     inputs = {"alpha": [args.alpha.real, args.alpha.imag],
               "beta": [args.beta.real, args.beta.imag]}
@@ -208,6 +216,8 @@ def _run_schmidt(args) -> tuple[dict, dict, dict]:
 
 
 def _run_identity(args) -> tuple[dict, dict, dict]:
+    from .polyid import verify
+
     inputs: dict[str, Any] = {"name": args.name}
     if args.n is not None:
         inputs["n"] = args.n
@@ -215,6 +225,8 @@ def _run_identity(args) -> tuple[dict, dict, dict]:
 
 
 def _run_eval(args) -> tuple[dict, dict, dict]:
+    from .polyid import equal, expand, parse
+
     lhs = expand(parse(args.expr_lhs))
     rhs = expand(parse(args.expr_rhs))
     inputs = {"expr_lhs": args.expr_lhs, "expr_rhs": args.expr_rhs}
@@ -226,6 +238,8 @@ _BUILTIN_NAMES = _SPIN_NAMES + ("x", "p", "blockx", "blocky")
 
 
 def _builtin_operator(name: Any, dim: int) -> ComplexMatrix:
+    from .operators import block_spin, quadratures, spin_ops
+
     if not isinstance(name, str):
         raise ValueError(f"operator names must be strings, got {name!r}")
     if name in _SPIN_NAMES:
@@ -245,6 +259,9 @@ def _builtin_operator(name: Any, dim: int) -> ComplexMatrix:
 
 
 def _witness_from_opspec(condition: str, ops: Any, state: QuantumState):
+    from .witnesses import (four_variance, multipartite, ramanujan_witness, uffink,
+                            variance_product, variance_sum)
+
     if not isinstance(ops, Mapping):
         raise ValueError("operator spec must be a JSON object")
     if condition == "multipartite":
@@ -293,6 +310,8 @@ def _witness_from_opspec(condition: str, ops: Any, state: QuantumState):
 
 
 def _run_witness(args) -> tuple[dict, dict, dict]:
+    from .states import StateSpec
+
     with open(args.state, encoding="utf-8") as handle:
         spec = StateSpec.from_json(json.load(handle))
     with open(args.ops, encoding="utf-8") as handle:

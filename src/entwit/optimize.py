@@ -232,7 +232,7 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     # lambda_min <= min(diag), so the count above this point is at least 1
     count_known_above = float(np.min(diag)) + slack
     off2 = off * off
-    pivmin = 1e-20 * max(1.0, float(off2.max()))
+    pivmin = float(np.finfo(float).tiny) * max(1.0, float(off2.max()))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:

@@ -495,3 +495,48 @@ def test_console_entry_point_smoke():
     doc = json.loads(proc.stdout)
     VALIDATOR.validate(doc)
     assert doc["results"] == {"valid": True}
+
+
+def test_package_main_matches_cli_module():
+    argv = ["identity", "--name", "complex_norm"]
+    outputs = [subprocess.run([sys.executable, "-m", module, *argv],
+                              capture_output=True, timeout=120)
+               for module in ("entwit", "entwit.cli")]
+    assert [proc.returncode for proc in outputs] == [0, 0]
+    assert outputs[0].stdout == outputs[1].stdout
+
+
+# --- import hygiene: each subcommand loads only what it runs -----------------
+
+
+def loaded_after(code):
+    """Run ``code`` in a fresh interpreter; return the numpy and entwit
+    modules it left in ``sys.modules``."""
+    report = ("\nimport json, sys\n"
+              "json.dump(sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('numpy', 'entwit')), sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code + report],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr))
+
+
+def test_importing_the_cli_loads_no_numpy():
+    assert "numpy" not in loaded_after("import entwit.cli")
+
+
+def test_identity_and_eval_run_without_numpy():
+    loaded = loaded_after(
+        "from entwit.cli import run\n"
+        "assert run(['identity', '--name', 'ramanujan', '--n', '4']) == 0\n"
+        "assert run(['eval', '--expr-lhs', \"(a*b - a'*b')^2 + (a*b' + a'*b)^2\",\n"
+        "            '--expr-rhs', \"(a^2 + a'^2)*(b^2 + b'^2)\"]) == 0")
+    assert "entwit.polyid" in loaded
+    assert "numpy" not in loaded
+
+
+def test_cmatrix_loads_neither_polyid_nor_witnesses():
+    loaded = loaded_after("from entwit.cli import run\n"
+                          "assert run(['cmatrix', '--n', '50']) == 0")
+    assert "entwit.optimize" in loaded
+    assert not loaded & {"entwit.polyid", "entwit.witnesses"}

@@ -143,6 +143,13 @@ def test_min_eigenvalue_large_truncation_frozen():
     assert abs(lam - LAMBDA_200) < 1e-9
 
 
+def test_min_eigenvalue_pivot_floor_does_not_grow_with_n():
+    # max(off²) grows as N⁴; a pivot floor proportional to it reached about
+    # 16 at N = 200000 and counted small positive pivots as negative
+    lam, _ = min_eigenvalue(c_matrix(200000))
+    assert abs(lam - (-0.04495)) < 5e-4
+
+
 def test_offdiagonal_sign_is_a_similarity():
     M = c_matrix(40)
     flipped = TridiagonalMatrix(M.diag, -M.offdiag)

@@ -8,6 +8,7 @@ assert the library reproduces them.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -594,3 +595,112 @@ def test_mix_and_vacuum_mixture_call_no_eigensolver(monkeypatch):
     quad = quadratures(s.dims[0])
     report = variance_product(quad.x, quad.p, quad.p, quad.x, s)
     assert abs(report.lhs - (0.25 + 0.5 * quadratic_form([0.8, 0.6]))) < 1e-12
+
+
+# --- exact rational oracle ---------------------------------------------------
+#
+# States with rational amplitudes (up to a common norm) and the spin
+# operators, whose entries are 0, ±1 and ±i.  Every moment is then a Gaussian
+# rational; the reference below carries each matrix as a pair of Fraction
+# matrices (real part, imaginary part) and rounds only at the comparison.
+
+EXACT_TOL = 1e-14
+
+
+def _mm(X, Y):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*Y)]
+            for row in X]
+
+
+def _lin(X, Y, sign=1):
+    return [[a + sign * b for a, b in zip(rx, ry)] for rx, ry in zip(X, Y)]
+
+
+def _kr(X, Y):
+    return [[a * b for a in rx for b in ry] for rx in X for ry in Y]
+
+
+def exact(op):
+    """(real part, imaginary part) of a ComplexMatrix, as Fraction matrices."""
+    return tuple([[Fraction(v) for v in row] for row in part.tolist()]
+                 for part in (op.data.real, op.data.imag))
+
+
+def c_mul(X, Y):
+    return (_lin(_mm(X[0], Y[0]), _mm(X[1], Y[1]), -1),
+            _lin(_mm(X[0], Y[1]), _mm(X[1], Y[0])))
+
+
+def c_kron(X, Y):
+    return (_lin(_kr(X[0], Y[0]), _kr(X[1], Y[1]), -1),
+            _lin(_kr(X[0], Y[1]), _kr(X[1], Y[0])))
+
+
+def c_add(X, Y, sign=1):
+    return _lin(X[0], Y[0], sign), _lin(X[1], Y[1], sign)
+
+
+def c_mean(X, amps):
+    """<u|X|u>/<u|u> for a real vector u; the imaginary part of a Hermitian
+    X is antisymmetric and drops out."""
+    return (sum(u * x * w for u, row in zip(amps, X[0]) for x, w in zip(row, amps))
+            / sum(u * u for u in amps))
+
+
+def exact_conditions(A, Ap, B, Bp, amps):
+    """{name: (lhs, rhs)} as Fractions; variance_product's lhs comes squared."""
+    def mean(X):
+        return c_mean(X, amps)
+
+    AB, ApBp = c_kron(A, B), c_kron(Ap, Bp)
+    var_ab = mean(c_mul(AB, AB)) - mean(AB) ** 2
+    var_apbp = mean(c_mul(ApBp, ApBp)) - mean(ApBp) ** 2
+    m_comm = mean(c_kron(c_add(c_mul(A, Ap), c_mul(Ap, A), -1),
+                         c_add(c_mul(B, Bp), c_mul(Bp, B), -1)))
+    m_ab, m_abp, m_apb, m_apbp = (mean(c_kron(X, Y))
+                                  for X, Y in ((A, B), (A, Bp), (Ap, B), (Ap, Bp)))
+    m_sq = mean(c_kron(c_add(c_mul(A, A), c_mul(Ap, Ap)), c_add(c_mul(B, B), c_mul(Bp, Bp))))
+    return {"variance_product": (var_ab * var_apbp, abs(m_comm) / 4),
+            "uffink": ((m_ab - m_apbp) ** 2 + (m_abp + m_apb) ** 2, m_sq)}
+
+
+def assert_exact(got, want):
+    assert abs(got - want) <= EXACT_TOL * max(1.0, abs(want)), (got, want)
+
+
+EXACT_STATES = {
+    "bell": (lambda: bell(2), (1, 0, 0, 1)),
+    "schmidt_3_4": (lambda: schmidt_pair(0.6, 0.8), (Fraction(3, 5), 0, 0, Fraction(4, 5))),
+}
+
+
+@pytest.mark.parametrize("state_name", sorted(EXACT_STATES))
+@pytest.mark.parametrize("quadruple", [(0, 1, 0, 1), (0, 2, 1, 0), (2, 0, 2, 1)])
+def test_conditions_match_exact_rational_oracle(state_name, quadruple):
+    build, amps = EXACT_STATES[state_name]
+    spins = spin_ops()
+    A, Ap, B, Bp = (spins[k] for k in quadruple)
+    want = exact_conditions(*(exact(op) for op in (A, Ap, B, Bp)), amps)
+    s = build()
+
+    # lhs = sqrt(var_AB) * sqrt(var_ApBp) turns a round-off variance of 2e-16
+    # into 1.5e-8 (bell with s_z (x) s_z), so the product of the variances is
+    # what is compared
+    lhs_sq, rhs = want["variance_product"]
+    report = variance_product(A, Ap, B, Bp, s)
+    assert_exact(report.lhs ** 2, float(lhs_sq))
+    assert_exact(report.rhs, float(rhs))
+
+    lhs, rhs = want["uffink"]
+    report = uffink(A, Ap, B, Bp, s)
+    assert_exact(report.lhs, float(lhs))
+    assert_exact(report.rhs, float(rhs))
+
+
+def test_exact_oracle_schmidt_closed_form():
+    # alpha|00> + beta|11> with (s_x, s_y, s_x, s_y): <s_x s_x> = 2 alpha beta
+    # = 24/25 and <s_y s_y> = -24/25, so each variance is 49/625
+    s_x, s_y, _, _ = (exact(op) for op in spin_ops())
+    want = exact_conditions(s_x, s_y, s_x, s_y, EXACT_STATES["schmidt_3_4"][1])
+    assert want == {"variance_product": (Fraction(49, 625) ** 2, Fraction(1)),
+                    "uffink": (Fraction(48, 25) ** 2, Fraction(4))}
