@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
@@ -375,7 +376,11 @@ def run(argv: Sequence[str] | None = None) -> int:
             "cutoffs": cutoffs,
         },
     }
-    print(json.dumps(_round_floats(document), indent=2))
+    try:
+        print(json.dumps(_round_floats(document), indent=2), flush=True)
+    except BrokenPipeError:  # the reader left early: keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

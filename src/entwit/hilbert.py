@@ -11,16 +11,17 @@ Conventions
   density, so a mixture costs ``r`` vectors, never a dense density.  The
   density is built only on request (:attr:`QuantumState.density`), for the
   dense reference path.
-* The conditions never build a lifted operator.  They apply a sum of
-  products ``sum_t c_t F_t1 (x) ... (x) F_tk`` to the state one factor at a
-  time (:func:`_lifted_moments`), so memory stays at the size of the state.
-  ``kron`` builds the dense lifted matrix and serves as the reference the
-  tests compare against.
+* The conditions never build a lifted operator.  They apply a product
+  ``F_1 (x) ... (x) F_k`` to the state one factor at a time
+  (:func:`_apply_factor`, the vec trick), so a condition holds at most
+  ``_WORKING_COPIES`` arrays of the state's size.  ``kron`` builds the dense
+  lifted matrix and serves as the reference the tests compare against.
 * State constructors refuse, before allocating, any state that would take,
   with the working copies a condition makes of it, more than half of the
   machine's physical memory.
 * All values are immutable after construction and all operations are pure,
-  so everything here is safe for concurrent read access.
+  so everything here is safe for concurrent read access.  A matrix computes
+  its Hermiticity defect and its largest entry once, on first use.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class ComplexMatrix:
         Defaults to the single factor ``(side,)``.
     """
 
-    __slots__ = ("data", "dims")
+    __slots__ = ("data", "dims", "_defect", "_max_abs")
 
     def __init__(self, data, dims: Iterable[int] | None = None):
         arr = _freeze(data)
@@ -83,10 +84,12 @@ class ComplexMatrix:
                 f"dims {resolved} have product {math.prod(resolved)}, "
                 f"but the matrix side is {arr.shape[0]}"
             )
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "dims", resolved)
+        object.__setattr__(self, "_defect", None)
+        object.__setattr__(self, "_max_abs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexMatrix is immutable")
@@ -105,7 +108,16 @@ class ComplexMatrix:
 
     def hermiticity_defect(self) -> float:
         """Max-abs deviation of ``A - A†`` (scale-free for O(1) norms)."""
-        return float(np.abs(self.data - self.data.conj().T).max())
+        if self._defect is None:
+            defect = float(np.abs(self.data - self.data.conj().T).max())
+            object.__setattr__(self, "_defect", defect)
+        return self._defect
+
+    def max_abs(self) -> float:
+        """Largest entry modulus."""
+        if self._max_abs is None:
+            object.__setattr__(self, "_max_abs", float(np.abs(self.data).max()))
+        return self._max_abs
 
     def is_hermitian(self, atol: float = DEFAULT.hermitian) -> bool:
         return self.hermiticity_defect() <= atol
@@ -181,7 +193,7 @@ class QuantumState:
                 f"dims {resolved} have product {math.prod(resolved)}, "
                 f"but the amplitude vector has length {amps.size}"
             )
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+        if not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > DEFAULT.state_norm:
@@ -312,47 +324,33 @@ def _clamped_variance(second: float, mean: float,
     return var
 
 
-def _lifted_moments(terms: Sequence[tuple[complex, Sequence[ComplexMatrix]]],
-                    s: QuantumState, power: int = 2) -> tuple[complex, float]:
-    """Mean and ``power``-th moment of ``M = sum_t c_t F_t1 (x) ... (x) F_tk``.
-
-    ``terms`` lists ``(c_t, (F_t1, ..., F_tk))``; the factors act on
-    consecutive blocks of state factors, left to right, and a factor may
-    span several of them (``F.dims`` is a run of ``s.dims``).  M is never
-    formed: each factor multiplies the state's ``r`` ensemble vectors, viewed
-    as ``(left, F.side, right)`` with ``left`` starting at ``r`` (the vec
-    trick, Van Loan 2000), so the cost is that of a few matrix products on
-    the state.  ``power`` is 1 (the mean alone), 2 or 4, and the
-    moments assume M Hermitian.  The mean is returned complex, which also
-    covers anti-Hermitian sums such as a lifted commutator.
-    """
-    def apply(X: Array) -> Array:
-        out = None
-        for c, factors in terms:
-            Y, left = X, X.shape[0]
-            for F in factors:
-                Y = np.matmul(F.data, Y.reshape(left, F.side, -1))
-                left *= F.side
-            Y = Y.reshape(X.shape)
-            if c != 1:
-                Y = c * Y
-            out = Y if out is None else out + Y
-        return out
-
-    # <M^k> = sum_i w_i <v_i|M^k|v_i>, with M applied to all r vectors at once.
-    w = s.weights[:, None]
-    Y = apply(s.vectors)
-    mean = complex(np.vdot(w * s.vectors, Y))
-    if power == 1:
-        return mean, mean.real
-    if power == 4:
-        Y = apply(Y)
-    return mean, float(np.vdot(w * Y, Y).real)
+def _apply_factor(F: Array, X: Array, left: int) -> Array:
+    """``(I_left (x) F (x) I_rest) x`` for every ``x`` in ``X`` without the
+    lifted matrix (the vec trick, Van Loan 2000): ``X`` is viewed as
+    ``(left, F.side, rest)``, ``left`` being the ensemble size times the sides
+    of the factors before ``F``.  A last factor is the product ``X F^T``."""
+    d = F.shape[0]
+    if X.size == left * d:
+        return np.matmul(X.reshape(left, d), F.T)
+    return np.matmul(F, X.reshape(left, d, -1))
 
 
-# Building a state and evaluating a condition on it hold several arrays of
-# the state's size at once: the constructor's buffer and its frozen copy,
-# then the products and sums inside _lifted_moments.
+def _lifted_moments(factors: Sequence[ComplexMatrix], s: QuantumState) -> tuple[complex, float]:
+    """Mean and second moment of ``M = F_1 (x) ... (x) F_k``, the factors
+    acting on consecutive runs of ``s.dims``; M is never formed.  The second
+    moment assumes M Hermitian; the mean is complex, which also covers an
+    anti-Hermitian product such as a lifted commutator."""
+    Y, left = s.vectors, s.weights.size
+    for F in factors:
+        Y = _apply_factor(F.data, Y, left)
+        left *= F.side
+    Y, w = Y.reshape(s.vectors.shape), s.weights[:, None]
+    return complex(np.vdot(w * s.vectors, Y)), float(np.vdot(w * Y, Y).real)
+
+
+# Arrays of the state's size held at once, the state included: two to build
+# it; two partial products A_i v of a moment table and, for fourth moments,
+# one more (the products themselves are formed a small block at a time).
 _WORKING_COPIES = 4
 
 

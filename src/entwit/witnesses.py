@@ -12,6 +12,10 @@ The ratio ``V = rhs / lhs`` is reported only for the variance-product
 condition and its multipartite generalization, and is omitted when the
 variance product underflows the ratio guard (the ``lhs = 0 < rhs`` case is
 still flagged violated).
+
+Each bipartite condition is scalar arithmetic on one moment table: the means
+of the four lifted products ``A_i (x) B_j`` and their Gram matrix, from four
+products on the state and one validation per call.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ import numpy as np
 
 from .config import DEFAULT
 from .hilbert import (
+    Array,
     ComplexMatrix,
     QuantumState,
+    _apply_factor,
     _clamped_variance,
     _lifted_moments,
     _require_hermitian,
@@ -82,8 +88,43 @@ def _make_report(name: str, lhs: float, rhs: float, *, leq: bool,
                          V=V, violated=bool(delta > tol), details=details)
 
 
-def _check_quadruple(A: ComplexMatrix, Ap: ComplexMatrix,
-                     B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> None:
+def _require_hermitian_ops(labelled: Sequence[tuple[str, ComplexMatrix]]) -> None:
+    for label, op in labelled:
+        defect = op.hermiticity_defect()
+        if defect > DEFAULT.hermitian:
+            raise ValueError(f"operator {label} is not Hermitian "
+                             f"(max deviation {defect:.3e})")
+
+
+def _require_lifted_hermitian(factors: Sequence[ComplexMatrix]) -> None:
+    """Reject the lifted product of ``factors``, never built, by the bound
+    ``sum_k delta_k prod_{j != k} max|F_j|`` (``delta_k`` the defect of factor
+    k) on its Hermiticity defect, at the tolerance of ``hilbert.variance``."""
+    sizes = [F.max_abs() for F in factors]
+    bound = sum(F.hermiticity_defect() * math.prod(sizes[:k] + sizes[k + 1:])
+                for k, F in enumerate(factors))
+    _require_hermitian(bound, what="max deviation bound")
+
+
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices of ``range(n)`` of 1/64 of it, or of 1024 entries of ``width``
+    if more: the temporaries of a block stay small next to the state."""
+    step = max(1, n // 64, 2**10 // width)
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
+def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
+                  s: QuantumState, checked: Sequence[int] = ()) -> tuple:
+    """Moment table of the lifted products ``P_p = A_i (x) B_j``, ``p = 2i + j``
+    (``A_0 = A``, ``A_1 = A'``, ``B_0 = B``, ``B_1 = B'``), applied to the
+    state as ``P_p v = Z_i B_j^T`` from ``Z_i = A_i v``: six factor products.
+
+    Validates the quadruple once, and the lifted Hermiticity of the products
+    in ``checked``.  Returns the means, the second moments, the Gram matrix
+    ``G[p, q] = sum_r w_r <P_p v_r|P_q v_r>`` and ``[Z_0, Z_1]``.  As every
+    factor is Hermitian, ``<P_p P_q> = G[p, q]``; for instance
+    ``<[A,A'] (x) [B,B']> = 2 Re(G[0, 3] - G[1, 2])``.
+    """
     if A.dims != Ap.dims:
         raise ValueError(f"A and A' must share dims, got {A.dims} vs {Ap.dims}")
     if B.dims != Bp.dims:
@@ -91,42 +132,19 @@ def _check_quadruple(A: ComplexMatrix, Ap: ComplexMatrix,
     if A.dims + B.dims != s.dims:
         raise ValueError(f"operator factors {A.dims} + {B.dims} do not cover "
                          f"state dims {s.dims}")
-    for label, op in (("A", A), ("A'", Ap), ("B", B), ("B'", Bp)):
-        defect = op.hermiticity_defect()
-        if defect > DEFAULT.hermitian:
-            raise ValueError(f"operator {label} is not Hermitian "
-                             f"(max deviation {defect:.3e})")
-
-
-def _mean(terms: Sequence[tuple[complex, Sequence[ComplexMatrix]]], s: QuantumState) -> float:
-    return _lifted_moments(terms, s, 1)[0].real
-
-
-def _product_moments(factors: Sequence[ComplexMatrix],
-                     s: QuantumState) -> tuple[float, float, float]:
-    """Mean, second moment and variance of the lifted product of ``factors``.
-
-    The lifted matrix is never built, so its Hermiticity is checked through
-    the factors: the max-abs entry of ``F_1 (x) ... (x) F_n`` minus its
-    adjoint is at most ``sum_k delta_k * prod_{j != k} max|F_j|``, with
-    ``delta_k`` the defect of factor k.  The product is rejected when that
-    bound exceeds the tolerance ``hilbert.variance`` applies to the lifted
-    matrix, and round-off below zero is clamped as there.
-    """
-    sizes = [float(np.abs(F.data).max()) for F in factors]
-    bound = sum(F.hermiticity_defect() * math.prod(sizes[:k] + sizes[k + 1:])
-                for k, F in enumerate(factors))
-    _require_hermitian(bound, what="max deviation bound")
-    mean, second = _lifted_moments([(1, factors)], s)
-    mean = mean.real
-    return mean, second, _clamped_variance(second, mean)
-
-
-def _comm_mean(A: ComplexMatrix, Ap: ComplexMatrix,
-               B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> float:
-    # [A,A'] and [B,B'] are anti-Hermitian, so their tensor product is
-    # Hermitian and the expectation is real up to round-off.
-    return _mean([(1, (commutator(A, Ap), commutator(B, Bp)))], s)
+    _require_hermitian_ops((("A", A), ("A'", Ap), ("B", B), ("B'", Bp)))
+    for p in checked:
+        _require_lifted_hermitian(((A, Ap)[p // 2], (B, Bp)[p % 2]))
+    V, r = s.vectors, s.weights.size
+    left, b = r * A.side, B.side
+    Zs = [_apply_factor(Ai.data, V, r).reshape(left, b) for Ai in (A, Ap)]
+    # a block of rows at a time; the Gram matrix of its products and v holds G and the means
+    w, Vr, H = np.repeat(s.weights, A.side)[:, None], V.reshape(left, b), 0.0
+    for rows in _blocks(left, b):
+        Y = np.array([Z[rows] @ Bj.data.T for Z in Zs for Bj in (B, Bp)] + [Vr[rows]])
+        H = H + (Y.conj() * w[rows]).reshape(5, -1) @ Y.reshape(5, -1).T
+    G = H[:4, :4]
+    return H[:4, 4].real.tolist(), G.diagonal().real.tolist(), G, Zs
 
 
 def _guarded_ratio(lhs: float, rhs: float) -> float | None:
@@ -139,10 +157,10 @@ def variance_product(A: ComplexMatrix, Ap: ComplexMatrix,
                      B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState,
                      *, tol: float = DEFAULT.violation) -> WitnessReport:
     """Product condition: sigma_AB * sigma_A'B' >= (1/4)|<[A,A'] (x) [B,B']>|."""
-    _check_quadruple(A, Ap, B, Bp, s)
-    m_ab, s_ab, var_ab = _product_moments((A, B), s)
-    m_apbp, s_apbp, var_apbp = _product_moments((Ap, Bp), s)
-    m_comm = _comm_mean(A, Ap, B, Bp, s)
+    means, second, G, _ = _moment_table(A, Ap, B, Bp, s, (0, 3))
+    (m_ab, m_apbp), (s_ab, s_apbp) = means[::3], second[::3]
+    var_ab, var_apbp = _clamped_variance(s_ab, m_ab), _clamped_variance(s_apbp, m_apbp)
+    m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
     lhs = math.sqrt(var_ab) * math.sqrt(var_apbp)
     rhs = 0.25 * abs(m_comm)
     details = {"m_AB": m_ab, "m_ApBp": m_apbp, "s_AB": s_ab, "s_ApBp": s_apbp,
@@ -155,10 +173,10 @@ def variance_sum(A: ComplexMatrix, Ap: ComplexMatrix,
                  B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState,
                  *, tol: float = DEFAULT.violation) -> WitnessReport:
     """Sum condition: sigma²_AB + sigma²_A'B' >= (1/2)|<[A,A'] (x) [B,B']>|."""
-    _check_quadruple(A, Ap, B, Bp, s)
-    m_ab, _, var_ab = _product_moments((A, B), s)
-    m_apbp, _, var_apbp = _product_moments((Ap, Bp), s)
-    m_comm = _comm_mean(A, Ap, B, Bp, s)
+    means, second, G, _ = _moment_table(A, Ap, B, Bp, s, (0, 3))
+    m_ab, m_apbp = means[::3]
+    var_ab, var_apbp = map(_clamped_variance, second[::3], means[::3])
+    m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
     lhs = var_ab + var_apbp
     rhs = 0.5 * abs(m_comm)
     details = {"m_AB": m_ab, "m_ApBp": m_apbp,
@@ -185,14 +203,14 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
         if Ak.dims != (s.dims[k],) or Apk.dims != (s.dims[k],):
             raise ValueError(f"party {k} operators must act on a factor of "
                              f"dimension {s.dims[k]}")
-        for label, op in ((f"A_{k}", Ak), (f"A'_{k}", Apk)):
-            defect = op.hermiticity_defect()
-            if defect > DEFAULT.hermitian:
-                raise ValueError(f"operator {label} is not Hermitian "
-                                 f"(max deviation {defect:.3e})")
-    m_prod, _, var_prod = _product_moments(As, s)
-    m_prod_p, _, var_prod_p = _product_moments(Aps, s)
-    m_comm = _mean([(1, [commutator(Ak, Apk) for Ak, Apk in zip(As, Aps)])], s)
+        _require_hermitian_ops(((f"A_{k}", Ak), (f"A'_{k}", Apk)))
+    moments = []
+    for factors in (As, Aps):
+        _require_lifted_hermitian(factors)
+        mean, second = _lifted_moments(factors, s)
+        moments += [mean.real, _clamped_variance(second, mean.real)]
+    m_prod, var_prod, m_prod_p, var_prod_p = moments
+    m_comm = _lifted_moments([commutator(Ak, Apk) for Ak, Apk in zip(As, Aps)], s)[0].real
     lhs = math.sqrt(var_prod) * math.sqrt(var_prod_p)
     rhs = abs(m_comm) / 2.0**n
     details = {"m_A1..An": m_prod, "m_Ap1..Apn": m_prod_p,
@@ -200,6 +218,36 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
                "m_comm": m_comm, "n_parties": float(n)}
     return _make_report("multipartite", lhs, rhs, leq=False,
                         V=_guarded_ratio(lhs, rhs), details=details, tol=tol)
+
+
+# The three sums M of the power-sum condition, as coefficients c_p of P_p.
+_POWER_SUMS = ((0, 1, -1, 0), (1, 0, 1, 1), (1, 1, 0, 1))
+
+
+def _fourth_moments(Zs: list[Array], A: ComplexMatrix, Ap: ComplexMatrix,
+                    B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> list[float]:
+    """``<M^4> = sum_r w_r ||M^2 v_r||^2`` for the three power sums, from the
+    table's ``Z_i = A_i v``: with ``C_i = c_2i B + c_2i+1 B'``, ``M v = Z_0 C_0^T
+    + Z_1 C_1^T`` by blocks of rows, then ``M^2 v = A (M v) C_0^T + A' (M v) C_1^T``
+    by blocks of columns, so ``M v`` is the only new array of the state's size."""
+    (left, b), r = Zs[0].shape, s.weights.size
+    Mv, out = np.empty_like(Zs[0]), []
+    for c in _POWER_SUMS:
+        Cs = [c[0] * B.data, c[2] * B.data]
+        Cs[0] += c[1] * Bp.data
+        Cs[1] += c[3] * Bp.data
+        for rows in _blocks(left, b):
+            np.matmul(Zs[0][rows], Cs[0].T, out=Mv[rows])
+            Mv[rows] += Zs[1][rows] @ Cs[1].T
+        total = 0.0
+        for cols in _blocks(b, left):
+            U0, U1 = (np.matmul(Ai.data, (Mv @ C.T[:, cols]).reshape(r, A.side, -1))
+                      for Ai, C in zip((A, Ap), Cs))
+            U0 += U1
+            total += float(s.weights @ np.einsum("rac,rac->r", U0.conj(), U0).real)
+        out.append(total)
+        del Cs  # before the next sum's operators are built
+    return out
 
 
 def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
@@ -215,16 +263,15 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
     """
     if n not in (2, 4):
         raise ValueError(f"power-sum condition is only available for n in {{2, 4}}, got {n}")
-    _check_quadruple(A, Ap, B, Bp, s)
-    AB, ABp, ApB, ApBp = (A, B), (A, Bp), (Ap, B), (Ap, Bp)
-    m_ab, m_abp = _mean([(1, AB)], s), _mean([(1, ABp)], s)
-    m_apb, m_apbp = _mean([(1, ApB)], s), _mean([(1, ApBp)], s)
+    means, _, G, Zs = _moment_table(A, Ap, B, Bp, s)
+    m_ab, m_abp, m_apb, m_apbp = means
     lhs = ((m_ab + m_abp + m_apb) ** n
            + (m_abp + m_apb + m_apbp) ** n
            + (m_ab - m_apbp) ** n)
-    pow1 = _lifted_moments([(1, ABp), (-1, ApB)], s, n)[1]
-    pow2 = _lifted_moments([(1, ApB), (1, ApBp), (1, AB)], s, n)[1]
-    pow3 = _lifted_moments([(1, ApBp), (1, AB), (1, ABp)], s, n)[1]
+    if n == 2:  # <M^2> = ||M psi||^2 = c^T G c
+        pow1, pow2, pow3 = (float((np.array(c) @ G @ c).real) for c in _POWER_SUMS)
+    else:
+        pow1, pow2, pow3 = _fourth_moments(Zs, A, Ap, B, Bp, s)
     rhs = pow1 + pow2 + pow3
     details = {"m_AB": m_ab, "m_ABp": m_abp, "m_ApB": m_apb, "m_ApBp": m_apbp,
                f"pow{n}_ABp_minus_ApB": pow1,
@@ -238,11 +285,10 @@ def uffink(A: ComplexMatrix, Ap: ComplexMatrix,
            B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState,
            *, tol: float = DEFAULT.violation) -> WitnessReport:
     """Quadratic condition <AB - A'B'>² + <AB' + A'B>² <= <(A² + A'²)(x)(B² + B'²)>."""
-    _check_quadruple(A, Ap, B, Bp, s)
-    m_ab, m_abp = _mean([(1, (A, B))], s), _mean([(1, (A, Bp))], s)
-    m_apb, m_apbp = _mean([(1, (Ap, B))], s), _mean([(1, (Ap, Bp))], s)
+    means, second, _, _ = _moment_table(A, Ap, B, Bp, s)
+    m_ab, m_abp, m_apb, m_apbp = means
     lhs = (m_ab - m_apbp) ** 2 + (m_abp + m_apb) ** 2
-    m_sq = _mean([(1, (A @ A + Ap @ Ap, B @ B + Bp @ Bp))], s)
+    m_sq = sum(second)  # <(A² + A'²) (x) (B² + B'²)> = sum_p <P_p²>
     details = {"m_AB": m_ab, "m_ABp": m_abp, "m_ApB": m_apb, "m_ApBp": m_apbp,
                "m_square_product": m_sq}
     return _make_report("uffink", lhs, m_sq, leq=True,
@@ -256,15 +302,14 @@ def four_variance(A: ComplexMatrix, Ap: ComplexMatrix,
 
     sigma²_AB + sigma²_AB' + sigma²_A'B + sigma²_A'B' >= |<[A,A'] (x) [B,B']>|.
     """
-    _check_quadruple(A, Ap, B, Bp, s)
-    means, variances = {}, {}
-    for label, factors in (("AB", (A, B)), ("ABp", (A, Bp)),
-                           ("ApB", (Ap, B)), ("ApBp", (Ap, Bp))):
-        means[f"m_{label}"], _, variances[f"var_{label}"] = _product_moments(factors, s)
-    m_comm = _comm_mean(A, Ap, B, Bp, s)
-    lhs = sum(variances.values())
+    means, second, G, _ = _moment_table(A, Ap, B, Bp, s, range(4))
+    labels = ("AB", "ABp", "ApB", "ApBp")
+    variances = list(map(_clamped_variance, second, means))
+    m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
+    lhs = sum(variances)
     rhs = abs(m_comm)
-    details = {**means, **variances, "m_comm": m_comm}
+    details = {**{f"m_{label}": m for label, m in zip(labels, means)},
+               **{f"var_{label}": v for label, v in zip(labels, variances)}, "m_comm": m_comm}
     return _make_report("four_variance", lhs, rhs, leq=False,
                         V=None, details=details, tol=tol)
 
@@ -278,10 +323,9 @@ def heisenberg_floor(A: ComplexMatrix, Ap: ComplexMatrix,
     conditions can possibly be violated.  No pruning decision is made here;
     callers compare it with the commutator bound themselves.
     """
-    _check_quadruple(A, Ap, B, Bp, s)
-    # [A(x)B, A'(x)B'] = AA'(x)BB' - A'A(x)B'B
-    terms = [(1, (A @ Ap, B @ Bp)), (-1, (Ap @ A, Bp @ B))]
-    return 0.5 * abs(_lifted_moments(terms, s, 1)[0])
+    G = _moment_table(A, Ap, B, Bp, s)[2]
+    # <[A(x)B, A'(x)B']> = G[0, 3] - G[3, 0] = 2i Im G[0, 3]
+    return float(abs(G[0, 3].imag))
 
 
 def schmidt_optimal_witness(alpha: complex, beta: complex

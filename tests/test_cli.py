@@ -540,3 +540,14 @@ def test_cmatrix_loads_neither_polyid_nor_witnesses():
                           "assert run(['cmatrix', '--n', '50']) == 0")
     assert "entwit.optimize" in loaded
     assert not loaded & {"entwit.polyid", "entwit.witnesses"}
+
+
+def test_reader_closing_early_leaves_no_traceback():
+    # the reader closes the pipe before the document is written, as a `head`
+    # that has read enough does; the command exits 1 without a traceback
+    with subprocess.Popen([sys.executable, "-m", "entwit.cli", "cmatrix", "--n", "20000"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err

@@ -48,6 +48,26 @@ def test_matrix_rejects_nonfinite_entries():
         ComplexMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]), (2,))
 
 
+@pytest.mark.parametrize("bad", [complex(0.0, np.nan), complex(1.0, np.inf),
+                                 complex(1.0, -np.inf), complex(np.nan, np.inf)])
+def test_nonfinite_imaginary_part_rejected(bad):
+    data = np.eye(2, dtype=complex)
+    data[0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ComplexMatrix(data, (2,))
+    with pytest.raises(ValueError, match="finite"):
+        QuantumState.pure(np.array([1.0, bad]), (2,))
+
+
+def test_hermiticity_defect_and_max_abs_are_kept():
+    H = ComplexMatrix([[1.0, 2.0 - 1.0j], [2.0 + 1.5j, -3.0]], (2,))
+    assert H.hermiticity_defect() == 0.5 == H.hermiticity_defect()
+    assert H.max_abs() == 3.0 == H.max_abs()
+    # the matrix stays immutable, so the kept values cannot go stale
+    with pytest.raises(AttributeError):
+        H._defect = 0.0
+
+
 def test_matrix_is_immutable():
     M = ComplexMatrix(np.eye(2), (2,))
     with pytest.raises(AttributeError):

@@ -704,3 +704,122 @@ def test_exact_oracle_schmidt_closed_form():
     want = exact_conditions(s_x, s_y, s_x, s_y, EXACT_STATES["schmidt_3_4"][1])
     assert want == {"variance_product": (Fraction(49, 625) ** 2, Fraction(1)),
                     "uffink": (Fraction(48, 25) ** 2, Fraction(4))}
+
+
+# --- the moment table --------------------------------------------------------
+#
+# Every bipartite condition is arithmetic on one table: the means of the four
+# lifted products P_p = A_i (x) B_j, their Gram matrix G[p, q] = <P_p P_q> and,
+# for the power-sum condition at n = 4, <M^4> of three sums M of them.  Each
+# entry is checked against dense kron matrices and the state's density.
+
+def mixed_with_negative_weight(gen, dims):
+    """A rank-deficient mixed state whose ensemble keeps a -5e-11 weight."""
+    side = math.prod(dims)
+    U = np.linalg.qr(np.column_stack([random_unit_vector(gen, side) for _ in range(side)]))[0]
+    spectrum = np.zeros(side)
+    spectrum[:3] = [0.6, 0.4 + 5e-11, -5e-11]
+    rho = U @ np.diag(spectrum) @ U.conj().T
+    s = QuantumState.mixed(0.5 * (rho + rho.conj().T), dims)
+    assert s.weights.min() < -4e-11
+    return s
+
+
+@pytest.mark.parametrize("split", [((2,), (2,)), ((2,), (3,)), ((2, 2), (2,)), ((3,), (2, 2))])
+@pytest.mark.parametrize("kind", ["pure", "mixed", "negative_weight"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_moment_table_matches_dense_kron(split, kind, seed):
+    from entwit.witnesses import _POWER_SUMS, _fourth_moments, _moment_table
+
+    gen = rng(seed)
+    dims_a, dims_b = split
+    dims = dims_a + dims_b
+    s = {"pure": random_pure, "mixed": random_mixed,
+         "negative_weight": mixed_with_negative_weight}[kind](gen, dims)
+    A, Ap = hermitian_on(gen, dims_a), hermitian_on(gen, dims_a)
+    B, Bp = hermitian_on(gen, dims_b), hermitian_on(gen, dims_b)
+    rho = s.density.data
+    P = [kron(X, Y).data for X in (A, Ap) for Y in (B, Bp)]
+    means, second, G, Zs = _moment_table(A, Ap, B, Bp, s)
+    for p in range(4):
+        assert_matches(means[p], np.trace(rho @ P[p]).real)
+        assert_matches(second[p], np.trace(rho @ P[p] @ P[p]).real)
+        for q in range(4):
+            want = np.trace(rho @ P[p] @ P[q])
+            assert_matches(G[p, q].real, want.real)
+            assert_matches(G[p, q].imag, want.imag)
+    for got, c in zip(_fourth_moments(Zs, A, Ap, B, Bp, s), _POWER_SUMS):
+        M = sum(cp * Pp for cp, Pp in zip(c, P))
+        assert_matches(got, np.trace(rho @ np.linalg.matrix_power(M, 4)).real)
+
+
+def non_hermitian(op, defect=1e-3):
+    skew = np.zeros(op.data.shape, dtype=complex)
+    skew[0, -1] = defect
+    return ComplexMatrix(op.data + skew, op.dims)
+
+
+BIPARTITE = [variance_product, variance_sum, uffink, four_variance,
+             lambda *q: ramanujan_witness(*q, 2), lambda *q: ramanujan_witness(*q, 4),
+             heisenberg_floor]
+
+
+@pytest.mark.parametrize("position,label", [(0, "A"), (1, "A'"), (2, "B"), (3, "B'")])
+def test_non_hermitian_operator_rejected_with_cached_defect(position, label):
+    quad = [S_X, S_Y, S_X, S_Y]
+    quad[position] = non_hermitian(quad[position])
+    for condition in BIPARTITE:
+        for _ in range(2):  # the second call reads the cached defect
+            with pytest.raises(ValueError, match=f"operator {label} is not Hermitian"):
+                condition(*quad, bell(2))
+
+
+def test_lifted_hermiticity_rejected_again_with_cached_values():
+    skew = np.zeros((2, 2), dtype=complex)
+    skew[0, 1] = 0.9e-10
+    A = ComplexMatrix(S_X.data + skew, (2,))
+    B = S_X * 20.0
+    for _ in range(2):
+        for condition in (variance_product, variance_sum, four_variance):
+            with pytest.raises(ValueError, match="Hermitian"):
+                condition(A, S_Y, B, S_Y, bell(2))
+        # the conditions that never checked the lifted products still accept them
+        for condition in (uffink, heisenberg_floor, lambda *q: ramanujan_witness(*q, 4)):
+            condition(A, S_Y, B, S_Y, bell(2))
+
+
+# --- working memory ----------------------------------------------------------
+#
+# The size refusal counts hilbert._WORKING_COPIES arrays of the state's size,
+# the state included.  The arrays a condition allocates must fit in the rest,
+# apart from operator-sized temporaries (sums of B and B'), bounded by the
+# operators' own size.
+
+def memory_states():
+    from entwit import squeezed_vacuum
+
+    gen = rng(5)
+    D = 256
+    parts = [QuantumState.pure(random_unit_vector(gen, D * D), (D, D)) for _ in range(4)]
+    return [squeezed_vacuum(0.9, cutoff=D), mix(parts, [0.4, 0.3, 0.2, 0.1])]
+
+
+@pytest.mark.parametrize("state_index", [0, 1])
+def test_conditions_stay_within_working_copies(state_index):
+    import tracemalloc
+
+    from entwit import block_spin
+    from entwit.hilbert import _WORKING_COPIES
+
+    s = memory_states()[state_index]
+    assert s.vectors.nbytes >= 2**20
+    X, Y, _ = block_spin(s.dims[0])
+    budget = (_WORKING_COPIES - 1) * s.vectors.nbytes + 4 * X.data.nbytes
+    for condition in BIPARTITE:
+        tracemalloc.start()
+        try:
+            condition(X, Y, X, Y, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (condition, peak / s.vectors.nbytes)
