@@ -176,7 +176,7 @@ def _run_squeezed(args) -> tuple[dict, dict, dict]:
 
     state = squeezed_vacuum(args.lam, args.cutoff)
     dim = state.dims[0]
-    X, Y, _ = block_spin(dim)
+    X, Y = block_spin(dim)[:2]
     report = variance_product(X, Y, X, Y, state)
     lam2 = args.lam * args.lam
     inputs: dict[str, Any] = {"lambda": args.lam}
@@ -253,13 +253,13 @@ def _builtin_operator(name: Any, dim: int) -> ComplexMatrix:
         quad = quadratures(dim)
         return quad.x if name == "x" else quad.p
     if name in ("blockx", "blocky"):
-        X, Y, _ = block_spin(dim)
-        return X if name == "blockx" else Y
+        return block_spin(dim)[0 if name == "blockx" else 1]
     raise ValueError(f"unknown builtin operator {name!r}; "
                      f"expected one of {', '.join(_BUILTIN_NAMES)}")
 
 
 def _witness_from_opspec(condition: str, ops: Any, state: QuantumState):
+    from .states import _as_int
     from .witnesses import (four_variance, multipartite, ramanujan_witness, uffink,
                             variance_product, variance_sum)
 
@@ -299,10 +299,7 @@ def _witness_from_opspec(condition: str, ops: Any, state: QuantumState):
     B = _builtin_operator(ops["B"], dim_b)
     Bp = _builtin_operator(ops["Bprime"], dim_b)
     if condition == "ramanujan":
-        n = ops.get("n", 2)
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"'n' must be an integer, got {n!r}")
-        return ramanujan_witness(A, Ap, B, Bp, state, n)
+        return ramanujan_witness(A, Ap, B, Bp, state, _as_int(ops.get("n", 2), "n"))
     dispatch = {"variance_product": variance_product,
                 "variance_sum": variance_sum,
                 "uffink": uffink,

@@ -1,9 +1,10 @@
 """Shared numerical tolerances.
 
 Every quantity handled by this package is O(1) to O(10^2), so absolute
-tolerances are used throughout.  The defaults below can be overridden per
-call on the functions that accept a tolerance keyword; the CLI echoes the
-values in effect under ``meta.tolerances``.
+tolerances are used throughout.  The table below is the only setting: no
+function takes a per-call override, except the bisection tolerance ``tol``
+of ``optimize.min_eigenvalue`` (``cmatrix --tol``; ``convergence_study``
+passes it on).  The CLI echoes the table under ``meta.tolerances``.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ Conventions
   vectors; a pure state is the case ``r = 1``.  :func:`mix` concatenates
   ensembles and :meth:`QuantumState.mixed` keeps the eigenpairs of a given
   density, so a mixture costs ``r`` vectors, never a dense density.  The
-  density is built only on request (:attr:`QuantumState.density`), for the
-  dense reference path.
-* The conditions never build a lifted operator.  They apply a product
-  ``F_1 (x) ... (x) F_k`` to the state one factor at a time
-  (:func:`_apply_factor`, the vec trick), so a condition holds at most
+  density is built only on request (:attr:`QuantumState.density`), for
+  tests and callers.
+* Moments have one path: :func:`expectation`, :func:`variance` and the
+  conditions apply a product ``F_1 (x) ... (x) F_k`` to the state one factor
+  at a time (:func:`_apply_factor`, the vec trick), never reading the
+  density or building a lifted operator, so a condition holds at most
   ``_WORKING_COPIES`` arrays of the state's size.  ``kron`` builds the dense
   lifted matrix and serves as the reference the tests compare against.
 * State constructors refuse, before allocating, any state that would take,
@@ -119,8 +120,8 @@ class ComplexMatrix:
             object.__setattr__(self, "_max_abs", float(np.abs(self.data).max()))
         return self._max_abs
 
-    def is_hermitian(self, atol: float = DEFAULT.hermitian) -> bool:
-        return self.hermiticity_defect() <= atol
+    def is_hermitian(self) -> bool:
+        return self.hermiticity_defect() <= DEFAULT.hermitian
 
     def _binary(self, other, op) -> "ComplexMatrix":
         if not isinstance(other, ComplexMatrix):
@@ -163,7 +164,7 @@ class QuantumState:
     ``(r,)`` and ``vectors`` has shape ``(r, side)``, both read-only.  A pure
     state is the case ``r = 1`` with weight 1; its vector is
     :attr:`amplitudes`.  The dense density is never stored; :attr:`density`
-    builds it on demand for the dense reference path.
+    builds it on demand for tests and callers.
 
     Use the :meth:`pure` / :meth:`mixed` constructors or :func:`mix`.
     Invariants enforced at construction: pure amplitudes have unit norm
@@ -269,59 +270,69 @@ def commutator(A: ComplexMatrix, B: ComplexMatrix) -> ComplexMatrix:
 
 
 def expectation(A: ComplexMatrix, s: QuantumState) -> complex:
-    """``<psi|A|psi>`` for pure states, ``trace(rho A)`` for mixed ones.
+    """``sum_i w_i <v_i|A|v_i>``, that is ``trace(rho A)``.
 
     The result is complex in general; for a Hermitian ``A`` the imaginary
     part is round-off only (|Im| <= 1e-10 for the magnitudes handled here).
     """
     _check_state_dims(A, s, "expectation")
-    if s.kind == "pure":
-        return complex(np.vdot(s.amplitudes, A.data @ s.amplitudes))
-    return complex(np.einsum("ij,ji->", s.density.data, A.data))
+    return _lifted_moments((A,), s)[0]
 
 
 def _second_moment(A: ComplexMatrix, s: QuantumState) -> float:
     """``<A^2>`` for Hermitian A, without forming the matrix square."""
-    if s.kind == "pure":
-        v = A.data @ s.amplitudes
-        return float(np.real(np.vdot(v, v)))
-    B = A.data @ s.density.data
-    # trace(rho A^2) = trace((A rho) A) by cyclicity
-    return float(np.real(np.sum(B.T * A.data)))
+    # Kept by name: bench/tracer.py wraps hilbert._second_moment, and the
+    # traced benchmark runs (bench/run.py --trace 1) need it to install.
+    return _lifted_moments((A,), s)[1]
 
 
-def variance(A: ComplexMatrix, s: QuantumState, *,
-             hermitian_atol: float = DEFAULT.hermitian,
-             clamp: float = DEFAULT.variance_clamp) -> float:
+def variance(A: ComplexMatrix, s: QuantumState) -> float:
     """``<A^2> - <A>^2`` for a Hermitian observable.
 
-    Tiny negative round-off (above ``-clamp``) is clamped to zero; a value
-    below ``-clamp`` signals misuse and raises.
+    Tiny negative round-off (above ``-DEFAULT.variance_clamp``) is clamped
+    to zero; a lower value signals misuse and raises.
     """
     _check_state_dims(A, s, "variance")
-    _require_hermitian(A.hermiticity_defect(), hermitian_atol)
-    mean = expectation(A, s).real
-    return _clamped_variance(_second_moment(A, s), mean, clamp)
+    return _lifted_variance((A,), s, "A")[1]
 
 
-def _require_hermitian(defect: float, atol: float = DEFAULT.hermitian,
-                       what: str = "max deviation") -> None:
-    """Reject an observable whose Hermiticity ``defect`` exceeds ``atol``."""
-    if defect > atol:
-        raise ValueError(f"variance requires a Hermitian observable "
-                         f"({what} {defect:.3e} > {atol})")
+def _require_hermitian(factors: Sequence[ComplexMatrix], label: str, *args) -> None:
+    """Reject the product ``F_1 (x) ... (x) F_k`` of ``factors`` (one factor:
+    the operator itself), never built, when the bound
+    ``sum_k delta_k prod_{j != k} max|F_j|`` (``delta_k`` the defect of factor
+    k) on its Hermiticity defect exceeds ``DEFAULT.hermitian``.  The message names it
+    ``label.format(*args)``, formatted only then."""
+    if len(factors) == 1:
+        bound, what = factors[0].hermiticity_defect(), "max deviation"
+    else:
+        sizes = [F.max_abs() for F in factors]
+        bound = sum(F.hermiticity_defect() * math.prod(sizes[:k] + sizes[k + 1:])
+                    for k, F in enumerate(factors))
+        what = "max deviation bound"
+    if bound > DEFAULT.hermitian:
+        raise ValueError(f"operator {label.format(*args)} is not Hermitian "
+                         f"({what} {bound:.3e})")
 
 
-def _clamped_variance(second: float, mean: float,
-                      clamp: float = DEFAULT.variance_clamp) -> float:
-    """``second - mean**2``, with round-off below zero (above ``-clamp``)
-    clamped to zero and anything lower rejected."""
+def _clamped_variance(second: float, mean: float) -> float:
+    """``second - mean**2``, with round-off below zero (above
+    ``-DEFAULT.variance_clamp``) clamped to zero and anything lower rejected."""
     var = second - mean * mean
     if var < 0.0:
-        if var < -clamp:
+        if var < -DEFAULT.variance_clamp:
             raise ValueError(f"variance {var:.3e} is negative beyond round-off")
         var = 0.0
     return var
+
+
+def _lifted_variance(factors: Sequence[ComplexMatrix], s: QuantumState,
+                     label: str, *args) -> tuple[float, float]:
+    """Mean and clamped variance of the Hermitian product of ``factors``:
+    the product is checked (:func:`_require_hermitian`), applied to the
+    state once (:func:`_lifted_moments`), and its variance clamped."""
+    _require_hermitian(factors, label, *args)
+    mean, second = _lifted_moments(factors, s)
+    return mean.real, _clamped_variance(second, mean.real)
 
 
 def _apply_factor(F: Array, X: Array, left: int) -> Array:

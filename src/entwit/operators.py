@@ -85,14 +85,14 @@ def block_spin(dim: int) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix]:
         raise ValueError(f"block_spin needs dim >= 2, got {dim}")
     if dim % 2:
         raise ValueError(f"block_spin needs an even dim, got {dim}")
-    X = np.zeros((dim, dim), dtype=np.complex128)
-    Y = np.zeros((dim, dim), dtype=np.complex128)
-    Z = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(dim // 2):
-        lo, hi = 2 * n, 2 * n + 1
-        X[lo, hi] = X[hi, lo] = 1.0
-        Y[lo, hi] = -1.0j
-        Y[hi, lo] = 1.0j
-        Z[lo, lo] = 1.0
-        Z[hi, hi] = -1.0
-    return (ComplexMatrix(X), ComplexMatrix(Y), ComplexMatrix(Z))
+    lo = np.arange(0, dim, 2)
+    hi = lo + 1
+
+    def paired(ll, lh, hl, hh) -> ComplexMatrix:
+        # one raw array at a time, freed once ComplexMatrix holds its copy
+        M = np.zeros((dim, dim), dtype=np.complex128)
+        M[lo, lo], M[lo, hi], M[hi, lo], M[hi, hi] = ll, lh, hl, hh
+        return ComplexMatrix(M)
+
+    return (paired(0.0, 1.0, 1.0, 0.0), paired(0.0, -1.0j, 1.0j, 0.0),
+            paired(1.0, 0.0, 0.0, -1.0))

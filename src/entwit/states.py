@@ -123,7 +123,7 @@ def squeezed_vacuum(lam: float, cutoff: int | None = None) -> QuantumState:
 
 def bell(n: int) -> QuantumState:
     """n-party state (|0...0> + |1...1>)/sqrt(2) on dims [2]*n."""
-    n = int(n)
+    n = _as_int(n, "parties")
     if n < 2:
         raise ValueError(f"bell needs at least 2 parties, got {n}")
     _refuse_oversize(16 * 2**n, f"a {n}-party pure state")
@@ -143,6 +143,14 @@ def schmidt_pair(alpha: complex, beta: complex) -> QuantumState:
 
 
 _FAMILIES = ("fock_pair", "psi2", "vacuum_mixture", "squeezed", "bell", "schmidt")
+
+
+def _as_int(value: Any, name: str) -> int:
+    """``value`` as an int.  Only Python and numpy integers pass; a bool, a
+    float or a string is rejected, not cast."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_complex(value: Any, name: str) -> complex:
@@ -177,7 +185,7 @@ class StateSpec:
                              f"expected one of {', '.join(_FAMILIES)}")
         object.__setattr__(self, "params", dict(self.params))
         if self.cutoff is not None:
-            object.__setattr__(self, "cutoff", int(self.cutoff))
+            object.__setattr__(self, "cutoff", _as_int(self.cutoff, "cutoff"))
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "StateSpec":

@@ -34,6 +34,7 @@ from .hilbert import (
     _apply_factor,
     _clamped_variance,
     _lifted_moments,
+    _lifted_variance,
     _require_hermitian,
     commutator,
 )
@@ -82,28 +83,13 @@ class WitnessReport:
 
 
 def _make_report(name: str, lhs: float, rhs: float, *, leq: bool,
-                 V: float | None, details: dict[str, float], tol: float) -> WitnessReport:
+                 V: float | None, details: dict[str, float]) -> WitnessReport:
     delta = (lhs - rhs) if leq else (rhs - lhs)
     return WitnessReport(name=name, lhs=float(lhs), rhs=float(rhs), delta=float(delta),
-                         V=V, violated=bool(delta > tol), details=details)
+                         V=V, violated=bool(delta > DEFAULT.violation), details=details)
 
 
-def _require_hermitian_ops(labelled: Sequence[tuple[str, ComplexMatrix]]) -> None:
-    for label, op in labelled:
-        defect = op.hermiticity_defect()
-        if defect > DEFAULT.hermitian:
-            raise ValueError(f"operator {label} is not Hermitian "
-                             f"(max deviation {defect:.3e})")
-
-
-def _require_lifted_hermitian(factors: Sequence[ComplexMatrix]) -> None:
-    """Reject the lifted product of ``factors``, never built, by the bound
-    ``sum_k delta_k prod_{j != k} max|F_j|`` (``delta_k`` the defect of factor
-    k) on its Hermiticity defect, at the tolerance of ``hilbert.variance``."""
-    sizes = [F.max_abs() for F in factors]
-    bound = sum(F.hermiticity_defect() * math.prod(sizes[:k] + sizes[k + 1:])
-                for k, F in enumerate(factors))
-    _require_hermitian(bound, what="max deviation bound")
+_LABELS = ("A", "A'", "B", "B'")
 
 
 def _blocks(n: int, width: int) -> list[slice]:
@@ -132,9 +118,11 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
     if A.dims + B.dims != s.dims:
         raise ValueError(f"operator factors {A.dims} + {B.dims} do not cover "
                          f"state dims {s.dims}")
-    _require_hermitian_ops((("A", A), ("A'", Ap), ("B", B), ("B'", Bp)))
+    for op, label in zip((A, Ap, B, Bp), _LABELS):
+        _require_hermitian((op,), label)
     for p in checked:
-        _require_lifted_hermitian(((A, Ap)[p // 2], (B, Bp)[p % 2]))
+        _require_hermitian(((A, Ap)[p // 2], (B, Bp)[p % 2]), "{} (x) {}",
+                           _LABELS[p // 2], _LABELS[2 + p % 2])
     V, r = s.vectors, s.weights.size
     left, b = r * A.side, B.side
     Zs = [_apply_factor(Ai.data, V, r).reshape(left, b) for Ai in (A, Ap)]
@@ -154,8 +142,7 @@ def _guarded_ratio(lhs: float, rhs: float) -> float | None:
 
 
 def variance_product(A: ComplexMatrix, Ap: ComplexMatrix,
-                     B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState,
-                     *, tol: float = DEFAULT.violation) -> WitnessReport:
+                     B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Product condition: sigma_AB * sigma_A'B' >= (1/4)|<[A,A'] (x) [B,B']>|."""
     means, second, G, _ = _moment_table(A, Ap, B, Bp, s, (0, 3))
     (m_ab, m_apbp), (s_ab, s_apbp) = means[::3], second[::3]
@@ -166,12 +153,11 @@ def variance_product(A: ComplexMatrix, Ap: ComplexMatrix,
     details = {"m_AB": m_ab, "m_ApBp": m_apbp, "s_AB": s_ab, "s_ApBp": s_apbp,
                "var_AB": var_ab, "var_ApBp": var_apbp, "m_comm": m_comm}
     return _make_report("variance_product", lhs, rhs, leq=False,
-                        V=_guarded_ratio(lhs, rhs), details=details, tol=tol)
+                        V=_guarded_ratio(lhs, rhs), details=details)
 
 
 def variance_sum(A: ComplexMatrix, Ap: ComplexMatrix,
-                 B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState,
-                 *, tol: float = DEFAULT.violation) -> WitnessReport:
+                 B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Sum condition: sigma²_AB + sigma²_A'B' >= (1/2)|<[A,A'] (x) [B,B']>|."""
     means, second, G, _ = _moment_table(A, Ap, B, Bp, s, (0, 3))
     m_ab, m_apbp = means[::3]
@@ -181,12 +167,11 @@ def variance_sum(A: ComplexMatrix, Ap: ComplexMatrix,
     rhs = 0.5 * abs(m_comm)
     details = {"m_AB": m_ab, "m_ApBp": m_apbp,
                "var_AB": var_ab, "var_ApBp": var_apbp, "m_comm": m_comm}
-    return _make_report("variance_sum", lhs, rhs, leq=False,
-                        V=None, details=details, tol=tol)
+    return _make_report("variance_sum", lhs, rhs, leq=False, V=None, details=details)
 
 
 def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
-                 s: QuantumState, *, tol: float = DEFAULT.violation) -> WitnessReport:
+                 s: QuantumState) -> WitnessReport:
     """n-party product condition with the commutator bound scaled by 1/2^n.
 
     Operator k of each list acts on factor k of the state; reduces to
@@ -203,13 +188,10 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
         if Ak.dims != (s.dims[k],) or Apk.dims != (s.dims[k],):
             raise ValueError(f"party {k} operators must act on a factor of "
                              f"dimension {s.dims[k]}")
-        _require_hermitian_ops(((f"A_{k}", Ak), (f"A'_{k}", Apk)))
-    moments = []
-    for factors in (As, Aps):
-        _require_lifted_hermitian(factors)
-        mean, second = _lifted_moments(factors, s)
-        moments += [mean.real, _clamped_variance(second, mean.real)]
-    m_prod, var_prod, m_prod_p, var_prod_p = moments
+        _require_hermitian((Ak,), "A_{}", k)
+        _require_hermitian((Apk,), "A'_{}", k)
+    m_prod, var_prod = _lifted_variance(As, s, "A_0 (x) ... (x) A_{}", n - 1)
+    m_prod_p, var_prod_p = _lifted_variance(Aps, s, "A'_0 (x) ... (x) A'_{}", n - 1)
     m_comm = _lifted_moments([commutator(Ak, Apk) for Ak, Apk in zip(As, Aps)], s)[0].real
     lhs = math.sqrt(var_prod) * math.sqrt(var_prod_p)
     rhs = abs(m_comm) / 2.0**n
@@ -217,7 +199,7 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
                "var_A1..An": var_prod, "var_Ap1..Apn": var_prod_p,
                "m_comm": m_comm, "n_parties": float(n)}
     return _make_report("multipartite", lhs, rhs, leq=False,
-                        V=_guarded_ratio(lhs, rhs), details=details, tol=tol)
+                        V=_guarded_ratio(lhs, rhs), details=details)
 
 
 # The three sums M of the power-sum condition, as coefficients c_p of P_p.
@@ -252,7 +234,7 @@ def _fourth_moments(Zs: list[Array], A: ComplexMatrix, Ap: ComplexMatrix,
 
 def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
                       B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState,
-                      n: int, *, tol: float = DEFAULT.violation) -> WitnessReport:
+                      n: int) -> WitnessReport:
     """Power-sum condition (n in {2, 4}), violated when lhs > rhs:
 
     <AB + AB' + A'B>^n + <AB' + A'B + A'B'>^n + <AB - A'B'>^n
@@ -277,13 +259,11 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
                f"pow{n}_ABp_minus_ApB": pow1,
                f"pow{n}_ApB_plus_ApBp_plus_AB": pow2,
                f"pow{n}_ApBp_plus_AB_plus_ABp": pow3}
-    return _make_report(f"ramanujan_{n}", lhs, rhs, leq=True,
-                        V=None, details=details, tol=tol)
+    return _make_report(f"ramanujan_{n}", lhs, rhs, leq=True, V=None, details=details)
 
 
 def uffink(A: ComplexMatrix, Ap: ComplexMatrix,
-           B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState,
-           *, tol: float = DEFAULT.violation) -> WitnessReport:
+           B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Quadratic condition <AB - A'B'>² + <AB' + A'B>² <= <(A² + A'²)(x)(B² + B'²)>."""
     means, second, _, _ = _moment_table(A, Ap, B, Bp, s)
     m_ab, m_abp, m_apb, m_apbp = means
@@ -291,13 +271,11 @@ def uffink(A: ComplexMatrix, Ap: ComplexMatrix,
     m_sq = sum(second)  # <(A² + A'²) (x) (B² + B'²)> = sum_p <P_p²>
     details = {"m_AB": m_ab, "m_ABp": m_abp, "m_ApB": m_apb, "m_ApBp": m_apbp,
                "m_square_product": m_sq}
-    return _make_report("uffink", lhs, m_sq, leq=True,
-                        V=None, details=details, tol=tol)
+    return _make_report("uffink", lhs, m_sq, leq=True, V=None, details=details)
 
 
 def four_variance(A: ComplexMatrix, Ap: ComplexMatrix,
-                  B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState,
-                  *, tol: float = DEFAULT.violation) -> WitnessReport:
+                  B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Four-term condition: sum of the four product variances bounds the commutator.
 
     sigma²_AB + sigma²_AB' + sigma²_A'B + sigma²_A'B' >= |<[A,A'] (x) [B,B']>|.
@@ -310,8 +288,7 @@ def four_variance(A: ComplexMatrix, Ap: ComplexMatrix,
     rhs = abs(m_comm)
     details = {**{f"m_{label}": m for label, m in zip(labels, means)},
                **{f"var_{label}": v for label, v in zip(labels, variances)}, "m_comm": m_comm}
-    return _make_report("four_variance", lhs, rhs, leq=False,
-                        V=None, details=details, tol=tol)
+    return _make_report("four_variance", lhs, rhs, leq=False, V=None, details=details)
 
 
 def heisenberg_floor(A: ComplexMatrix, Ap: ComplexMatrix,

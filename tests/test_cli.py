@@ -551,3 +551,23 @@ def test_reader_closing_early_leaves_no_traceback():
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
+@pytest.mark.parametrize("spec,field", [
+    ({"family": "bell", "params": {"parties": 2.7}}, "parties"),
+    ({"family": "bell", "params": {"parties": "3"}}, "parties"),
+    ({"family": "bell", "params": {"parties": True}}, "parties"),
+    ({"family": "bell", "params": {"parties": None}}, "parties"),
+    ({"family": "squeezed", "params": {"lambda": 0.3}, "cutoff": 8.9}, "cutoff"),
+    ({"family": "squeezed", "params": {"lambda": 0.3}, "cutoff": "8"}, "cutoff"),
+])
+def test_witness_rejects_non_integer_state_fields(capsys, tmp_path, spec, field):
+    state = write_json(tmp_path, "state.json", spec)
+    ops = write_json(tmp_path, "ops.json",
+                     {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"})
+    assert run(["witness", "--state", state, "--ops", ops,
+                "--condition", "uffink"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"'{field}' must be an integer" in captured.err

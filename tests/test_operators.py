@@ -132,3 +132,15 @@ def test_block_spin_algebra_and_structure():
     assert np.count_nonzero(X.data) == D
     # Z is diagonal +1/-1 on the pairs
     assert np.allclose(Z.data, np.diag([1.0, -1.0] * (D // 2)))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 10])
+def test_block_spin_entries_are_exact(dim):
+    want = np.zeros((3, dim, dim), dtype=np.complex128)
+    for lo in range(0, dim, 2):
+        hi = lo + 1
+        want[0, lo, hi] = want[0, hi, lo] = 1.0
+        want[1, lo, hi], want[1, hi, lo] = -1.0j, 1.0j
+        want[2, lo, lo], want[2, hi, hi] = 1.0, -1.0
+    for got, expected in zip(block_spin(dim), want):
+        assert got.data.tobytes() == expected.tobytes()  # signed zeros included

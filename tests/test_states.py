@@ -263,3 +263,27 @@ def test_size_refusal_skipped_without_sysconf(monkeypatch):
     monkeypatch.delattr(os, "sysconf")
     assert bell(3).dims == (2, 2, 2)
     assert vacuum_mixture(0.5, [0.8, 0.6]).kind == "mixed"
+
+
+# --- integer fields ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [2.7, 3.0, "3", True, None])
+def test_bell_rejects_non_integer_parties(bad):
+    with pytest.raises(ValueError, match="'parties' must be an integer"):
+        bell(bad)
+    with pytest.raises(ValueError, match="'parties' must be an integer"):
+        build_state(StateSpec.from_json({"family": "bell", "params": {"parties": bad}}))
+
+
+@pytest.mark.parametrize("bad", [8.9, 8.0, "8", False])
+def test_spec_rejects_non_integer_cutoff(bad):
+    with pytest.raises(ValueError, match="'cutoff' must be an integer"):
+        StateSpec.from_json({"family": "squeezed", "params": {"lambda": 0.3}, "cutoff": bad})
+
+
+def test_integer_fields_accept_numpy_integers():
+    assert bell(np.int64(3)).dims == (2, 2, 2)
+    spec = StateSpec("squeezed", {"lambda": 0.3}, cutoff=np.int32(8))
+    assert spec.cutoff == 8 and type(spec.cutoff) is int
+    assert spec.build().dims == (8, 8)

@@ -20,7 +20,6 @@ from entwit import (
     QuantumState,
     bell,
     commutator,
-    expectation,
     four_variance,
     fock_pair_superposition,
     heisenberg_floor,
@@ -34,20 +33,21 @@ from entwit import (
     schmidt_pair,
     spin_ops,
     uffink,
-    variance,
     vacuum_mixture,
     variance_product,
     variance_sum,
 )
-from entwit.hilbert import _second_moment
 
 from _support import (
+    _second_moment,
+    expectation,
     random_hermitian,
     random_mixed,
     random_pure,
     random_separable_mixture,
     random_unit_vector,
     rng,
+    variance,
 )
 
 S_X, S_Y, S_Z, S_0 = spin_ops()
