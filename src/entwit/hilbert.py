@@ -22,7 +22,12 @@ Conventions
   machine's physical memory.
 * All values are immutable after construction and all operations are pure,
   so everything here is safe for concurrent read access.  A matrix computes
-  its Hermiticity defect and its largest entry once, on first use.
+  its Hermiticity defect and its largest entry once, on first use.  A state
+  keeps the moment table of the last operator quadruple evaluated on it:
+  the four operators themselves, the four means and second moments and the
+  4x4 Gram matrix of ``witnesses._moment_table``, and no array of the
+  state's size.  The entry is one tuple assigned at once, so a race between
+  callers only recomputes it.
 """
 
 from __future__ import annotations
@@ -172,7 +177,7 @@ class QuantumState:
     1e-12, has unit trace within 1e-12, and has no eigenvalue below -1e-10.
     """
 
-    __slots__ = ("kind", "dims", "weights", "vectors")
+    __slots__ = ("kind", "dims", "weights", "vectors", "_moments")
 
     def __init__(self, kind, dims, weights, vectors):
         weights.setflags(write=False)
@@ -181,6 +186,8 @@ class QuantumState:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "vectors", vectors)
+        # (A, A', B, B', means, second, G) of the last quadruple evaluated here
+        object.__setattr__(self, "_moments", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumState is immutable")

@@ -13,6 +13,7 @@ schmidt         two-qubit alpha|00> + beta|11>
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -68,11 +69,9 @@ def squeezed_cutoff(lam: float) -> int:
 
 def fock_pair_superposition(c: Sequence[float], cutoff: int | None = None) -> QuantumState:
     """Two-mode pure state with real amplitude c_n at the level pair (2n, 2n)."""
-    coeffs = np.asarray(c, dtype=float).reshape(-1)
+    coeffs = _as_reals(c, "c")
     if coeffs.size < 1:
         raise ValueError("need at least one coefficient")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coefficients must be finite")
     norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > DEFAULT.state_norm:
         raise ValueError(f"coefficient norm is {norm!r}, not 1 within {DEFAULT.state_norm}")
@@ -89,7 +88,7 @@ def fock_pair_superposition(c: Sequence[float], cutoff: int | None = None) -> Qu
 
 def vacuum_mixture(p: float, c: Sequence[float], cutoff: int | None = None) -> QuantumState:
     """Mixture p * |psi><psi| + (1 - p) * |00><00| of a paired state with vacuum."""
-    p = float(p)
+    p = _as_real(p, "p")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
     psi = fock_pair_superposition(c, cutoff)
@@ -107,7 +106,7 @@ def squeezed_vacuum(lam: float, cutoff: int | None = None) -> QuantumState:
     keeps the discarded tail mass below 1e-12 (so the renormalization factor
     differs from sqrt(1 - lambda^2) by less than 1e-12).
     """
-    lam = float(lam)
+    lam = _as_real(lam, "lambda")
     if abs(lam) >= 1.0:
         raise ValueError(f"squeezing parameter must satisfy |lambda| < 1, got {lam}")
     D = squeezed_cutoff(lam) if cutoff is None else int(cutoff)
@@ -153,11 +152,32 @@ def _as_int(value: Any, name: str) -> int:
     return int(value)
 
 
+def _as_real(value: Any, name: str) -> float:
+    """``value`` as a finite float.  Only Python and numpy reals pass; a bool,
+    a string or a non-finite value is rejected, not cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name!r} must be a real number, got {value!r}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{name!r} must be finite, got {value!r}")
+    return out
+
+
+def _as_reals(values: Any, name: str) -> np.ndarray:
+    """A list (or array) of reals as a 1-d float array, each entry checked
+    by :func:`_as_real`."""
+    if isinstance(values, np.ndarray):
+        values = values.reshape(-1).tolist()
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name!r} must be a list of real numbers, got {values!r}")
+    return np.array([_as_real(v, name) for v in values], dtype=float)
+
+
 def _as_complex(value: Any, name: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
+        return complex(_as_real(value[0], name), _as_real(value[1], name))
+    if isinstance(value, numbers.Real):
+        return complex(_as_real(value, name))
     raise ValueError(f"parameter {name!r} must be a real number or a [re, im] pair")
 
 
@@ -209,18 +229,19 @@ class StateSpec:
 
     def resolved_cutoff(self) -> int | None:
         """The Fock cutoff this spec will actually use (None for spin families)."""
-        p = self.params
-        if self.family in ("fock_pair", "vacuum_mixture"):
-            return self.cutoff if self.cutoff is not None else pair_cutoff(len(p["c"]))
+        if self.family in ("bell", "schmidt"):
+            return None
+        if self.cutoff is not None:
+            return self.cutoff
         if self.family == "psi2":
-            return self.cutoff if self.cutoff is not None else pair_cutoff(2)
+            return pair_cutoff(2)
         if self.family == "squeezed":
-            return self.cutoff if self.cutoff is not None else squeezed_cutoff(float(p["lambda"]))
-        return None
+            return squeezed_cutoff(_as_real(self.params["lambda"], "lambda"))
+        return pair_cutoff(_as_reals(self.params["c"], "c").size)
 
 
 def _psi2_coeffs(c0: float) -> list[float]:
-    c0 = float(c0)
+    c0 = _as_real(c0, "c0")
     if not 0.0 <= c0 <= 1.0:
         raise ValueError(f"psi2 coefficient c0 must lie in [0, 1], got {c0}")
     return [c0, math.sqrt(max(0.0, 1.0 - c0 * c0))]
@@ -240,7 +261,7 @@ def build_state(spec: StateSpec) -> QuantumState:
         return vacuum_mixture(p["p"], p["c"], spec.resolved_cutoff())
     if family == "squeezed":
         _require_params(p, family, {"lambda"})
-        return squeezed_vacuum(float(p["lambda"]), spec.resolved_cutoff())
+        return squeezed_vacuum(p["lambda"], spec.resolved_cutoff())
     if family == "bell":
         _require_params(p, family, {"parties"})
         return bell(p["parties"])

@@ -15,7 +15,10 @@ still flagged violated).
 
 Each bipartite condition is scalar arithmetic on one moment table: the means
 of the four lifted products ``A_i (x) B_j`` and their Gram matrix, from four
-products on the state and one validation per call.
+products on the state.  The state keeps the table of the last quadruple
+evaluated on it, keyed by the identity of the four operators, so every
+condition on the same quadruple and state reads one table; the quadruple is
+still validated on every call.
 """
 
 from __future__ import annotations
@@ -99,18 +102,10 @@ def _blocks(n: int, width: int) -> list[slice]:
     return [slice(k, k + step) for k in range(0, n, step)]
 
 
-def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
-                  s: QuantumState, checked: Sequence[int] = ()) -> tuple:
-    """Moment table of the lifted products ``P_p = A_i (x) B_j``, ``p = 2i + j``
-    (``A_0 = A``, ``A_1 = A'``, ``B_0 = B``, ``B_1 = B'``), applied to the
-    state as ``P_p v = Z_i B_j^T`` from ``Z_i = A_i v``: six factor products.
-
-    Validates the quadruple once, and the lifted Hermiticity of the products
-    in ``checked``.  Returns the means, the second moments, the Gram matrix
-    ``G[p, q] = sum_r w_r <P_p v_r|P_q v_r>`` and ``[Z_0, Z_1]``.  As every
-    factor is Hermitian, ``<P_p P_q> = G[p, q]``; for instance
-    ``<[A,A'] (x) [B,B']> = 2 Re(G[0, 3] - G[1, 2])``.
-    """
+def _check_quadruple(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix,
+                     Bp: ComplexMatrix, s: QuantumState, checked: Sequence[int]) -> None:
+    """Validate the quadruple against the state, and the lifted Hermiticity of
+    the products ``P_p`` with ``p`` in ``checked``."""
     if A.dims != Ap.dims:
         raise ValueError(f"A and A' must share dims, got {A.dims} vs {Ap.dims}")
     if B.dims != Bp.dims:
@@ -123,16 +118,52 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
     for p in checked:
         _require_hermitian(((A, Ap)[p // 2], (B, Bp)[p % 2]), "{} (x) {}",
                            _LABELS[p // 2], _LABELS[2 + p % 2])
-    V, r = s.vectors, s.weights.size
-    left, b = r * A.side, B.side
-    Zs = [_apply_factor(Ai.data, V, r).reshape(left, b) for Ai in (A, Ap)]
+
+
+def _partials(A: ComplexMatrix, Ap: ComplexMatrix, s: QuantumState) -> list[Array]:
+    """``[Z_0, Z_1]``, ``Z_i = A_i v`` viewed as ``(r * A.side, B.side)``."""
+    r = s.weights.size
+    return [_apply_factor(Ai.data, s.vectors, r).reshape(r * A.side, -1) for Ai in (A, Ap)]
+
+
+def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
+                  s: QuantumState, checked: Sequence[int] = ()) -> tuple:
+    """Moment table of the lifted products ``P_p = A_i (x) B_j``, ``p = 2i + j``
+    (``A_0 = A``, ``A_1 = A'``, ``B_0 = B``, ``B_1 = B'``), applied to the
+    state as ``P_p v = Z_i B_j^T`` from ``Z_i = A_i v``: six factor products.
+
+    Validates the quadruple (:func:`_check_quadruple`).  Returns the means
+    and the second moments as tuples, the read-only Gram matrix
+    ``G[p, q] = sum_r w_r <P_p v_r|P_q v_r>`` and ``[Z_0, Z_1]``.  As every
+    factor is Hermitian, ``<P_p P_q> = G[p, q]``; for instance
+    ``<[A,A'] (x) [B,B']> = 2 Re(G[0, 3] - G[1, 2])``.
+    """
+    _check_quadruple(A, Ap, B, Bp, s, checked)
+    Zs = _partials(A, Ap, s)
+    left, b = Zs[0].shape
     # a block of rows at a time; the Gram matrix of its products and v holds G and the means
-    w, Vr, H = np.repeat(s.weights, A.side)[:, None], V.reshape(left, b), 0.0
+    w, Vr, H = np.repeat(s.weights, A.side)[:, None], s.vectors.reshape(left, b), 0.0
     for rows in _blocks(left, b):
         Y = np.array([Z[rows] @ Bj.data.T for Z in Zs for Bj in (B, Bp)] + [Vr[rows]])
         H = H + (Y.conj() * w[rows]).reshape(5, -1) @ Y.reshape(5, -1).T
     G = H[:4, :4]
-    return H[:4, 4].real.tolist(), G.diagonal().real.tolist(), G, Zs
+    G.setflags(write=False)  # a state shares its table with every later caller
+    return tuple(H[:4, 4].real.tolist()), tuple(G.diagonal().real.tolist()), G, Zs
+
+
+def _shared_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
+                  s: QuantumState, checked: Sequence[int] = ()) -> tuple:
+    """The means, second moments and Gram matrix of :func:`_moment_table`,
+    computed once per quadruple and state: the state keeps the last table,
+    keyed by the identity of the four operators (an equal but distinct
+    operator recomputes).  The quadruple is validated on every call."""
+    quad, entry = (A, Ap, B, Bp), s._moments
+    if entry is not None and all(x is y for x, y in zip(entry, quad)):
+        _check_quadruple(A, Ap, B, Bp, s, checked)
+        return entry[4:]
+    means, second, G, _ = _moment_table(A, Ap, B, Bp, s, checked)
+    object.__setattr__(s, "_moments", (*quad, means, second, G))
+    return means, second, G
 
 
 def _guarded_ratio(lhs: float, rhs: float) -> float | None:
@@ -144,7 +175,7 @@ def _guarded_ratio(lhs: float, rhs: float) -> float | None:
 def variance_product(A: ComplexMatrix, Ap: ComplexMatrix,
                      B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Product condition: sigma_AB * sigma_A'B' >= (1/4)|<[A,A'] (x) [B,B']>|."""
-    means, second, G, _ = _moment_table(A, Ap, B, Bp, s, (0, 3))
+    means, second, G = _shared_table(A, Ap, B, Bp, s, (0, 3))
     (m_ab, m_apbp), (s_ab, s_apbp) = means[::3], second[::3]
     var_ab, var_apbp = _clamped_variance(s_ab, m_ab), _clamped_variance(s_apbp, m_apbp)
     m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
@@ -159,7 +190,7 @@ def variance_product(A: ComplexMatrix, Ap: ComplexMatrix,
 def variance_sum(A: ComplexMatrix, Ap: ComplexMatrix,
                  B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Sum condition: sigma²_AB + sigma²_A'B' >= (1/2)|<[A,A'] (x) [B,B']>|."""
-    means, second, G, _ = _moment_table(A, Ap, B, Bp, s, (0, 3))
+    means, second, G = _shared_table(A, Ap, B, Bp, s, (0, 3))
     m_ab, m_apbp = means[::3]
     var_ab, var_apbp = map(_clamped_variance, second[::3], means[::3])
     m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
@@ -245,7 +276,7 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
     """
     if n not in (2, 4):
         raise ValueError(f"power-sum condition is only available for n in {{2, 4}}, got {n}")
-    means, _, G, Zs = _moment_table(A, Ap, B, Bp, s)
+    means, _, G = _shared_table(A, Ap, B, Bp, s)
     m_ab, m_abp, m_apb, m_apbp = means
     lhs = ((m_ab + m_abp + m_apb) ** n
            + (m_abp + m_apb + m_apbp) ** n
@@ -253,7 +284,7 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
     if n == 2:  # <M^2> = ||M psi||^2 = c^T G c
         pow1, pow2, pow3 = (float((np.array(c) @ G @ c).real) for c in _POWER_SUMS)
     else:
-        pow1, pow2, pow3 = _fourth_moments(Zs, A, Ap, B, Bp, s)
+        pow1, pow2, pow3 = _fourth_moments(_partials(A, Ap, s), A, Ap, B, Bp, s)
     rhs = pow1 + pow2 + pow3
     details = {"m_AB": m_ab, "m_ABp": m_abp, "m_ApB": m_apb, "m_ApBp": m_apbp,
                f"pow{n}_ABp_minus_ApB": pow1,
@@ -265,7 +296,7 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
 def uffink(A: ComplexMatrix, Ap: ComplexMatrix,
            B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Quadratic condition <AB - A'B'>² + <AB' + A'B>² <= <(A² + A'²)(x)(B² + B'²)>."""
-    means, second, _, _ = _moment_table(A, Ap, B, Bp, s)
+    means, second, _ = _shared_table(A, Ap, B, Bp, s)
     m_ab, m_abp, m_apb, m_apbp = means
     lhs = (m_ab - m_apbp) ** 2 + (m_abp + m_apb) ** 2
     m_sq = sum(second)  # <(A² + A'²) (x) (B² + B'²)> = sum_p <P_p²>
@@ -280,7 +311,7 @@ def four_variance(A: ComplexMatrix, Ap: ComplexMatrix,
 
     sigma²_AB + sigma²_AB' + sigma²_A'B + sigma²_A'B' >= |<[A,A'] (x) [B,B']>|.
     """
-    means, second, G, _ = _moment_table(A, Ap, B, Bp, s, range(4))
+    means, second, G = _shared_table(A, Ap, B, Bp, s, range(4))
     labels = ("AB", "ABp", "ApB", "ApBp")
     variances = list(map(_clamped_variance, second, means))
     m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
@@ -300,7 +331,7 @@ def heisenberg_floor(A: ComplexMatrix, Ap: ComplexMatrix,
     conditions can possibly be violated.  No pruning decision is made here;
     callers compare it with the commutator bound themselves.
     """
-    G = _moment_table(A, Ap, B, Bp, s)[2]
+    G = _shared_table(A, Ap, B, Bp, s)[2]
     # <[A(x)B, A'(x)B']> = G[0, 3] - G[3, 0] = 2i Im G[0, 3]
     return float(abs(G[0, 3].imag))
 

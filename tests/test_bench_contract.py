@@ -33,3 +33,65 @@ def test_tracer_installs_and_counts_a_condition():
     calls = json.loads(out.stdout)
     assert calls["witnesses.variance_product"] == 1
     assert calls["states.bell"] == 1
+
+
+BIPARTITE_CHILD = f"""
+import json, sys
+sys.path.insert(0, {str(BENCH)!r})
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+from entwit import (bell, four_variance, heisenberg_floor, ramanujan_witness, spin_ops,
+                    uffink, variance_product, variance_sum)
+s_x, s_y, _, _ = spin_ops()
+s = bell(2)
+before = dict(tracer.calls)
+quad = (s_x, s_y, s_x, s_y)
+for condition in (variance_product, variance_sum, uffink, four_variance, heisenberg_floor):
+    condition(*quad, s)
+for n in (2, 4):
+    ramanujan_witness(*quad, s, n)
+print(json.dumps({{"before": before, "after": tracer.calls}}))
+"""
+
+
+def test_tracer_counts_every_bipartite_condition_on_one_state():
+    out = subprocess.run([sys.executable, "-c", BIPARTITE_CHILD], capture_output=True,
+                         text=True, timeout=120, check=True)
+    doc = json.loads(out.stdout)
+    calls = doc["after"]
+    for name in ("variance_product", "variance_sum", "uffink", "four_variance",
+                 "heisenberg_floor"):
+        assert calls[f"witnesses.{name}"] == 1, name
+    assert calls["witnesses.ramanujan_witness"] == 2
+    # the table kept on the state is no QuantumState method: the conditions
+    # call none, so the traced state group counts only the construction
+    assert calls["hilbert.state_new"] == doc["before"]["hilbert.state_new"]
+
+
+SWEEP_CHILD = f"""
+import json, sys
+sys.path.insert(0, {str(BENCH)!r})
+import entwit.witnesses as witnesses
+from jobs import sweep_inputs
+from sweep import run_sweep
+compute, tables = witnesses._moment_table, []
+def counted(*args, **kwargs):
+    tables.append(1)
+    return compute(*args, **kwargs)
+witnesses._moment_table = counted
+doc = sweep_inputs(1)
+run_sweep(doc)
+print(json.dumps({{"tables": len(tables), "states": len(doc["states"])}}))
+"""
+
+
+def test_sweep_pass_builds_one_table_per_state_and_witness_state():
+    # each sweep state meets six bipartite conditions and the Heisenberg floor
+    # on one quadruple, and the tuned Schmidt witness builds a state of its
+    # own: 2 tables per state, where one per call would be 8
+    out = subprocess.run([sys.executable, "-c", SWEEP_CHILD], capture_output=True, text=True,
+                         timeout=120, check=True)
+    doc = json.loads(out.stdout)
+    assert doc["states"] == 240
+    assert doc["tables"] == 2 * doc["states"]

@@ -571,3 +571,24 @@ def test_witness_rejects_non_integer_state_fields(capsys, tmp_path, spec, field)
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert f"'{field}' must be an integer" in captured.err
+
+
+@pytest.mark.parametrize("spec,field", [
+    ({"family": "squeezed", "params": {"lambda": "0.5"}}, "lambda"),
+    ({"family": "psi2", "params": {"c0": True}}, "c0"),
+    ({"family": "vacuum_mixture", "params": {"p": "0.5", "c": [1.0]}}, "p"),
+    ({"family": "fock_pair", "params": {"c": ["1"]}}, "c"),
+    ({"family": "schmidt", "params": {"alpha": True, "beta": 0.0}}, "alpha"),
+    ({"family": "schmidt", "params": {"alpha": 1.0, "beta": [0.0, "0"]}}, "beta"),
+])
+def test_witness_rejects_non_real_state_fields(capsys, tmp_path, spec, field):
+    state = write_json(tmp_path, "state.json", spec)
+    # the state is built, and refused, before the operators are read
+    ops = write_json(tmp_path, "ops.json",
+                     {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"})
+    assert run(["witness", "--state", state, "--ops", ops,
+                "--condition", "uffink"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert f"'{field}' must be a real number" in captured.err

@@ -287,3 +287,62 @@ def test_integer_fields_accept_numpy_integers():
     spec = StateSpec("squeezed", {"lambda": 0.3}, cutoff=np.int32(8))
     assert spec.cutoff == 8 and type(spec.cutoff) is int
     assert spec.build().dims == (8, 8)
+
+
+# --- real fields -------------------------------------------------------------
+
+REAL_FIELD_CASES = [
+    ({"family": "squeezed", "params": {"lambda": "0.5"}}, "lambda"),
+    ({"family": "squeezed", "params": {"lambda": True}}, "lambda"),
+    ({"family": "squeezed", "params": {"lambda": None}}, "lambda"),
+    ({"family": "psi2", "params": {"c0": True}}, "c0"),
+    ({"family": "psi2", "params": {"c0": "0.5"}}, "c0"),
+    ({"family": "vacuum_mixture", "params": {"p": "0.5", "c": [1.0]}}, "p"),
+    ({"family": "vacuum_mixture", "params": {"p": False, "c": [1.0]}}, "p"),
+    ({"family": "vacuum_mixture", "params": {"p": 0.5, "c": ["1"]}}, "c"),
+    ({"family": "fock_pair", "params": {"c": ["1"]}}, "c"),
+    ({"family": "fock_pair", "params": {"c": "1"}}, "c"),
+    ({"family": "fock_pair", "params": {"c": 1.0}}, "c"),
+    ({"family": "fock_pair", "params": {"c": [0.6, True]}}, "c"),
+    ({"family": "schmidt", "params": {"alpha": True, "beta": 0.0}}, "alpha"),
+    ({"family": "schmidt", "params": {"alpha": 1.0, "beta": [0.0, "0"]}}, "beta"),
+    ({"family": "schmidt", "params": {"alpha": [False, 1.0], "beta": 0.0}}, "alpha"),
+]
+
+
+@pytest.mark.parametrize("spec,name", REAL_FIELD_CASES)
+def test_spec_rejects_non_real_fields(spec, name):
+    with pytest.raises(ValueError, match=f"'{name}' must be a (real number|list of real)"):
+        build_state(StateSpec.from_json(spec))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_real_fields_reject_non_finite_values(bad):
+    for build, name in [(lambda: squeezed_vacuum(bad), "lambda"),
+                        (lambda: vacuum_mixture(bad, [1.0]), "p"),
+                        (lambda: fock_pair_superposition([bad, 0.0]), "c"),
+                        (lambda: build_state(StateSpec("psi2", {"c0": bad})), "c0"),
+                        (lambda: build_state(StateSpec("schmidt", {"alpha": [bad, 0.0],
+                                                                   "beta": 0.0})), "alpha")]:
+        with pytest.raises(ValueError, match=f"'{name}' must be finite"):
+            build()
+
+
+def test_library_constructors_reject_non_real_parameters():
+    for build, name in [(lambda: squeezed_vacuum("0.5"), "lambda"),
+                        (lambda: squeezed_vacuum(True), "lambda"),
+                        (lambda: vacuum_mixture("0.5", [1.0]), "p"),
+                        (lambda: vacuum_mixture(0.5, [True]), "c"),
+                        (lambda: fock_pair_superposition(np.array(["1"])), "c")]:
+        with pytest.raises(ValueError, match=f"'{name}' must be a real number"):
+            build()
+
+
+def test_real_fields_accept_numpy_and_integer_reals():
+    assert squeezed_vacuum(np.float32(0.25)).dims == squeezed_vacuum(0.25).dims
+    assert fock_pair_superposition(np.array([0.6, 0.8])).dims == (6, 6)
+    assert fock_pair_superposition([1]).dims == (4, 4)
+    assert vacuum_mixture(np.float64(0.5), (np.float32(1.0),)).kind == "mixed"
+    spec = StateSpec("schmidt", {"alpha": 1, "beta": [np.int64(0), 0]})
+    assert np.array_equal(spec.build().amplitudes, [1, 0, 0, 0])
+    assert StateSpec("fock_pair", {"c": np.array([0.6, 0.8])}).resolved_cutoff() == 6

@@ -8,6 +8,7 @@ assert the library reproduces them.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -823,3 +824,240 @@ def test_conditions_stay_within_working_copies(state_index):
         finally:
             tracemalloc.stop()
         assert peak <= budget, (condition, peak / s.vectors.nbytes)
+
+
+# --- the moment table shared across conditions -------------------------------
+#
+# A state keeps the table of the last quadruple evaluated on it, keyed by the
+# identity of the four operators; the quadruple is validated on every call.
+
+
+@pytest.fixture
+def table_count(monkeypatch):
+    """The number of moment tables computed since the fixture was set up."""
+    import entwit.witnesses as witnesses
+
+    compute, calls = witnesses._moment_table, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:4])
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(witnesses, "_moment_table", counted)
+    return calls
+
+
+def shared_table_case(seed, dims=(2, 3)):
+    gen = rng(seed)
+    s = mix([random_mixed(gen, dims), random_pure(gen, dims)], [0.7, 0.3])
+    quad = (hermitian_on(gen, dims[:1]), hermitian_on(gen, dims[:1]),
+            hermitian_on(gen, dims[1:]), hermitian_on(gen, dims[1:]))
+    return s, quad
+
+
+def same_state(s):
+    """An equal-valued but distinct state object, with nothing cached."""
+    return mix([s], [1.0])
+
+
+def test_bipartite_conditions_build_one_table_per_quadruple_and_state(table_count):
+    s, quad = shared_table_case(61)
+    shared = [condition(*quad, s) for condition in BIPARTITE]
+    assert len(table_count) == 1
+    fresh = [condition(*quad, same_state(s)) for condition in BIPARTITE]
+    assert len(table_count) == 1 + len(BIPARTITE)
+    assert shared == fresh
+    # another pass on the same pair reads the same table again
+    assert [condition(*quad, s) for condition in BIPARTITE] == shared
+    assert len(table_count) == 1 + len(BIPARTITE)
+
+
+def test_equal_but_distinct_operator_recomputes_the_table(table_count):
+    s, (A, Ap, B, Bp) = shared_table_case(62)
+    first = uffink(A, Ap, B, Bp, s)
+    A_copy = ComplexMatrix(A.data, A.dims)
+    assert uffink(A_copy, Ap, B, Bp, s) == first
+    assert len(table_count) == 2
+    assert s._moments[0] is A_copy
+
+
+def test_next_quadruple_replaces_the_cached_table(table_count):
+    s, quad = shared_table_case(63)
+    _, other = shared_table_case(64)
+    want = [variance_sum(*q, same_state(s)) for q in (quad, other)]
+    assert len(table_count) == 2
+    for q, report in zip((quad, other, quad), want + want[:1]):
+        assert variance_sum(*q, s) == report
+        assert all(x is y for x, y in zip(s._moments, q))
+    assert len(table_count) == 5
+
+
+def test_cached_table_holds_no_state_sized_array():
+    gen = rng(65)
+    dims = (6, 6)
+    s = mix([random_mixed(gen, dims), random_pure(gen, dims)], [0.5, 0.5])
+    quad = tuple(hermitian_on(gen, (d,)) for d in (6, 6, 6, 6))
+    for condition in BIPARTITE:  # the power-sum condition at n = 4 forms A_i v too
+        condition(*quad, s)
+    entry = s._moments
+    assert len(entry) == 7 and all(x is y for x, y in zip(entry, quad))
+    for value in entry[4:]:
+        arr = np.asarray(value)
+        assert arr.size < s.side, arr.shape
+        assert arr.base is None or arr.base.size < s.side
+
+
+def lifted_defect_quadruple(position):
+    """Every factor passes the 1e-10 check, and so does every lifted product
+    but P_position = A_i (x) B_j, whose defect bound is 0.9e-10 * 20."""
+    skew = np.zeros((2, 2), dtype=complex)
+    skew[0, 1] = 0.9e-10
+    i, j = divmod(position, 2)
+    As, Bs = [S_Y, S_Y], [S_Y, S_Y]
+    As[i], Bs[j] = ComplexMatrix(S_X.data + skew, (2,)), S_X * 20.0
+    return (*As, *Bs)
+
+
+@pytest.mark.parametrize("position,label", [(0, "A (x) B"), (1, "A (x) B'"),
+                                            (2, "A' (x) B"), (3, "A' (x) B'")])
+def test_lifted_hermiticity_rejected_on_a_cache_hit(table_count, position, label):
+    quad, s = lifted_defect_quadruple(position), bell(2)
+    uffink(*quad, s)  # checks no lifted product, so the table is stored
+    assert s._moments is not None and len(table_count) == 1
+    checking = [four_variance] + ([variance_product, variance_sum] if position in (0, 3) else [])
+    for _ in range(2):
+        for condition in checking:
+            with pytest.raises(ValueError, match=re.escape(f"operator {label} is not Hermitian")):
+                condition(*quad, s)
+    assert len(table_count) == 1
+
+
+def test_rejected_quadruple_stores_no_table(table_count):
+    s, quad = shared_table_case(66)
+    before = uffink(*quad, s)
+    entry = s._moments
+    for position in range(4):
+        bad = list(quad)
+        bad[position] = non_hermitian(bad[position])
+        with pytest.raises(ValueError, match="is not Hermitian"):
+            variance_sum(*bad, s)
+        assert s._moments is entry
+    fresh = bell(2)
+    with pytest.raises(ValueError, match="is not Hermitian"):
+        four_variance(*lifted_defect_quadruple(1), fresh)
+    assert fresh._moments is None
+    assert uffink(*quad, s) == before and len(table_count) == 1 + 4 + 1
+
+
+def test_threads_sharing_a_state_read_consistent_tables():
+    import sys
+    import threading
+
+    s, quad = shared_table_case(67)
+    _, other = shared_table_case(68)
+    quads = (quad, other)
+    want = [[condition(*q, same_state(s)) for condition in BIPARTITE] for q in quads]
+    failures = []
+
+    def work(k):
+        try:
+            for i in range(30):
+                q = (i + k) % 2
+                assert [condition(*quads[q], s) for condition in BIPARTITE] == want[q]
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+
+
+def test_shared_table_values_are_read_only():
+    s, quad = shared_table_case(69)
+    variance_product(*quad, s)
+    means, second, G = s._moments[4:]
+    assert isinstance(means, tuple) and isinstance(second, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        G[0, 0] = 0.0
+
+
+# --- the exact oracle for every bipartite condition --------------------------
+
+
+def c_mean_imag(X, amps):
+    """Im <u|X|u>/<u|u> for a real vector u."""
+    return (sum(u * x * w for u, row in zip(amps, X[1]) for x, w in zip(row, amps))
+            / sum(u * u for u in amps))
+
+
+def exact_remaining_conditions(A, Ap, B, Bp, amps):
+    """{name: (lhs, rhs)} as Fractions for the conditions exact_conditions
+    leaves out, and the Heisenberg floor under "floor"."""
+    def mean(X):
+        return c_mean(X, amps)
+
+    def variance_of(X):
+        return mean(c_mul(X, X)) - mean(X) ** 2
+
+    AB, ABp, ApB, ApBp = (c_kron(X, Y) for X, Y in ((A, B), (A, Bp), (Ap, B), (Ap, Bp)))
+    m_ab, m_abp, m_apb, m_apbp = map(mean, (AB, ABp, ApB, ApBp))
+    var = [variance_of(X) for X in (AB, ABp, ApB, ApBp)]
+    m_comm = mean(c_kron(c_add(c_mul(A, Ap), c_mul(Ap, A), -1),
+                         c_add(c_mul(B, Bp), c_mul(Bp, B), -1)))
+    sums = (c_add(ABp, ApB, -1), c_add(c_add(ApB, ApBp), AB), c_add(c_add(ApBp, AB), ABp))
+    out = {"variance_sum": (var[0] + var[3], abs(m_comm) / 2),
+           "four_variance": (sum(var), abs(m_comm))}
+    for n in (2, 4):
+        lhs = (m_ab + m_abp + m_apb) ** n + (m_abp + m_apb + m_apbp) ** n + (m_ab - m_apbp) ** n
+        powers = [c_mul(M, M) for M in sums]
+        if n == 4:
+            powers = [c_mul(M2, M2) for M2 in powers]
+        out[f"ramanujan_{n}"] = (lhs, sum(map(mean, powers)))
+    lifted_comm = c_add(c_mul(AB, ApBp), c_mul(ApBp, AB), -1)
+    out["floor"] = abs(c_mean_imag(lifted_comm, amps)) / 2
+    return out
+
+
+def test_exact_oracle_bell_closed_forms():
+    # bell(2) with (s_x, s_y, s_x, s_y): <XX> = 1, <YY> = -1, <XY> = <YX> = 0,
+    # so var_AB = var_ApBp = 0 and var_ABp = var_ApB = 1; [X, Y] (x) [X, Y]
+    # = -4 Z (x) Z gives m_comm = -4; XX and YY commute, so the floor is 0
+    s_x, s_y, _, _ = (exact(op) for op in spin_ops())
+    want = exact_remaining_conditions(s_x, s_y, s_x, s_y, EXACT_STATES["bell"][1])
+    assert want["variance_sum"] == (0, 2)
+    assert want["four_variance"] == (2, 4)
+    assert want["floor"] == 0
+    assert want["ramanujan_2"][0] == 6
+
+
+@pytest.mark.parametrize("state_name", sorted(EXACT_STATES))
+@pytest.mark.parametrize("quadruple", [(0, 1, 0, 1), (0, 2, 1, 0), (2, 0, 2, 1)])
+def test_all_conditions_on_one_state_match_exact_oracle(table_count, state_name, quadruple):
+    build, amps = EXACT_STATES[state_name]
+    spins = spin_ops()
+    A, Ap, B, Bp = (spins[k] for k in quadruple)
+    exact_ops = [exact(op) for op in (A, Ap, B, Bp)]
+    want = {**exact_conditions(*exact_ops, amps), **exact_remaining_conditions(*exact_ops, amps)}
+    s = build()  # one state: every condition after the first reads the cached table
+
+    lhs_sq, rhs = want["variance_product"]
+    report = variance_product(A, Ap, B, Bp, s)
+    assert_exact(report.lhs ** 2, float(lhs_sq))
+    assert_exact(report.rhs, float(rhs))
+    for report in (variance_sum(A, Ap, B, Bp, s), four_variance(A, Ap, B, Bp, s),
+                   ramanujan_witness(A, Ap, B, Bp, s, 2), ramanujan_witness(A, Ap, B, Bp, s, 4),
+                   uffink(A, Ap, B, Bp, s)):
+        lhs, rhs = want[report.name]
+        assert_exact(report.lhs, float(lhs))
+        assert_exact(report.rhs, float(rhs))
+    assert_exact(heisenberg_floor(A, Ap, B, Bp, s), float(want["floor"]))
+    assert len(table_count) == 1
