@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from . import __version__
@@ -150,15 +151,12 @@ def _run_psi2(args) -> tuple[dict, dict, dict]:
 
 
 def _run_mixture(args) -> tuple[dict, dict, dict]:
-    from .operators import quadratures
     from .optimize import quadratic_form
     from .states import vacuum_mixture
-    from .witnesses import variance_product
 
     state = vacuum_mixture(args.p, args.coeffs, args.cutoff)
-    dim = state.dims[0]
-    quad = quadratures(dim)
-    report = variance_product(quad.x, quad.p, quad.p, quad.x, state)
+    report = _evaluate("variance_product",
+                       {"A": "x", "Aprime": "p", "B": "p", "Bprime": "x"}, state)
     inputs: dict[str, Any] = {"p": args.p, "coeffs": list(args.coeffs)}
     if args.cutoff is not None:
         inputs["cutoff"] = args.cutoff
@@ -166,18 +164,15 @@ def _run_mixture(args) -> tuple[dict, dict, dict]:
         "report": report.to_json(),
         "closed_form_lhs": 0.25 + args.p * quadratic_form(args.coeffs),
     }
-    return inputs, results, {"state": dim}
+    return inputs, results, {"state": state.dims[0]}
 
 
 def _run_squeezed(args) -> tuple[dict, dict, dict]:
-    from .operators import block_spin
     from .states import squeezed_vacuum
-    from .witnesses import variance_product
 
     state = squeezed_vacuum(args.lam, args.cutoff)
-    dim = state.dims[0]
-    X, Y = block_spin(dim)[:2]
-    report = variance_product(X, Y, X, Y, state)
+    report = _evaluate("variance_product", {"A": "blockx", "Aprime": "blocky",
+                                            "B": "blockx", "Bprime": "blocky"}, state)
     lam2 = args.lam * args.lam
     inputs: dict[str, Any] = {"lambda": args.lam}
     if args.cutoff is not None:
@@ -186,24 +181,20 @@ def _run_squeezed(args) -> tuple[dict, dict, dict]:
         "report": report.to_json(),
         "closed_form_v": ((1.0 + lam2) / (1.0 - lam2)) ** 2,
     }
-    return inputs, results, {"state": dim}
+    return inputs, results, {"state": state.dims[0]}
 
 
 def _run_bell(args) -> tuple[dict, dict, dict]:
-    from .operators import spin_ops
     from .states import bell
-    from .witnesses import multipartite, ramanujan_witness, uffink
 
-    state = bell(args.parties)
-    s_x, s_y, _, _ = spin_ops()
     inputs: dict[str, Any] = {"parties": args.parties, "condition": args.condition}
-    if args.condition == "variance":
-        report = multipartite([s_x] * args.parties, [s_y] * args.parties, state)
-    elif args.condition == "ramanujan":
-        inputs["n"] = args.n
-        report = ramanujan_witness(s_x, s_y, s_x, s_y, state, args.n)
-    else:
-        report = uffink(s_x, s_y, s_x, s_y, state)
+    condition, ops = args.condition, {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"}
+    if condition == "variance":
+        condition = "multipartite"
+        ops = {"A": ["sx"] * args.parties, "Aprime": ["sy"] * args.parties}
+    elif condition == "ramanujan":
+        inputs["n"] = ops["n"] = args.n
+    report = _evaluate(condition, ops, bell(args.parties))
     return inputs, {"report": report.to_json()}, {}
 
 
@@ -234,31 +225,45 @@ def _run_eval(args) -> tuple[dict, dict, dict]:
     return inputs, {"equal": equal(lhs, rhs)}, {}
 
 
-_SPIN_NAMES = ("sx", "sy", "sz")
-_BUILTIN_NAMES = _SPIN_NAMES + ("x", "p", "blockx", "blocky")
+# The builtin operators, in the groups that one call builds together.
+_GROUPS = (("sx", "sy", "sz"), ("x", "p"), ("blockx", "blocky"))
+_BUILTIN_NAMES = sum(_GROUPS, ())
 
 
-def _builtin_operator(name: Any, dim: int) -> ComplexMatrix:
+def _builtin_operators(requests: list[tuple[Any, int]]) -> list[ComplexMatrix]:
+    """The builtin operator for each ``(name, factor dimension)``, checked in
+    order.  A group is built once per dimension and keeps only its requested
+    members, so equal requests share one object and the block ``Z`` is freed."""
     from .operators import block_spin, quadratures, spin_ops
 
-    if not isinstance(name, str):
-        raise ValueError(f"operator names must be strings, got {name!r}")
-    if name in _SPIN_NAMES:
-        if dim != 2:
+    wanted = {(name, dim) for name, dim in requests if isinstance(name, str)}
+    built: dict[tuple[tuple[str, ...], int], dict[str, ComplexMatrix]] = {}
+    out = []
+    for name, dim in requests:
+        if not isinstance(name, str):
+            raise ValueError(f"operator names must be strings, got {name!r}")
+        if name not in _BUILTIN_NAMES:
+            raise ValueError(f"unknown builtin operator {name!r}; "
+                             f"expected one of {', '.join(_BUILTIN_NAMES)}")
+        if name in _GROUPS[0] and dim != 2:
             raise ValueError(f"operator {name!r} needs a two-level factor, "
                              f"got dimension {dim}")
-        s_x, s_y, s_z, _ = spin_ops()
-        return {"sx": s_x, "sy": s_y, "sz": s_z}[name]
-    if name in ("x", "p"):
-        quad = quadratures(dim)
-        return quad.x if name == "x" else quad.p
-    if name in ("blockx", "blocky"):
-        return block_spin(dim)[0 if name == "blockx" else 1]
-    raise ValueError(f"unknown builtin operator {name!r}; "
-                     f"expected one of {', '.join(_BUILTIN_NAMES)}")
+        group = next(g for g in _GROUPS if name in g)
+        if (group, dim) not in built:
+            if group is _GROUPS[0]:
+                members = spin_ops()
+            elif group is _GROUPS[1]:
+                members = attrgetter("x", "p")(quadratures(dim))
+            else:
+                members = block_spin(dim)
+            built[group, dim] = {m: op for m, op in zip(group, members) if (m, dim) in wanted}
+            del members
+        out.append(built[group, dim][name])
+    return out
 
 
-def _witness_from_opspec(condition: str, ops: Any, state: QuantumState):
+def _evaluate(condition: str, ops: Any, state: QuantumState):
+    """``condition`` on ``state`` with the builtin operators the op spec names."""
     from .states import _as_int
     from .witnesses import (four_variance, multipartite, ramanujan_witness, uffink,
                             variance_product, variance_sum)
@@ -286,25 +291,19 @@ def _witness_from_opspec(condition: str, ops: Any, state: QuantumState):
         if len(names) != len(state.dims) or len(primed) != len(state.dims):
             raise ValueError(f"need one operator name per factor "
                              f"({len(state.dims)} factors)")
-        As = [_builtin_operator(nm, d) for nm, d in zip(names, state.dims)]
-        Aps = [_builtin_operator(nm, d) for nm, d in zip(primed, state.dims)]
-        return multipartite(As, Aps, state)
+        built = _builtin_operators([*zip(names, state.dims), *zip(primed, state.dims)])
+        return multipartite(built[:len(names)], built[len(names):], state)
 
     if len(state.dims) != 2:
         raise ValueError(f"condition {condition!r} is bipartite; "
                          f"state has {len(state.dims)} factors")
     dim_a, dim_b = state.dims
-    A = _builtin_operator(ops["A"], dim_a)
-    Ap = _builtin_operator(ops["Aprime"], dim_a)
-    B = _builtin_operator(ops["B"], dim_b)
-    Bp = _builtin_operator(ops["Bprime"], dim_b)
+    quadruple = _builtin_operators([(ops["A"], dim_a), (ops["Aprime"], dim_a),
+                                    (ops["B"], dim_b), (ops["Bprime"], dim_b)])
     if condition == "ramanujan":
-        return ramanujan_witness(A, Ap, B, Bp, state, _as_int(ops.get("n", 2), "n"))
-    dispatch = {"variance_product": variance_product,
-                "variance_sum": variance_sum,
-                "uffink": uffink,
-                "four_variance": four_variance}
-    return dispatch[condition](A, Ap, B, Bp, state)
+        return ramanujan_witness(*quadruple, state, _as_int(ops.get("n", 2), "n"))
+    dispatch = {f.__name__: f for f in (variance_product, variance_sum, uffink, four_variance)}
+    return dispatch[condition](*quadruple, state)
 
 
 def _run_witness(args) -> tuple[dict, dict, dict]:
@@ -315,7 +314,7 @@ def _run_witness(args) -> tuple[dict, dict, dict]:
     with open(args.ops, encoding="utf-8") as handle:
         ops = json.load(handle)
     state = spec.build()
-    report = _witness_from_opspec(args.condition, ops, state)
+    report = _evaluate(args.condition, ops, state)
     inputs = {"state": spec.to_json(), "ops": ops, "condition": args.condition}
     cutoff = spec.resolved_cutoff()
     cutoffs = {} if cutoff is None else {"state": cutoff}

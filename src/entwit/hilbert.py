@@ -104,11 +104,6 @@ class ComplexMatrix:
     def side(self) -> int:
         return self.data.shape[0]
 
-    @classmethod
-    def identity(cls, dims: Iterable[int] | int) -> "ComplexMatrix":
-        resolved = _as_dims([dims] if isinstance(dims, int) else dims)
-        return cls(np.eye(math.prod(resolved)), resolved)
-
     def dagger(self) -> "ComplexMatrix":
         return ComplexMatrix(self.data.conj().T, self.dims)
 
@@ -148,9 +143,6 @@ class ComplexMatrix:
         return ComplexMatrix(self.data * complex(scalar), self.dims)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return ComplexMatrix(-self.data, self.dims)
 
     def mpow(self, k: int) -> "ComplexMatrix":
         """Matrix power with a non-negative integer exponent."""

@@ -455,6 +455,7 @@ def equal(p: Polynomial, q: Polynomial) -> bool:
 
 
 _IDENTITY_NAMES = ("complex_norm", "ramanujan")
+_TRIALS = 20  # random rational points at which verify() cross-checks a verdict
 
 
 def builtin_identity(name: str, n: int | None = None) -> tuple[Expr, Expr]:
@@ -483,10 +484,10 @@ def _sample_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction, Fra
     return tuple(Fraction(rng.randint(-99, 99), rng.randint(1, 20)) for _ in range(4))
 
 
-def verify(name: str, n: int | None = None, *, trials: int = 20) -> bool:
+def verify(name: str, n: int | None = None) -> bool:
     """Decide a builtin identity by exact expansion, cross-checked numerically.
 
-    Both sides are evaluated at ``trials`` random rational points (seeded
+    Both sides are evaluated at ``_TRIALS`` random rational points (seeded
     deterministically from the identity name and exponent); the sample must
     agree with the symbolic verdict, witnessing at least one disagreement
     when the verdict is false.
@@ -496,7 +497,7 @@ def verify(name: str, n: int | None = None, *, trials: int = 20) -> bool:
     seed = zlib.crc32(f"{name}:{n}".encode())
     rng = random.Random(seed)
     witnessed = False
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         point = _sample_point(rng)
         agree = eval_expr(lhs, point) == eval_expr(rhs, point)
         if verdict and not agree:

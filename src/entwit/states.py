@@ -8,6 +8,9 @@ vacuum_mixture  p * fock_pair projector + (1-p) * |00><00|
 squeezed        two-mode squeezed vacuum, amplitudes ~ lambda^n on |n, n>
 bell            n-party GHZ-type state (|0...0> + |1...1>)/sqrt(2)
 schmidt         two-qubit alpha|00> + beta|11>
+
+Each constructor checks every parameter it takes, ``cutoff`` and ``alpha``/
+``beta`` included: a wrong type is refused with a ValueError naming it, not cast.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -76,7 +79,7 @@ def fock_pair_superposition(c: Sequence[float], cutoff: int | None = None) -> Qu
     if abs(norm - 1.0) > DEFAULT.state_norm:
         raise ValueError(f"coefficient norm is {norm!r}, not 1 within {DEFAULT.state_norm}")
     N = coeffs.size - 1
-    D = pair_cutoff(coeffs.size) if cutoff is None else int(cutoff)
+    D = pair_cutoff(coeffs.size) if cutoff is None else _as_int(cutoff, "cutoff")
     if 2 * N + 1 > D:
         raise ValueError(f"cutoff {D} too small for top level {2 * N} (need D >= {2 * N + 1})")
     _refuse_oversize(16 * D * D, f"a pure state at cutoff {D}")
@@ -109,7 +112,7 @@ def squeezed_vacuum(lam: float, cutoff: int | None = None) -> QuantumState:
     lam = _as_real(lam, "lambda")
     if abs(lam) >= 1.0:
         raise ValueError(f"squeezing parameter must satisfy |lambda| < 1, got {lam}")
-    D = squeezed_cutoff(lam) if cutoff is None else int(cutoff)
+    D = squeezed_cutoff(lam) if cutoff is None else _as_int(cutoff, "cutoff")
     if D < 1:
         raise ValueError(f"cutoff must be positive, got {D}")
     _refuse_oversize(16 * D * D, f"a pure state at cutoff {D}")
@@ -133,15 +136,12 @@ def bell(n: int) -> QuantumState:
 
 def schmidt_pair(alpha: complex, beta: complex) -> QuantumState:
     """Two-qubit pure state alpha|00> + beta|11> (computational-basis Schmidt form)."""
-    alpha = complex(alpha)
-    beta = complex(beta)
+    alpha = _as_complex(alpha, "alpha")
+    beta = _as_complex(beta, "beta")
     norm2 = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm2 - 1.0) > DEFAULT.state_norm:
         raise ValueError(f"|alpha|^2 + |beta|^2 is {norm2!r}, not 1 within {DEFAULT.state_norm}")
     return QuantumState.pure([alpha, 0.0, 0.0, beta], (2, 2))
-
-
-_FAMILIES = ("fock_pair", "psi2", "vacuum_mixture", "squeezed", "bell", "schmidt")
 
 
 def _as_int(value: Any, name: str) -> int:
@@ -174,10 +174,14 @@ def _as_reals(values: Any, name: str) -> np.ndarray:
 
 
 def _as_complex(value: Any, name: str) -> complex:
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_as_real(value[0], name), _as_real(value[1], name))
+    """``value`` as a finite complex: a real checked by :func:`_as_real`, a
+    Python or numpy complex, or a [re, im] pair of reals."""
     if isinstance(value, numbers.Real):
         return complex(_as_real(value, name))
+    if isinstance(value, numbers.Complex):
+        value = (value.real, value.imag)
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return complex(_as_real(value[0], name), _as_real(value[1], name))
     raise ValueError(f"parameter {name!r} must be a real number or a [re, im] pair")
 
 
@@ -247,25 +251,21 @@ def _psi2_coeffs(c0: float) -> list[float]:
     return [c0, math.sqrt(max(0.0, 1.0 - c0 * c0))]
 
 
+# family -> (parameter names, constructor of (params, cutoff)); the spin
+# families ignore the cutoff.  Each lambda looks its constructor up when
+# called, so a wrapped or patched module function is the one that runs.
+_FAMILIES: dict[str, tuple[set[str], Callable[..., QuantumState]]] = {
+    "fock_pair": ({"c"}, lambda p, D: fock_pair_superposition(p["c"], D)),
+    "psi2": ({"c0"}, lambda p, D: fock_pair_superposition(_psi2_coeffs(p["c0"]), D)),
+    "vacuum_mixture": ({"p", "c"}, lambda p, D: vacuum_mixture(p["p"], p["c"], D)),
+    "squeezed": ({"lambda"}, lambda p, D: squeezed_vacuum(p["lambda"], D)),
+    "bell": ({"parties"}, lambda p, D: bell(p["parties"])),
+    "schmidt": ({"alpha", "beta"}, lambda p, D: schmidt_pair(p["alpha"], p["beta"])),
+}
+
+
 def build_state(spec: StateSpec) -> QuantumState:
     """Construct the QuantumState described by ``spec``."""
-    family, p = spec.family, spec.params
-    if family == "fock_pair":
-        _require_params(p, family, {"c"})
-        return fock_pair_superposition(p["c"], spec.resolved_cutoff())
-    if family == "psi2":
-        _require_params(p, family, {"c0"})
-        return fock_pair_superposition(_psi2_coeffs(p["c0"]), spec.resolved_cutoff())
-    if family == "vacuum_mixture":
-        _require_params(p, family, {"p", "c"})
-        return vacuum_mixture(p["p"], p["c"], spec.resolved_cutoff())
-    if family == "squeezed":
-        _require_params(p, family, {"lambda"})
-        return squeezed_vacuum(p["lambda"], spec.resolved_cutoff())
-    if family == "bell":
-        _require_params(p, family, {"parties"})
-        return bell(p["parties"])
-    if family == "schmidt":
-        _require_params(p, family, {"alpha", "beta"})
-        return schmidt_pair(_as_complex(p["alpha"], "alpha"), _as_complex(p["beta"], "beta"))
-    raise ValueError(f"unknown state family {family!r}")  # unreachable
+    required, construct = _FAMILIES[spec.family]
+    _require_params(spec.params, spec.family, required)
+    return construct(spec.params, spec.cutoff)

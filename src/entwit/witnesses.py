@@ -24,7 +24,7 @@ still validated on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -74,15 +74,7 @@ class WitnessReport:
     details: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "delta": self.delta,
-            "V": self.V,
-            "violated": self.violated,
-            "details": dict(self.details),
-        }
+        return asdict(self)
 
 
 def _make_report(name: str, lhs: float, rhs: float, *, leq: bool,

@@ -592,3 +592,52 @@ def test_witness_rejects_non_real_state_fields(capsys, tmp_path, spec, field):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert f"'{field}' must be a real number" in captured.err
+
+
+# --- one evaluation path -----------------------------------------------------
+
+
+def test_witness_builds_each_operator_group_once(capsys, tmp_path, monkeypatch):
+    import entwit.operators
+
+    calls = []
+    original = entwit.operators.block_spin
+
+    def counting(dim):
+        calls.append(dim)
+        return original(dim)
+
+    monkeypatch.setattr(entwit.operators, "block_spin", counting)
+    state = write_json(tmp_path, "state.json",
+                       {"family": "squeezed", "params": {"lambda": 0.5}})
+    ops = write_json(tmp_path, "ops.json", {"A": "blockx", "Aprime": "blocky",
+                                            "B": "blockx", "Bprime": "blocky"})
+    code, doc, _ = invoke(capsys, "witness", "--state", state, "--ops", ops,
+                          "--condition", "variance_product")
+    assert code == 0 and calls == [doc["meta"]["cutoffs"]["state"]]
+
+
+@pytest.mark.parametrize("preset,spec,ops,condition", [
+    (["squeezed", "--lambda", "0.7"],
+     {"family": "squeezed", "params": {"lambda": 0.7}},
+     {"A": "blockx", "Aprime": "blocky", "B": "blockx", "Bprime": "blocky"},
+     "variance_product"),
+    (["mixture", "--p", "0.5", "--coeffs", "0.8,0.6"],
+     {"family": "vacuum_mixture", "params": {"p": 0.5, "c": [0.8, 0.6]}},
+     {"A": "x", "Aprime": "p", "B": "p", "Bprime": "x"},
+     "variance_product"),
+    (["bell", "--parties", "4", "--condition", "variance"],
+     {"family": "bell", "params": {"parties": 4}},
+     {"A": ["sx"] * 4, "Aprime": ["sy"] * 4},
+     "multipartite"),
+])
+def test_presets_report_what_witness_reports(capsys, tmp_path, preset, spec, ops, condition):
+    code, doc, _ = invoke(capsys, *preset)
+    assert code == 0
+    code, wdoc, _ = invoke(capsys, "witness",
+                           "--state", write_json(tmp_path, "state.json", spec),
+                           "--ops", write_json(tmp_path, "ops.json", ops),
+                           "--condition", condition)
+    assert code == 0
+    assert doc["results"]["report"] == wdoc["results"]["report"]
+    assert doc["meta"]["cutoffs"] == wdoc["meta"]["cutoffs"]

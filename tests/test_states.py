@@ -346,3 +346,29 @@ def test_real_fields_accept_numpy_and_integer_reals():
     spec = StateSpec("schmidt", {"alpha": 1, "beta": [np.int64(0), 0]})
     assert np.array_equal(spec.build().amplitudes, [1, 0, 0, 0])
     assert StateSpec("fock_pair", {"c": np.array([0.6, 0.8])}).resolved_cutoff() == 6
+
+
+def test_library_constructors_reject_non_integer_cutoffs():
+    for build in [lambda: squeezed_vacuum(0.5, cutoff=8.9),
+                  lambda: squeezed_vacuum(0.5, cutoff=True),
+                  lambda: fock_pair_superposition([1.0], cutoff=4.7)]:
+        with pytest.raises(ValueError, match="'cutoff' must be an integer"):
+            build()
+    assert squeezed_vacuum(0.5, cutoff=np.int64(8)).dims == (8, 8)
+    assert fock_pair_superposition([1.0], cutoff=4).dims == (4, 4)
+
+
+def test_schmidt_pair_rejects_non_numeric_amplitudes():
+    for alpha, beta in [("1", 0), (True, False), (0.6, "0.8"), (0.6, [0.8, None])]:
+        name = "beta" if alpha == 0.6 else "alpha"
+        with pytest.raises(ValueError, match=f"'{name}' must be a real number"):
+            schmidt_pair(alpha, beta)
+    with pytest.raises(ValueError, match="'alpha' must be finite"):
+        schmidt_pair(complex(float("nan"), 0.0), 0.0)
+
+
+def test_schmidt_pair_accepts_python_and_numpy_complex():
+    reference = schmidt_pair(0.6, 0.8j).amplitudes
+    for alpha, beta in [(np.complex128(0.6), np.complex128(0.8j)),
+                        (np.float64(0.6), 0.8j), ([0.6, 0.0], [0, 0.8])]:
+        assert np.allclose(schmidt_pair(alpha, beta).amplitudes, reference)
