@@ -307,7 +307,7 @@ def _evaluate(condition: str, ops: Any, state: QuantumState):
 
 
 def _run_witness(args) -> tuple[dict, dict, dict]:
-    from .states import StateSpec
+    from .states import _SPIN_FAMILIES, StateSpec
 
     with open(args.state, encoding="utf-8") as handle:
         spec = StateSpec.from_json(json.load(handle))
@@ -316,8 +316,8 @@ def _run_witness(args) -> tuple[dict, dict, dict]:
     state = spec.build()
     report = _evaluate(args.condition, ops, state)
     inputs = {"state": spec.to_json(), "ops": ops, "condition": args.condition}
-    cutoff = spec.resolved_cutoff()
-    cutoffs = {} if cutoff is None else {"state": cutoff}
+    # a Fock family's state has the cutoff it used as the side of each mode
+    cutoffs = {} if spec.family in _SPIN_FAMILIES else {"state": state.dims[0]}
     return inputs, {"report": report.to_json()}, cutoffs
 
 

@@ -21,8 +21,12 @@ Conventions
   with the working copies a condition makes of it, more than half of the
   machine's physical memory.
 * All values are immutable after construction and all operations are pure,
-  so everything here is safe for concurrent read access.  A matrix computes
-  its Hermiticity defect and its largest entry once, on first use.  A state
+  so everything here is safe for concurrent read access.  A matrix copies
+  an array its caller hands in, but owns without a copy the fresh array of
+  an operation (``+ - @ *``, :func:`kron`, :func:`commutator`, ``mpow``,
+  ``dagger``, :attr:`QuantumState.density`) or of an operator factory.  It
+  computes its largest entry at construction, which doubles as the
+  finiteness check, and its Hermiticity defect once, on first use.  A state
   keeps the moment table of the last operator quadruple evaluated on it:
   the four operators themselves, the four means and second moments and the
   4x4 Gram matrix of ``witnesses._moment_table``, and no array of the
@@ -54,16 +58,12 @@ __all__ = [
 
 
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
+    if type(dims) is tuple and dims and all(type(d) is int and d >= 1 for d in dims):
+        return dims  # already a signature, as every operation passes one
     out = tuple(int(d) for d in dims)
     if not out or any(d < 1 for d in out):
         raise ValueError(f"factor dimensions must be positive integers, got {dims!r}")
     return out
-
-
-def _freeze(arr: Array) -> Array:
-    arr = np.array(arr, dtype=np.complex128)
-    arr.setflags(write=False)
-    return arr
 
 
 class ComplexMatrix:
@@ -72,7 +72,8 @@ class ComplexMatrix:
     Parameters
     ----------
     data : array_like
-        Square matrix of complex entries; all entries must be finite.
+        Square matrix of complex entries; all entries must be finite.  The
+        matrix holds a read-only copy.
     dims : iterable of int, optional
         Local factor dimensions whose product equals the matrix side.
         Defaults to the single factor ``(side,)``.
@@ -80,8 +81,10 @@ class ComplexMatrix:
 
     __slots__ = ("data", "dims", "_defect", "_max_abs")
 
-    def __init__(self, data, dims: Iterable[int] | None = None):
-        arr = _freeze(data)
+    def __init__(self, data, dims: Iterable[int] | None = None, *, _owned: bool = False):
+        # _owned: ``data`` is a complex128 array no caller can write (the
+        # result of an operation or a factory), taken over without a copy
+        arr = data if _owned else np.array(data, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
         resolved = (arr.shape[0],) if dims is None else _as_dims(dims)
@@ -90,12 +93,16 @@ class ComplexMatrix:
                 f"dims {resolved} have product {math.prod(resolved)}, "
                 f"but the matrix side is {arr.shape[0]}"
             )
-        if not np.isfinite(arr).all():
+        # a NaN or an infinity carries through the max; a finite entry whose
+        # modulus overflows (1.5e308+1.5e308j) does not fail the check below
+        peak = float(np.abs(arr).max())
+        if not math.isfinite(peak) and not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
+        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "dims", resolved)
         object.__setattr__(self, "_defect", None)
-        object.__setattr__(self, "_max_abs", None)
+        object.__setattr__(self, "_max_abs", peak)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexMatrix is immutable")
@@ -105,7 +112,7 @@ class ComplexMatrix:
         return self.data.shape[0]
 
     def dagger(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.data.conj().T, self.dims)
+        return ComplexMatrix(self.data.conj().T, self.dims, _owned=True)
 
     def hermiticity_defect(self) -> float:
         """Max-abs deviation of ``A - A†`` (scale-free for O(1) norms)."""
@@ -116,8 +123,6 @@ class ComplexMatrix:
 
     def max_abs(self) -> float:
         """Largest entry modulus."""
-        if self._max_abs is None:
-            object.__setattr__(self, "_max_abs", float(np.abs(self.data).max()))
         return self._max_abs
 
     def is_hermitian(self) -> bool:
@@ -128,7 +133,7 @@ class ComplexMatrix:
             return NotImplemented
         if self.dims != other.dims:
             raise ValueError(f"factor signature mismatch: {self.dims} vs {other.dims}")
-        return ComplexMatrix(op(self.data, other.data), self.dims)
+        return ComplexMatrix(op(self.data, other.data), self.dims, _owned=True)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -140,7 +145,7 @@ class ComplexMatrix:
         return self._binary(other, np.matmul)
 
     def __mul__(self, scalar):
-        return ComplexMatrix(self.data * complex(scalar), self.dims)
+        return ComplexMatrix(self.data * complex(scalar), self.dims, _owned=True)
 
     __rmul__ = __mul__
 
@@ -148,7 +153,7 @@ class ComplexMatrix:
         """Matrix power with a non-negative integer exponent."""
         if k < 0:
             raise ValueError("matrix power requires a non-negative exponent")
-        return ComplexMatrix(np.linalg.matrix_power(self.data, k), self.dims)
+        return ComplexMatrix(np.linalg.matrix_power(self.data, k), self.dims, _owned=True)
 
     def __repr__(self):
         return f"ComplexMatrix(side={self.side}, dims={self.dims})"
@@ -193,9 +198,9 @@ class QuantumState:
                 f"dims {resolved} have product {math.prod(resolved)}, "
                 f"but the amplitude vector has length {amps.size}"
             )
-        if not np.isfinite(amps).all():
+        norm = math.sqrt(np.vdot(amps, amps).real)  # not finite if an entry is not
+        if not math.isfinite(norm) and not np.isfinite(amps).all():
             raise ValueError("amplitudes must be finite")
-        norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > DEFAULT.state_norm:
             raise ValueError(f"pure state norm is {norm!r}, not 1 within {DEFAULT.state_norm}")
         return cls("pure", resolved, np.ones(1), amps.reshape(1, -1).copy())
@@ -241,7 +246,7 @@ class QuantumState:
         side = self.side
         _refuse_oversize(16 * side * side, f"a density of side {side}")
         V = self.vectors
-        return ComplexMatrix((self.weights[:, None] * V).T @ V.conj(), self.dims)
+        return ComplexMatrix((self.weights[:, None] * V).T @ V.conj(), self.dims, _owned=True)
 
     def density_matrix(self) -> ComplexMatrix:
         """Same as :attr:`density`."""
@@ -258,14 +263,14 @@ def _check_state_dims(A: ComplexMatrix, s: QuantumState, what: str) -> None:
 
 def kron(A: ComplexMatrix, B: ComplexMatrix) -> ComplexMatrix:
     """Tensor product; the factor signature is the concatenation of both."""
-    return ComplexMatrix(np.kron(A.data, B.data), A.dims + B.dims)
+    return ComplexMatrix(np.kron(A.data, B.data), A.dims + B.dims, _owned=True)
 
 
 def commutator(A: ComplexMatrix, B: ComplexMatrix) -> ComplexMatrix:
     """``AB - BA`` for operators on the same space."""
     if A.dims != B.dims:
         raise ValueError(f"commutator needs equal dims, got {A.dims} vs {B.dims}")
-    return ComplexMatrix(A.data @ B.data - B.data @ A.data, A.dims)
+    return ComplexMatrix(A.data @ B.data - B.data @ A.data, A.dims, _owned=True)
 
 
 def expectation(A: ComplexMatrix, s: QuantumState) -> complex:
@@ -275,14 +280,14 @@ def expectation(A: ComplexMatrix, s: QuantumState) -> complex:
     part is round-off only (|Im| <= 1e-10 for the magnitudes handled here).
     """
     _check_state_dims(A, s, "expectation")
-    return _lifted_moments((A,), s)[0]
+    return _lifted_moments((A.data,), s)[0]
 
 
 def _second_moment(A: ComplexMatrix, s: QuantumState) -> float:
     """``<A^2>`` for Hermitian A, without forming the matrix square."""
     # Kept by name: bench/tracer.py wraps hilbert._second_moment, and the
     # traced benchmark runs (bench/run.py --trace 1) need it to install.
-    return _lifted_moments((A,), s)[1]
+    return _lifted_moments((A.data,), s)[1]
 
 
 def variance(A: ComplexMatrix, s: QuantumState) -> float:
@@ -301,13 +306,12 @@ def _require_hermitian(factors: Sequence[ComplexMatrix], label: str, *args) -> N
     ``sum_k delta_k prod_{j != k} max|F_j|`` (``delta_k`` the defect of factor
     k) on its Hermiticity defect exceeds ``DEFAULT.hermitian``.  The message names it
     ``label.format(*args)``, formatted only then."""
-    if len(factors) == 1:
-        bound, what = factors[0].hermiticity_defect(), "max deviation"
-    else:
-        sizes = [F.max_abs() for F in factors]
-        bound = sum(F.hermiticity_defect() * math.prod(sizes[:k] + sizes[k + 1:])
-                    for k, F in enumerate(factors))
-        what = "max deviation bound"
+    first, *rest = factors
+    # the bound on the product of the factors so far, grown by the product rule
+    bound, size = first.hermiticity_defect(), first._max_abs
+    for F in rest:
+        bound, size = bound * F._max_abs + size * F.hermiticity_defect(), size * F._max_abs
+    what = "max deviation bound" if rest else "max deviation"
     if bound > DEFAULT.hermitian:
         raise ValueError(f"operator {label.format(*args)} is not Hermitian "
                          f"({what} {bound:.3e})")
@@ -330,7 +334,7 @@ def _lifted_variance(factors: Sequence[ComplexMatrix], s: QuantumState,
     the product is checked (:func:`_require_hermitian`), applied to the
     state once (:func:`_lifted_moments`), and its variance clamped."""
     _require_hermitian(factors, label, *args)
-    mean, second = _lifted_moments(factors, s)
+    mean, second = _lifted_moments([F.data for F in factors], s)
     return mean.real, _clamped_variance(second, mean.real)
 
 
@@ -345,17 +349,18 @@ def _apply_factor(F: Array, X: Array, left: int) -> Array:
     return np.matmul(F, X.reshape(left, d, -1))
 
 
-def _lifted_moments(factors: Sequence[ComplexMatrix], s: QuantumState) -> tuple[complex, float]:
+def _lifted_moments(factors: Sequence[Array], s: QuantumState) -> tuple[complex, float]:
     """Mean and second moment of ``M = F_1 (x) ... (x) F_k``, the factors
-    acting on consecutive runs of ``s.dims``; M is never formed.  The second
-    moment assumes M Hermitian; the mean is complex, which also covers an
-    anti-Hermitian product such as a lifted commutator."""
+    (square arrays) acting on consecutive runs of ``s.dims``; M is never
+    formed.  The second moment assumes M Hermitian; the mean is complex, which
+    also covers an anti-Hermitian product such as a lifted commutator."""
     Y, left = s.vectors, s.weights.size
     for F in factors:
-        Y = _apply_factor(F.data, Y, left)
-        left *= F.side
-    Y, w = Y.reshape(s.vectors.shape), s.weights[:, None]
-    return complex(np.vdot(w * s.vectors, Y)), float(np.vdot(w * Y, Y).real)
+        Y = _apply_factor(F, Y, left)
+        left *= F.shape[0]
+    Y = Y.reshape(s.vectors.shape)
+    wY = s.weights[:, None] * Y
+    return complex(np.vdot(s.vectors, wY)), float(np.vdot(Y, wY).real)
 
 
 # Arrays of the state's size held at once, the state included: two to build

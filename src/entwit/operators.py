@@ -29,7 +29,7 @@ def annihilation(dim: int) -> ComplexMatrix:
     a = np.zeros((dim, dim), dtype=np.complex128)
     ns = np.arange(1, dim)
     a[ns - 1, ns] = np.sqrt(ns)
-    return ComplexMatrix(a)
+    return ComplexMatrix(a, _owned=True)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def quadratures(dim: int) -> QuadraturePair:
     ad = a.conj().T
     x = (a + ad) / np.sqrt(2.0)
     p = (a - ad) / (1j * np.sqrt(2.0))
-    return QuadraturePair(ComplexMatrix(x), ComplexMatrix(p), dim)
+    return QuadraturePair(ComplexMatrix(x, _owned=True), ComplexMatrix(p, _owned=True), dim)
 
 
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -71,7 +71,7 @@ def spin_ops() -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix, ComplexMatr
 
 def rotated_spin(theta: float) -> ComplexMatrix:
     """In-plane spin s_x cos(theta) + s_y sin(theta); Hermitian with unit square."""
-    return ComplexMatrix(_SX * np.cos(theta) + _SY * np.sin(theta))
+    return ComplexMatrix(_SX * np.cos(theta) + _SY * np.sin(theta), _owned=True)
 
 
 def block_spin(dim: int) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix]:
@@ -89,10 +89,10 @@ def block_spin(dim: int) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix]:
     hi = lo + 1
 
     def paired(ll, lh, hl, hh) -> ComplexMatrix:
-        # one raw array at a time, freed once ComplexMatrix holds its copy
+        # one raw array at a time, owned by the matrix without a copy
         M = np.zeros((dim, dim), dtype=np.complex128)
         M[lo, lo], M[lo, hi], M[hi, lo], M[hi, hi] = ll, lh, hl, hh
-        return ComplexMatrix(M)
+        return ComplexMatrix(M, _owned=True)
 
     return (paired(0.0, 1.0, 1.0, 0.0), paired(0.0, -1.0j, 1.0j, 0.0),
             paired(1.0, 0.0, 0.0, -1.0))

@@ -233,7 +233,7 @@ class StateSpec:
 
     def resolved_cutoff(self) -> int | None:
         """The Fock cutoff this spec will actually use (None for spin families)."""
-        if self.family in ("bell", "schmidt"):
+        if self.family in _SPIN_FAMILIES:
             return None
         if self.cutoff is not None:
             return self.cutoff
@@ -242,6 +242,10 @@ class StateSpec:
         if self.family == "squeezed":
             return squeezed_cutoff(_as_real(self.params["lambda"], "lambda"))
         return pair_cutoff(_as_reals(self.params["c"], "c").size)
+
+
+# The families without a Fock cutoff.
+_SPIN_FAMILIES = frozenset({"bell", "schmidt"})
 
 
 def _psi2_coeffs(c0: float) -> list[float]:

@@ -617,6 +617,27 @@ def test_witness_builds_each_operator_group_once(capsys, tmp_path, monkeypatch):
     assert code == 0 and calls == [doc["meta"]["cutoffs"]["state"]]
 
 
+def test_witness_resolves_the_squeezed_cutoff_once(capsys, tmp_path, monkeypatch):
+    import entwit.states
+
+    calls = []
+    original = entwit.states.squeezed_cutoff
+
+    def counting(lam):
+        calls.append(lam)
+        return original(lam)
+
+    monkeypatch.setattr(entwit.states, "squeezed_cutoff", counting)
+    state = write_json(tmp_path, "state.json",
+                       {"family": "squeezed", "params": {"lambda": 0.5}})
+    ops = write_json(tmp_path, "ops.json", {"A": "blockx", "Aprime": "blocky",
+                                            "B": "blockx", "Bprime": "blocky"})
+    code, doc, _ = invoke(capsys, "witness", "--state", state, "--ops", ops,
+                          "--condition", "uffink")
+    assert code == 0 and calls == [0.5]
+    assert doc["meta"]["cutoffs"] == {"state": original(0.5)}
+
+
 @pytest.mark.parametrize("preset,spec,ops,condition", [
     (["squeezed", "--lambda", "0.7"],
      {"family": "squeezed", "params": {"lambda": 0.7}},

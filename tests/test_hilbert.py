@@ -76,6 +76,42 @@ def test_matrix_is_immutable():
         M.data[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                 complex(-np.inf, 0.0), complex(0.0, np.nan),
+                                 complex(0.0, np.inf), complex(0.0, -np.inf)])
+def test_nonfinite_entry_rejected_in_either_part(bad):
+    data = np.eye(3, dtype=complex)
+    data[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ComplexMatrix(data, (3,))
+
+
+def test_finite_entry_with_overflowing_modulus_is_accepted():
+    # both parts are finite, so the entry is; only its modulus overflows
+    M = ComplexMatrix([[1.5e308 + 1.5e308j]], (1,))
+    assert M.max_abs() == math.inf
+    with pytest.raises(ValueError, match="norm"):
+        QuantumState.pure([1e200, 1e200j], (2,))
+
+
+def test_matrix_holds_a_copy_of_the_callers_array():
+    data = np.eye(2, dtype=complex)
+    M = ComplexMatrix(data, (2,))
+    data[0, 1] = 7.0
+    assert M.data[0, 1] == 0.0 and M.max_abs() == 1.0
+    assert data.flags.writeable
+
+
+def test_operation_results_are_read_only():
+    gen = rng(12)
+    A, B = random_hermitian(gen, 2), random_hermitian(gen, 2)
+    for M in (A @ B, A + B, A - B, 2.0 * A, A.mpow(2), A.dagger(), kron(A, B),
+              commutator(A, B)):
+        with pytest.raises(ValueError, match="read-only"):
+            M.data[0, 0] = 1.0
+        assert M.max_abs() == np.abs(M.data).max()
+
+
 def test_dagger_and_hermiticity_defect():
     gen = rng(11)
     G = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))

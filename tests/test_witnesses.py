@@ -981,6 +981,45 @@ def test_threads_sharing_a_state_read_consistent_tables():
     assert failures == []
 
 
+def test_quadruple_checked_in_full_only_on_a_table_miss(monkeypatch):
+    import entwit.witnesses as witnesses
+
+    check, calls = witnesses._check_quadruple, []
+
+    def counted(*args):
+        calls.append(args[4])
+        return check(*args)
+
+    monkeypatch.setattr(witnesses, "_check_quadruple", counted)
+    s, quad = shared_table_case(70)
+    for condition in BIPARTITE:
+        condition(*quad, s)
+    assert calls == [s]
+    fresh = [same_state(s) for _ in BIPARTITE]
+    for condition, state in zip(BIPARTITE, fresh):
+        condition(*quad, state)
+    assert calls == [s, *fresh]
+
+
+def test_multipartite_builds_no_matrix(monkeypatch):
+    gen = rng(71)
+    dims = (2, 3, 2)
+    As = [hermitian_on(gen, (d,)) for d in dims]
+    Aps = [hermitian_on(gen, (d,)) for d in dims]
+    cases = [(As, Aps, random_pure(gen, dims)), (As, Aps, random_mixed(gen, dims)),
+             ([S_X] * 3, [S_Y] * 3, bell(3))]
+    init, built = ComplexMatrix.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ComplexMatrix, "__init__", counted)
+    for ops, primed, s in cases:
+        multipartite(ops, primed, s)
+    assert built == []
+
+
 def test_shared_table_values_are_read_only():
     s, quad = shared_table_case(69)
     variance_product(*quad, s)
