@@ -33,9 +33,9 @@ _EXPORTS = {
     for module, names in {
         "config": "DEFAULT Tolerances",
         "hilbert": "ComplexMatrix QuantumState commutator expectation kron mix variance",
-        "operators": "QuadraturePair annihilation block_spin quadratures rotated_spin spin_ops",
-        "optimize": "ScanResult TridiagonalMatrix c_matrix convergence_study min_eigenvalue "
-                    "psi2_scan quadratic_form vmax_from_lambda",
+        "operators": "QuadraturePair annihilation block_spin quadratures spin_ops",
+        "optimize": "ScanResult TridiagonalMatrix c_matrix min_eigenvalue psi2_scan "
+                    "quadratic_form vmax_from_lambda",
         "polyid": "ParseError Polynomial builtin_identity equal eval_expr expand parse "
                   "pretty verify",
         "states": "StateSpec bell build_state fock_pair_superposition pair_cutoff "

@@ -264,7 +264,7 @@ def _builtin_operators(requests: list[tuple[Any, int]]) -> list[ComplexMatrix]:
 
 def _evaluate(condition: str, ops: Any, state: QuantumState):
     """``condition`` on ``state`` with the builtin operators the op spec names."""
-    from .states import _as_int
+    from .config import _as_int
     from .witnesses import (four_variance, multipartite, ramanujan_witness, uffink,
                             variance_product, variance_sum)
 

@@ -1,15 +1,21 @@
-"""Shared numerical tolerances.
+"""Shared numerical tolerances and the one integer-parameter check.
 
 Every quantity handled by this package is O(1) to O(10^2), so absolute
 tolerances are used throughout.  The table below is the only setting: no
 function takes a per-call override, except the bisection tolerance ``tol``
-of ``optimize.min_eigenvalue`` (``cmatrix --tol``; ``convergence_study``
-passes it on).  The CLI echoes the table under ``meta.tolerances``.
+of ``optimize.min_eigenvalue`` (``cmatrix --tol``).  The CLI echoes the
+table under ``meta.tolerances``.
+
+Every integer parameter of the library (a dimension, a cutoff, a truncation
+order, a grid size, an exponent) goes through :func:`_as_int`, which imports
+no numpy.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
+from typing import Any
 
 __all__ = ["Tolerances", "DEFAULT"]
 
@@ -30,3 +36,12 @@ class Tolerances:
 
 
 DEFAULT = Tolerances()
+
+
+def _as_int(value: Any, name: str) -> int:
+    """``value`` as an int.  Only Python and numpy integers pass (numpy
+    registers its integer types as :class:`numbers.Integral`); a bool, a
+    float or a string is rejected with a ValueError naming ``name``, not cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name!r} must be an integer, got {value!r}")
+    return int(value)

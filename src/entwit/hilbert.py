@@ -23,8 +23,8 @@ Conventions
 * All values are immutable after construction and all operations are pure,
   so everything here is safe for concurrent read access.  A matrix copies
   an array its caller hands in, but owns without a copy the fresh array of
-  an operation (``+ - @ *``, :func:`kron`, :func:`commutator`, ``mpow``,
-  ``dagger``, :attr:`QuantumState.density`) or of an operator factory.  It
+  an operation (``+ - @ *``, :func:`kron`, :func:`commutator`,
+  :attr:`QuantumState.density`) or of an operator factory.  It
   computes its largest entry at construction, which doubles as the
   finiteness check, and its Hermiticity defect once, on first use.  A state
   keeps the moment table of the last operator quadruple evaluated on it:
@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, _as_int
 
 Array = np.ndarray
 
@@ -60,7 +60,7 @@ __all__ = [
 def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     if type(dims) is tuple and dims and all(type(d) is int and d >= 1 for d in dims):
         return dims  # already a signature, as every operation passes one
-    out = tuple(int(d) for d in dims)
+    out = tuple(_as_int(d, "factor dimension") for d in dims)
     if not out or any(d < 1 for d in out):
         raise ValueError(f"factor dimensions must be positive integers, got {dims!r}")
     return out
@@ -111,9 +111,6 @@ class ComplexMatrix:
     def side(self) -> int:
         return self.data.shape[0]
 
-    def dagger(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.data.conj().T, self.dims, _owned=True)
-
     def hermiticity_defect(self) -> float:
         """Max-abs deviation of ``A - A†`` (scale-free for O(1) norms)."""
         if self._defect is None:
@@ -124,9 +121,6 @@ class ComplexMatrix:
     def max_abs(self) -> float:
         """Largest entry modulus."""
         return self._max_abs
-
-    def is_hermitian(self) -> bool:
-        return self.hermiticity_defect() <= DEFAULT.hermitian
 
     def _binary(self, other, op) -> "ComplexMatrix":
         if not isinstance(other, ComplexMatrix):
@@ -148,12 +142,6 @@ class ComplexMatrix:
         return ComplexMatrix(self.data * complex(scalar), self.dims, _owned=True)
 
     __rmul__ = __mul__
-
-    def mpow(self, k: int) -> "ComplexMatrix":
-        """Matrix power with a non-negative integer exponent."""
-        if k < 0:
-            raise ValueError("matrix power requires a non-negative exponent")
-        return ComplexMatrix(np.linalg.matrix_power(self.data, k), self.dims, _owned=True)
 
     def __repr__(self):
         return f"ComplexMatrix(side={self.side}, dims={self.dims})"
@@ -247,10 +235,6 @@ class QuantumState:
         _refuse_oversize(16 * side * side, f"a density of side {side}")
         V = self.vectors
         return ComplexMatrix((self.weights[:, None] * V).T @ V.conj(), self.dims, _owned=True)
-
-    def density_matrix(self) -> ComplexMatrix:
-        """Same as :attr:`density`."""
-        return self.density
 
     def __repr__(self):
         return f"QuantumState(kind={self.kind!r}, dims={self.dims})"

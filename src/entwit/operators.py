@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import _as_int
 from .hilbert import ComplexMatrix
 
 __all__ = [
@@ -17,13 +18,13 @@ __all__ = [
     "QuadraturePair",
     "quadratures",
     "spin_ops",
-    "rotated_spin",
     "block_spin",
 ]
 
 
 def annihilation(dim: int) -> ComplexMatrix:
     """Truncated lowering operator: entries sqrt(n) at (n-1, n), n = 1..dim-1."""
+    dim = _as_int(dim, "dim")
     if dim < 2:
         raise ValueError(f"annihilation needs dim >= 2, got {dim}")
     a = np.zeros((dim, dim), dtype=np.complex128)
@@ -69,11 +70,6 @@ def spin_ops() -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix, ComplexMatr
     return (ComplexMatrix(_SX), ComplexMatrix(_SY), ComplexMatrix(_SZ), ComplexMatrix(_S0))
 
 
-def rotated_spin(theta: float) -> ComplexMatrix:
-    """In-plane spin s_x cos(theta) + s_y sin(theta); Hermitian with unit square."""
-    return ComplexMatrix(_SX * np.cos(theta) + _SY * np.sin(theta), _owned=True)
-
-
 def block_spin(dim: int) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix]:
     """Spin-like operators acting inside each (|2n>, |2n+1>) level pair.
 
@@ -81,6 +77,7 @@ def block_spin(dim: int) -> tuple[ComplexMatrix, ComplexMatrix, ComplexMatrix]:
     would break X² = I).  Returns (X, Y, Z) with X² = Y² = Z² = I and
     [X, Y] = 2iZ blockwise.
     """
+    dim = _as_int(dim, "dim")
     if dim < 2:
         raise ValueError(f"block_spin needs dim >= 2, got {dim}")
     if dim % 2:

@@ -25,6 +25,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .config import _as_int
 from .hilbert import _refuse_oversize
 
 Array = np.ndarray
@@ -48,7 +49,6 @@ __all__ = [
     "min_eigenvalue",
     "vmax_from_lambda",
     "psi2_scan",
-    "convergence_study",
 ]
 
 
@@ -103,7 +103,7 @@ def c_matrix(N: int) -> TridiagonalMatrix:
     :func:`min_eigenvalue` too) would not fit in memory is refused with
     ValueError before allocation.
     """
-    N = int(N)
+    N = _as_int(N, "N")
     if N < 0:
         raise ValueError(f"truncation order must be non-negative, got {N}")
     _refuse_oversize(8 * _SOLVE_ARRAYS * (N + 1), f"C_N at N = {N}")
@@ -361,7 +361,7 @@ def psi2_scan(grid_size: int) -> ScanResult:
     1e-6 parameter resolution.  A grid too large for memory is refused with
     ValueError before allocation.
     """
-    grid_size = int(grid_size)
+    grid_size = _as_int(grid_size, "grid_size")
     if grid_size < 3:
         raise ValueError(f"grid size must be at least 3, got {grid_size}")
     _refuse_oversize(8 * _SCAN_FLOATS * grid_size, f"a scan of {grid_size} points")
@@ -373,19 +373,3 @@ def psi2_scan(grid_size: int) -> ScanResult:
     argbest = _golden_max(_psi2_objective, lo, hi, 1e-6)
     return ScanResult(grid=grid, values=values, argbest=float(argbest),
                       best=_psi2_objective(argbest))
-
-
-def convergence_study(Ns: Sequence[int], tol: float = 1e-10) -> list[tuple[int, float]]:
-    """lambda_min of C_N for each truncation in the ascending list ``Ns``."""
-    orders = [int(N) for N in Ns]
-    if not orders:
-        raise ValueError("need at least one truncation order")
-    if any(N < 0 for N in orders):
-        raise ValueError("truncation orders must be non-negative")
-    if any(b <= a for a, b in zip(orders, orders[1:])):
-        raise ValueError("truncation orders must be strictly ascending")
-    out = []
-    for N in orders:
-        lam, _ = min_eigenvalue(c_matrix(N), tol)
-        out.append((N, lam))
-    return out

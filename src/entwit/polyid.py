@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+from .config import _as_int
+
 __all__ = [
     "VARIABLES",
     "Polynomial",
@@ -86,10 +88,6 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls()
 
     @classmethod
     def constant(cls, value) -> "Polynomial":
@@ -469,9 +467,9 @@ def builtin_identity(name: str, n: int | None = None) -> tuple[Expr, Expr]:
         rhs = parse("(a^2 + a'^2)*(b^2 + b'^2)")
         return (lhs, rhs)
     if name == "ramanujan":
-        if n is None or int(n) < 1:
+        n = None if n is None else _as_int(n, "n")
+        if n is None or n < 1:
             raise ValueError(f"the power-sum identity needs an exponent n >= 1, got {n!r}")
-        n = int(n)
         lhs = parse(f"(a*b + a*b' + a'*b)^{n} + (a*b' + a'*b + a'*b')^{n}"
                     f" + (a*b - a'*b')^{n}")
         rhs = parse(f"(a'*b + a'*b' + a*b)^{n} + (a'*b' + a*b + a*b')^{n}"

@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, _as_int
 from .hilbert import QuantumState, _refuse_oversize, mix
 
 __all__ = [
@@ -44,6 +44,7 @@ def pair_cutoff(num_coeffs: int) -> int:
     The top populated level is 2N; two spare levels above it make every
     quadrature second moment on the family exact despite truncation.
     """
+    num_coeffs = _as_int(num_coeffs, "num_coeffs")
     if num_coeffs < 1:
         raise ValueError("need at least one coefficient")
     return 2 * (num_coeffs - 1) + 4
@@ -144,14 +145,6 @@ def schmidt_pair(alpha: complex, beta: complex) -> QuantumState:
     return QuantumState.pure([alpha, 0.0, 0.0, beta], (2, 2))
 
 
-def _as_int(value: Any, name: str) -> int:
-    """``value`` as an int.  Only Python and numpy integers pass; a bool, a
-    float or a string is rejected, not cast."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name!r} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _as_real(value: Any, name: str) -> float:
     """``value`` as a finite float.  Only Python and numpy reals pass; a bool,
     a string or a non-finite value is rejected, not cast."""
@@ -230,18 +223,6 @@ class StateSpec:
 
     def build(self) -> QuantumState:
         return build_state(self)
-
-    def resolved_cutoff(self) -> int | None:
-        """The Fock cutoff this spec will actually use (None for spin families)."""
-        if self.family in _SPIN_FAMILIES:
-            return None
-        if self.cutoff is not None:
-            return self.cutoff
-        if self.family == "psi2":
-            return pair_cutoff(2)
-        if self.family == "squeezed":
-            return squeezed_cutoff(_as_real(self.params["lambda"], "lambda"))
-        return pair_cutoff(_as_reals(self.params["c"], "c").size)
 
 
 # The families without a Fock cutoff.

@@ -355,7 +355,7 @@ def schmidt_optimal_witness(alpha: complex, beta: complex
     state = schmidt_pair(alpha, beta)
     theta = -np.angle(complex(alpha))
     eta = np.angle(complex(beta))
-    # rotated_spin at the four angles, from one cos and one sin of all four
+    # s_x cos(angle) + s_y sin(angle) at the four angles, from one cos and one sin
     angles = np.array([theta, theta + np.pi / 2.0, eta, eta + np.pi / 2.0])[:, None, None]
     spins = _SX * np.cos(angles) + _SY * np.sin(angles)
     A, Ap, B, Bp = (ComplexMatrix(spin, _owned=True) for spin in spins)

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from entwit import (
+    ComplexMatrix,
     QuantumState,
     annihilation,
     block_spin,
     commutator,
     expectation,
     quadratures,
-    rotated_spin,
     spin_ops,
     variance,
 )
@@ -36,10 +36,11 @@ def test_annihilation_needs_two_levels():
 def test_number_operator_and_truncation_corner():
     D = 6
     a = annihilation(D)
-    num = a.dagger() @ a
+    ad = ComplexMatrix(a.data.conj().T)
+    num = ad @ a
     assert np.allclose(num.data, np.diag(np.arange(D, dtype=float)))
     # [a, a^dag] is the identity except for the truncation corner
-    corner = (a @ a.dagger() - a.dagger() @ a).data
+    corner = (a @ ad - ad @ a).data
     assert np.allclose(corner, np.diag([1.0] * (D - 1) + [-(D - 1.0)]))
 
 
@@ -80,33 +81,19 @@ def test_spin_algebra():
     assert np.allclose((s_x @ s_y + s_y @ s_x).data, 0.0)
 
 
-def test_rotated_spin_endpoints():
-    s_x, s_y, _, _ = spin_ops()
-    assert np.allclose(rotated_spin(0.0).data, s_x.data)
-    assert np.allclose(rotated_spin(math.pi / 2).data, s_y.data, atol=1e-15)
-
-
-def test_rotated_spin_squares_to_identity():
-    gen = np.random.default_rng(17)
-    for theta in gen.uniform(-2 * math.pi, 2 * math.pi, size=100):
-        A = rotated_spin(theta)
-        assert A.hermiticity_defect() < 1e-15
-        assert np.allclose((A @ A).data, np.eye(2), atol=1e-14)
-
-
-def test_rotated_spin_commutator():
-    _, _, s_z, _ = spin_ops()
-    gen = np.random.default_rng(18)
-    for theta, phi in gen.uniform(-3, 3, size=(25, 2)):
-        C = commutator(rotated_spin(theta), rotated_spin(phi))
-        assert np.allclose(C.data, 2j * math.sin(phi - theta) * s_z.data, atol=1e-13)
-
-
 def test_block_spin_rejects_odd_or_tiny_dims():
     with pytest.raises(ValueError):
         block_spin(5)
     with pytest.raises(ValueError):
         block_spin(0)
+
+
+def test_operator_dims_are_rejected_not_cast():
+    for build in (block_spin, annihilation, quadratures):
+        with pytest.raises(ValueError, match="'dim' must be an integer, got 4.0"):
+            build(4.0)
+    assert quadratures(np.int64(4)).dim == 4
+    assert block_spin(np.int64(4))[0].dims == (4,)
 
 
 def test_block_spin_dim2_reduces_to_spins():

@@ -17,7 +17,6 @@ from entwit import (
     ScanResult,
     TridiagonalMatrix,
     c_matrix,
-    convergence_study,
     min_eigenvalue,
     psi2_scan,
     quadratic_form,
@@ -58,6 +57,15 @@ def test_c_matrix_smallest_truncation():
 def test_c_matrix_rejects_negative_order():
     with pytest.raises(ValueError, match="non-negative"):
         c_matrix(-1)
+
+
+def test_integer_parameters_are_rejected_not_cast():
+    with pytest.raises(ValueError, match="'N' must be an integer, got 2.7"):
+        c_matrix(2.7)
+    with pytest.raises(ValueError, match="'grid_size' must be an integer, got 3.9"):
+        psi2_scan(3.9)
+    assert c_matrix(np.int64(2)).size == c_matrix(2).size == 3
+    assert psi2_scan(np.int64(5)).grid.size == 5
 
 
 def test_tridiagonal_validation():
@@ -185,23 +193,12 @@ def test_min_eigenvalue_certified_across_tolerances(N, tol):
 
 
 def test_convergence_study_is_monotone():
-    pairs = convergence_study([1, 2, 5, 10, 50, 200])
-    assert [N for N, _ in pairs] == [1, 2, 5, 10, 50, 200]
-    lams = [lam for _, lam in pairs]
+    lams = [min_eigenvalue(c_matrix(N))[0] for N in (1, 2, 5, 10, 50, 200)]
     assert abs(lams[0] - LAMBDA_1) < 1e-10
     for earlier, later in zip(lams, lams[1:]):
         assert later <= earlier + 1e-12  # widening the space can only lower it
-    (_, lam200), (_, lam400) = convergence_study([200, 400])
+    lam200, lam400 = (min_eigenvalue(c_matrix(N))[0] for N in (200, 400))
     assert abs(lam400 - lam200) < 1e-6  # truncation essentially converged
-
-
-def test_convergence_study_validation():
-    with pytest.raises(ValueError, match="at least one"):
-        convergence_study([])
-    with pytest.raises(ValueError, match="non-negative"):
-        convergence_study([-1, 2])
-    with pytest.raises(ValueError, match="ascending"):
-        convergence_study([3, 3])
 
 
 # --- violation measure and the c0 scan ---------------------------------------

@@ -169,12 +169,18 @@ def test_identity_registry_validation():
         verify("ramanujan", -2)
 
 
+@pytest.mark.parametrize("bad", [2.5, "4", True])
+def test_identity_exponent_is_rejected_not_cast(bad):
+    with pytest.raises(ValueError, match="'n' must be an integer"):
+        verify("ramanujan", bad)
+
+
 # --- Polynomial edge cases ---------------------------------------------------
 
 
 def test_polynomial_constant_and_zero():
-    assert Polynomial.zero().is_zero()
-    assert Polynomial.zero().constant_value() == F(0)
+    assert Polynomial().is_zero()
+    assert Polynomial().constant_value() == F(0)
     assert Polynomial.constant(F(3, 7)).constant_value() == F(3, 7)
     assert Polynomial.variable("b'").constant_value() is None
 

@@ -25,6 +25,8 @@ from entwit import (
     vacuum_mixture,
 )
 
+from entwit.states import _SPIN_FAMILIES
+
 from _support import fake_sysconf
 
 
@@ -54,6 +56,9 @@ def test_default_pair_cutoffs():
     assert pair_cutoff(3) == 8
     with pytest.raises(ValueError):
         pair_cutoff(0)
+    with pytest.raises(ValueError, match="'num_coeffs' must be an integer"):
+        pair_cutoff(2.5)
+    assert pair_cutoff(np.int64(2)) == 6 and type(pair_cutoff(np.int64(2))) is int
 
 
 def test_squeezed_tail_rule_cutoffs():
@@ -218,8 +223,7 @@ def test_spec_build_matches_direct_constructors():
     for spec, direct in cases:
         built = spec.build()
         assert built.dims == direct.dims
-        assert np.allclose(built.density_matrix().data,
-                           direct.density_matrix().data)
+        assert np.allclose(built.density.data, direct.density.data)
 
 
 def test_spec_psi2_equals_two_coefficient_family():
@@ -230,12 +234,13 @@ def test_spec_psi2_equals_two_coefficient_family():
 
 
 def test_spec_resolved_cutoffs():
-    assert StateSpec("fock_pair", {"c": [0.6, 0.8]}).resolved_cutoff() == 6
-    assert StateSpec("fock_pair", {"c": [0.6, 0.8]}, cutoff=12).resolved_cutoff() == 12
-    assert StateSpec("psi2", {"c0": 0.9}).resolved_cutoff() == 6
-    assert StateSpec("squeezed", {"lambda": 0.5}).resolved_cutoff() == 20
-    assert StateSpec("bell", {"parties": 2}).resolved_cutoff() is None
-    assert StateSpec("schmidt", {"alpha": 1.0, "beta": 0.0}).resolved_cutoff() is None
+    # a Fock family's built state has its cutoff as the side of each mode
+    assert build_state(StateSpec("fock_pair", {"c": [0.6, 0.8]})).dims[0] == 6
+    assert build_state(StateSpec("fock_pair", {"c": [0.6, 0.8]}, cutoff=12)).dims[0] == 12
+    assert build_state(StateSpec("psi2", {"c0": 0.9})).dims[0] == 6
+    assert build_state(StateSpec("squeezed", {"lambda": 0.5})).dims[0] == 20
+    # the two-level families have no cutoff
+    assert {"bell", "schmidt"} == _SPIN_FAMILIES
 
 
 def test_size_refusal_counts_working_copies(monkeypatch):
@@ -345,7 +350,7 @@ def test_real_fields_accept_numpy_and_integer_reals():
     assert vacuum_mixture(np.float64(0.5), (np.float32(1.0),)).kind == "mixed"
     spec = StateSpec("schmidt", {"alpha": 1, "beta": [np.int64(0), 0]})
     assert np.array_equal(spec.build().amplitudes, [1, 0, 0, 0])
-    assert StateSpec("fock_pair", {"c": np.array([0.6, 0.8])}).resolved_cutoff() == 6
+    assert build_state(StateSpec("fock_pair", {"c": np.array([0.6, 0.8])})).dims[0] == 6
 
 
 def test_library_constructors_reject_non_integer_cutoffs():
