@@ -8,7 +8,9 @@ with ``meta`` holding the package version, the active tolerance table and
 any Fock cutoffs that were resolved.  Diagnostics go to stderr.  Exit codes:
 0 success, 1 computation/validation error, 2 usage error.  Floats are
 rounded to 12 significant digits so identical invocations produce
-byte-identical documents.
+byte-identical documents.  The document is streamed: it is rounded and
+written piece by piece, with the bytes ``json.dumps(..., indent=2)`` would
+give, so a long scan is never held as one string.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import os
 import sys
 from operator import attrgetter
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from . import __version__
 from .config import DEFAULT
@@ -334,17 +336,46 @@ _HANDLERS = {
 }
 
 
-def _round_floats(obj: Any) -> Any:
-    """Round every float to 12 significant digits (bools and ints untouched)."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+# Floats of a flat list encoded per write.  A rounded float and its
+# separator take under 32 bytes at the depths the documents reach, so one
+# write stays under 128 KB.
+_SLICE = 4096
+
+
+def _write_json(obj: Any, write: Callable[[str], object], indent: str = "") -> None:
+    """Write ``obj`` as ``json.dumps(obj, indent=2)`` encodes it, with every
+    float rounded to 12 significant digits, in pieces passed to ``write``.
+
+    Mappings (with string keys), lists and tuples are laid out here, and
+    scalars go through ``json.dumps``.  A list of floats goes through the C
+    encoder a slice at a time, its item separator carrying the indentation.
+    """
     if isinstance(obj, Mapping):
-        return {key: _round_floats(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(value) for value in obj]
-    return obj
+        inner = indent + "  "
+        lead = "{\n" + inner
+        for key, value in obj.items():
+            write(lead + json.dumps(key) + ": ")
+            _write_json(value, write, inner)
+            lead = ",\n" + inner
+        write("\n" + indent + "}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner = indent + "  "
+        lead, sep = "[\n" + inner, ",\n" + inner
+        if all(type(value) is float for value in obj):
+            for start in range(0, len(obj), _SLICE):
+                chunk = [float(f"{value:.12g}") for value in obj[start:start + _SLICE]]
+                write(lead + json.dumps(chunk, separators=(sep, ": "))[1:-1])
+                lead = sep
+        else:
+            for value in obj:
+                write(lead)
+                _write_json(value, write, inner)
+                lead = sep
+        write("\n" + indent + "]" if obj else "[]")
+    elif isinstance(obj, float):
+        write(json.dumps(float(f"{obj:.12g}")))
+    else:
+        write(json.dumps(obj))
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -373,7 +404,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         },
     }
     try:
-        print(json.dumps(_round_floats(document), indent=2), flush=True)
+        _write_json(document, sys.stdout.write)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
     except BrokenPipeError:  # the reader left early: keep the flush at exit quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

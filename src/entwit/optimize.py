@@ -10,11 +10,15 @@ eigenvalue of the symmetric tridiagonal matrix C_N that represents Q.
 Eigenvalues are located by bisection on the Sturm sequence (sign-change
 count of the shifted LDL^T recurrence; Barth, Martin and Wilkinson, Numer.
 Math. 9, 1967) -- robust for symmetric tridiagonal input and free of any
-general eigensolver dependency.  The scalar recurrences (the Sturm count
-and the pivoted tridiagonal solve of inverse iteration) run on Python
-floats read and written through memoryviews of numpy buffers, never on
-numpy scalars; the psi2 grid is evaluated as one array expression.  Requests whose
-arrays would not fit in memory are refused before anything is allocated.
+general eigensolver dependency.  A bisection step only asks whether any
+eigenvalue lies below the midpoint, so its recurrence stops at the first
+pivot the count would include; the two certificates take full counts.
+Inverse iteration factors the shifted matrix once and reuses the factors
+for every iterate.  The scalar recurrences (the Sturm sequence, the
+pivoted factorization and its solves) run on Python floats read and
+written through memoryviews of numpy buffers, never on numpy scalars; the
+psi2 grid is evaluated as one array expression.  Requests whose arrays
+would not fit in memory are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -31,14 +35,15 @@ from .hilbert import _refuse_oversize
 Array = np.ndarray
 
 # Float arrays of the matrix size that c_matrix and min_eigenvalue hold at
-# once: the matrix and its build temporaries, off2, the Gershgorin radii,
-# the inverse-iteration vectors and the buffers of _tridiag_solve.
+# once: the matrix and its build temporaries, off2, the Gershgorin radii
+# (freed before the factorization), the four factor buffers and the swap
+# flags of _tridiag_factor, and the inverse-iteration vectors.
 _SOLVE_ARRAYS = 12
-# Floats per grid point of psi2_scan: the grid, the values, their
-# temporaries and the copies ScanResult keeps (6), doubled for the lists and
-# text of a JSON report of the scan.  With the four working copies that
-# _refuse_oversize counts, that is 384 bytes per point; `psi2 --scan` peaks
-# at about 375.
+# Floats per grid point of psi2_scan, kept as a conservative bound: the
+# grid, the values, their temporaries and the copies ScanResult keeps (6),
+# doubled for the lists of a JSON report of the scan.  With the four working
+# copies that _refuse_oversize counts, that is 384 bytes per point; `psi2
+# --scan` peaks at about 98, its report being written a slice at a time.
 _SCAN_FLOATS = 12
 
 __all__ = [
@@ -156,48 +161,85 @@ def _count_below(diag: Array, off2: Array, x: float, pivmin: float) -> int:
     return count
 
 
-def _tridiag_solve(diag: Array, off: Array, sigma: float, rhs: Array) -> Array:
-    """Solve (T - sigma*I) v = rhs by elimination with partial pivoting.
+def _any_below(diag: Array, off2: Array, x: float, pivmin: float) -> bool:
+    """``_count_below(diag, off2, x, pivmin) >= 1``, from the same recurrence
+    stopped at the first pivot below pivmin."""
+    q = float(diag[0]) - x
+    if q < pivmin:
+        return True
+    for d, e2 in zip(memoryview(diag)[1:], memoryview(off2)):
+        q = (d - x) - e2 / q
+        if q < pivmin:
+            return True
+    return False
+
+
+def _tridiag_factor(diag: Array, off: Array, sigma: float) -> tuple:
+    """Factor T - sigma*I by elimination with partial pivoting.
 
     Pivoting keeps the solve stable at the nearly singular shifts used by
     inverse iteration; the factored upper triangle gains a second
-    superdiagonal, nothing more.  The loops index memoryviews of the numpy
-    buffers, which read and write Python floats.
+    superdiagonal, nothing more.  Returns memoryviews of float64 buffers
+    (pivots, first and second superdiagonal, elimination factors) and of a
+    bool buffer marking the swapped row pairs; a zero pivot is stored as the
+    smallest normal float.  The loop reads and writes Python floats.
     """
     n = diag.size
     tiny = float(np.finfo(float).tiny)
     off = np.ascontiguousarray(off, dtype=float)
-    d = memoryview(diag - sigma)                 # main diagonal
+    d = memoryview(diag - sigma)                 # main diagonal, then pivots
     u1 = memoryview(np.append(off, 0.0))         # first superdiagonal
     u2 = memoryview(np.zeros(n))                 # second superdiagonal (pivot fill-in)
-    b = memoryview(np.array(rhs, dtype=float))
+    factors = memoryview(np.empty(n - 1))
+    swaps = memoryview(np.zeros(n - 1, dtype=bool))
     for i, sub in enumerate(memoryview(off)):    # subdiagonal entries, in order
         if abs(sub) > abs(d[i]):
             # swap rows i and i+1
             d[i], sub = sub, d[i]
             u1[i], d[i + 1] = d[i + 1], u1[i]
             u2[i], u1[i + 1] = u1[i + 1], 0.0
-            b[i], b[i + 1] = b[i + 1], b[i]
-        pivot = d[i]
-        if pivot == 0.0:
-            pivot = tiny
-        factor = sub / pivot
+            swaps[i] = True
+        if d[i] == 0.0:
+            d[i] = tiny
+        factor = factors[i] = sub / d[i]
         d[i + 1] -= factor * u1[i]
         u1[i + 1] -= factor * u2[i]
-        b[i + 1] -= factor * b[i]
-    solution = np.zeros(n)
+    if d[n - 1] == 0.0:
+        d[n - 1] = tiny
+    return d, u1, u2, factors, swaps
+
+
+def _tridiag_apply(factored: tuple, rhs: Array) -> Array:
+    """Solve with the factorization from :func:`_tridiag_factor`: the row
+    swaps and eliminations on ``rhs``, then back substitution."""
+    d, u1, u2, factors, swaps = factored
+    n = len(d)
+    b = memoryview(np.array(rhs, dtype=float))
+    carry = b[0]                                 # b[i], already eliminated
+    for i, swap, factor in zip(range(n - 1), swaps, factors):
+        below = b[i + 1]
+        if swap:
+            carry, below = below, carry
+        b[i] = carry
+        carry = below - factor * carry
+    b[n - 1] = carry
+    solution = np.empty(n)
     v = memoryview(solution)
-    for i in range(n - 1, -1, -1):
-        acc = b[i]
-        if i + 1 < n:
-            acc -= u1[i] * v[i + 1]
-        if i + 2 < n:
-            acc -= u2[i] * v[i + 2]
-        pivot = d[i]
-        if pivot == 0.0:
-            pivot = tiny
-        v[i] = acc / pivot
+    x1 = v[n - 1] = b[n - 1] / d[n - 1]         # x1, x2: v[i + 1], v[i + 2]
+    if n > 1:
+        x2, x1 = x1, (b[n - 2] - u1[n - 2] * x1) / d[n - 2]
+        v[n - 2] = x1
+    head = slice(None, n - 2)                    # rows n-3 down to 0, reversed below
+    for i, bi, e1, e2, di in zip(range(n - 3, -1, -1), b[head][::-1], u1[head][::-1],
+                                 u2[head][::-1], d[head][::-1]):
+        x2, x1 = x1, ((bi - e1 * x1) - e2 * x2) / di
+        v[i] = x1
     return solution
+
+
+def _tridiag_solve(diag: Array, off: Array, sigma: float, rhs: Array) -> Array:
+    """Solve (T - sigma*I) v = rhs by elimination with partial pivoting."""
+    return _tridiag_apply(_tridiag_factor(diag, off, sigma), rhs)
 
 
 def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Array]:
@@ -208,12 +250,15 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     (the bracket is one ulp wide).  Each diagonal entry is a Rayleigh
     quotient, so no Sturm count is needed while the midpoint lies above the
     smallest diagonal entry (plus a 1e-12 relative slack): the count there is
-    at least one.  The vector comes from inverse iteration at the converged
-    value shifted by 1e-12, and a final Rayleigh quotient squeezes the
+    at least one.  Below it a step needs only to know whether the count is
+    at least one, so its recurrence stops at the first pivot below the
+    Sturm floor.  The vector comes from inverse iteration at the converged
+    value shifted by 1e-12: the shifted matrix is factored once, and the
+    three solves reuse the factors.  A final Rayleigh quotient squeezes the
     eigenvalue to round-off so nested truncations stay monotone well below
-    the bisection tolerance.  Two Sturm counts then certify it against its
-    residual ``r = ||Cv - lambda v||`` and ``eps`` = 1e-12 of the Gershgorin
-    bound: none below ``lambda - r - eps`` and at least one below
+    the bisection tolerance.  Two full Sturm counts then certify it against
+    its residual ``r = ||Cv - lambda v||`` and ``eps`` = 1e-12 of the
+    Gershgorin bound: none below ``lambda - r - eps`` and at least one below
     ``lambda + r + eps``; otherwise, as when ``tol`` is so loose that
     bisection stopped away from the bottom of the spectrum, ValueError is
     raised.
@@ -228,6 +273,7 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     radius[1:] += np.abs(off)
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
+    del radius
     slack = 1e-12 * max(abs(lo), abs(hi))
     # lambda_min <= min(diag), so the count above this point is at least 1
     count_known_above = float(np.min(diag)) + slack
@@ -237,19 +283,21 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if mid > count_known_above or _count_below(diag, off2, mid, pivmin) >= 1:
+        if mid > count_known_above or _any_below(diag, off2, mid, pivmin):
             hi = mid
         else:
             lo = mid
     lam = 0.5 * (lo + hi)
     v = np.full(M.size, 1.0 / math.sqrt(M.size))
+    factored = _tridiag_factor(diag, off, lam + 1e-12)
     for _ in range(3):
-        w = _tridiag_solve(diag, off, lam + 1e-12, v)
+        w = _tridiag_apply(factored, v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0 or not np.isfinite(norm):  # pathological shift; nudge and retry
             w = _tridiag_solve(diag, off, lam + 1e-10, v)
             norm = float(np.linalg.norm(w))
         v = w / norm
+    del factored
     if v[np.argmax(np.abs(v))] < 0.0:
         v = -v
     Cv = M.matvec(v)

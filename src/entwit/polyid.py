@@ -67,7 +67,7 @@ class Polynomial:
     def __init__(self, terms: Mapping[Exponent, Fraction | int] | None = None):
         canonical: dict[Exponent, Fraction | int] = {}
         for exp, coeff in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(e if type(e) is int else _as_int(e, "exponent") for e in exp)
             if len(exp) != 4 or any(e < 0 for e in exp):
                 raise ValueError(f"exponent vector must be 4 non-negative integers, got {exp}")
             coeff = Fraction(coeff)

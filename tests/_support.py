@@ -1,7 +1,11 @@
-"""Seeded random generators, a fake ``os.sysconf`` and the dense moment
-oracle, shared across the test modules."""
+"""Seeded random generators, a fake ``os.sysconf``, the dense moment
+oracle and the float-rounding oracle of the CLI's JSON output, shared
+across the test modules."""
 
 from __future__ import annotations
+
+from collections.abc import Mapping
+from typing import Any
 
 import numpy as np
 
@@ -124,3 +128,21 @@ def _clamped_variance(second: float, mean: float,
             raise ValueError(f"variance {var:.3e} is negative beyond round-off")
         var = 0.0
     return var
+
+
+# --- JSON output oracle ----------------------------------------------------------
+#
+# ``json.dumps(round_floats(doc), indent=2)`` is the document the CLI prints,
+# built whole; ``entwit.cli._write_json`` writes the same bytes piece by piece.
+
+def round_floats(obj: Any) -> Any:
+    """Round every float to 12 significant digits (bools and ints untouched)."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, Mapping):
+        return {key: round_floats(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(value) for value in obj]
+    return obj

@@ -9,9 +9,15 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from entwit import cli
 from entwit.cli import run
+
+from _support import round_floats
 
 with resources.files("entwit").joinpath(
         "schemas/report_document.schema.json").open(encoding="utf-8") as _h:
@@ -504,6 +510,57 @@ def test_package_main_matches_cli_module():
                for module in ("entwit", "entwit.cli")]
     assert [proc.returncode for proc in outputs] == [0, 0]
     assert outputs[0].stdout == outputs[1].stdout
+
+
+def _float_list(seed: int, size: int) -> list[float]:
+    """``size`` floats from subnormal to 1e300 in magnitude, with zeros of
+    both signs."""
+    gen = np.random.default_rng(seed)
+    values = gen.standard_normal(size) * 10.0 ** gen.integers(-320, 300, size)
+    values[gen.integers(0, size, 3)] = -0.0
+    values[gen.integers(0, size, 3)] = 0.0
+    return values.tolist()
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=6),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 1e16, 5e-324, 1.5e-310, 0.1 + 0.2, 123456789012.5,
+                     "\u03c8\u2082 na\u00efve", "\U0001d4d2 \u2028"]))
+_FLOAT_LISTS = st.builds(_float_list, st.integers(0, 2**32 - 1),
+                         st.sampled_from([1, cli._SLICE, cli._SLICE + 1, 2 * cli._SLICE + 7]))
+_DOCUMENTS = st.recursive(
+    _SCALARS | _FLOAT_LISTS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=5), inner, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_DOCUMENTS)
+def test_writer_matches_rounded_json_dumps(doc):
+    pieces: list[str] = []
+    cli._write_json(doc, pieces.append)
+    assert "".join(pieces) == json.dumps(round_floats(doc), indent=2)
+
+
+def test_psi2_document_is_written_in_bounded_pieces(monkeypatch):
+    pieces: list[str] = []
+
+    class Recorder:
+        def write(self, text):
+            pieces.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    assert run(["psi2", "--scan", "20000"]) == 0
+    text = "".join(pieces)
+    assert len(text) > 900_000
+    assert max(map(len, pieces)) <= 256 << 10
+    assert text == json.dumps(round_floats(json.loads(text)), indent=2) + "\n"
 
 
 # --- import hygiene: each subcommand loads only what it runs -----------------

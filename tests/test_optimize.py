@@ -342,6 +342,36 @@ def test_count_below_matches_reference_loop():
     assert zero_pivots > 40  # the pivmin branch was taken
 
 
+def test_any_below_answers_whether_the_count_is_positive():
+    zero_pivots = 0
+    for diag, off in random_tridiagonals(24):
+        off2 = off * off
+        pivmin = 1e-20 * max(1.0, float(off2.max(initial=0.0)))
+        for x in list(diag) + [-30.0, -0.5, 0.0, 0.25, 30.0]:
+            want = optimize._count_below(diag, off2, x, pivmin) >= 1
+            assert optimize._any_below(diag, off2, x, pivmin) is want
+            zero_pivots += diag[0] - x == 0.0
+    assert zero_pivots > 40  # the pivmin branch was taken
+
+
+def test_min_eigenvalue_factors_once_and_counts_only_to_certify(monkeypatch):
+    calls = {"factor": 0, "count": 0}
+
+    def counting(name, key):
+        original = getattr(optimize, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+        monkeypatch.setattr(optimize, name, wrapper)
+
+    counting("_tridiag_factor", "factor")
+    counting("_count_below", "count")
+    lam, _ = min_eigenvalue(c_matrix(2000))
+    assert lam == LAMBDA_2000
+    assert calls == {"factor": 1, "count": 2}
+
+
 def test_tridiag_solve_matches_reference_loop():
     gen = rng(22)
     for diag, off in random_tridiagonals(23):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from entwit import (
@@ -197,6 +198,18 @@ def test_polynomial_construction_rejects_bad_exponents():
         Polynomial({(1, 0, 0): F(1)})
     with pytest.raises(ValueError):
         Polynomial({(1, 0, 0, -1): F(1)})
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_polynomial_exponent_is_rejected_not_cast(bad):
+    with pytest.raises(ValueError, match="'exponent' must be an integer"):
+        Polynomial({(bad, 0, 0, 0): 1})
+
+
+def test_polynomial_accepts_numpy_integer_exponents():
+    p = Polynomial({(np.int64(2), 0, np.int32(1), 0): 3})
+    assert p == expand(parse("3*a^2*b"))
+    assert all(type(e) is int for exp in p.terms for e in exp)
 
 
 def test_polynomial_drops_zero_coefficients():
