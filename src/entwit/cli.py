@@ -27,18 +27,16 @@ from .config import DEFAULT
 
 if TYPE_CHECKING:
     from .hilbert import ComplexMatrix, QuantumState
+    from .states import StateSpec
 
 __all__ = ["run", "main"]
 
 
 def _comma_floats(text: str) -> list[float]:
     try:
-        values = [float(part) for part in text.split(",")]
+        return [float(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one number")
-    return values
 
 
 def _complex_pair(text: str) -> complex:
@@ -152,42 +150,46 @@ def _run_psi2(args) -> tuple[dict, dict, dict]:
     return {"scan": args.scan}, {"scan": result.to_json()}, {}
 
 
+def _evaluate_spec(spec: StateSpec, condition: str, ops: Any) -> tuple[dict, dict]:
+    """``{"report": ...}`` for ``condition`` on the state of ``spec``, and the
+    resolved cutoffs: a Fock state's cutoff is the side of each mode."""
+    from .states import _SPIN_FAMILIES
+
+    state = spec.build()
+    cutoffs = {} if spec.family in _SPIN_FAMILIES else {"state": state.dims[0]}
+    return {"report": _evaluate(condition, ops, state).to_json()}, cutoffs
+
+
 def _run_mixture(args) -> tuple[dict, dict, dict]:
     from .optimize import quadratic_form
-    from .states import vacuum_mixture
+    from .states import StateSpec
 
-    state = vacuum_mixture(args.p, args.coeffs, args.cutoff)
-    report = _evaluate("variance_product",
-                       {"A": "x", "Aprime": "p", "B": "p", "Bprime": "x"}, state)
+    spec = StateSpec("vacuum_mixture", {"p": args.p, "c": args.coeffs}, args.cutoff)
+    results, cutoffs = _evaluate_spec(spec, "variance_product",
+                                      {"A": "x", "Aprime": "p", "B": "p", "Bprime": "x"})
     inputs: dict[str, Any] = {"p": args.p, "coeffs": list(args.coeffs)}
     if args.cutoff is not None:
         inputs["cutoff"] = args.cutoff
-    results = {
-        "report": report.to_json(),
-        "closed_form_lhs": 0.25 + args.p * quadratic_form(args.coeffs),
-    }
-    return inputs, results, {"state": state.dims[0]}
+    results["closed_form_lhs"] = 0.25 + args.p * quadratic_form(args.coeffs)
+    return inputs, results, cutoffs
 
 
 def _run_squeezed(args) -> tuple[dict, dict, dict]:
-    from .states import squeezed_vacuum
+    from .states import StateSpec
 
-    state = squeezed_vacuum(args.lam, args.cutoff)
-    report = _evaluate("variance_product", {"A": "blockx", "Aprime": "blocky",
-                                            "B": "blockx", "Bprime": "blocky"}, state)
-    lam2 = args.lam * args.lam
+    spec = StateSpec("squeezed", {"lambda": args.lam}, args.cutoff)
+    results, cutoffs = _evaluate_spec(spec, "variance_product", {
+        "A": "blockx", "Aprime": "blocky", "B": "blockx", "Bprime": "blocky"})
     inputs: dict[str, Any] = {"lambda": args.lam}
     if args.cutoff is not None:
         inputs["cutoff"] = args.cutoff
-    results = {
-        "report": report.to_json(),
-        "closed_form_v": ((1.0 + lam2) / (1.0 - lam2)) ** 2,
-    }
-    return inputs, results, {"state": state.dims[0]}
+    lam2 = args.lam * args.lam
+    results["closed_form_v"] = ((1.0 + lam2) / (1.0 - lam2)) ** 2
+    return inputs, results, cutoffs
 
 
 def _run_bell(args) -> tuple[dict, dict, dict]:
-    from .states import bell
+    from .states import StateSpec
 
     inputs: dict[str, Any] = {"parties": args.parties, "condition": args.condition}
     condition, ops = args.condition, {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"}
@@ -196,8 +198,7 @@ def _run_bell(args) -> tuple[dict, dict, dict]:
         ops = {"A": ["sx"] * args.parties, "Aprime": ["sy"] * args.parties}
     elif condition == "ramanujan":
         inputs["n"] = ops["n"] = args.n
-    report = _evaluate(condition, ops, bell(args.parties))
-    return inputs, {"report": report.to_json()}, {}
+    return inputs, *_evaluate_spec(StateSpec("bell", {"parties": args.parties}), condition, ops)
 
 
 def _run_schmidt(args) -> tuple[dict, dict, dict]:
@@ -309,18 +310,14 @@ def _evaluate(condition: str, ops: Any, state: QuantumState):
 
 
 def _run_witness(args) -> tuple[dict, dict, dict]:
-    from .states import _SPIN_FAMILIES, StateSpec
+    from .states import StateSpec
 
     with open(args.state, encoding="utf-8") as handle:
         spec = StateSpec.from_json(json.load(handle))
     with open(args.ops, encoding="utf-8") as handle:
         ops = json.load(handle)
-    state = spec.build()
-    report = _evaluate(args.condition, ops, state)
     inputs = {"state": spec.to_json(), "ops": ops, "condition": args.condition}
-    # a Fock family's state has the cutoff it used as the side of each mode
-    cutoffs = {} if spec.family in _SPIN_FAMILIES else {"state": state.dims[0]}
-    return inputs, {"report": report.to_json()}, cutoffs
+    return inputs, *_evaluate_spec(spec, args.condition, ops)
 
 
 _HANDLERS = {

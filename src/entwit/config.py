@@ -1,4 +1,4 @@
-"""Shared numerical tolerances and the one integer-parameter check.
+"""Shared tolerances, the parameter checks and the power-sum identity's rows.
 
 Every quantity handled by this package is O(1) to O(10^2), so absolute
 tolerances are used throughout.  The table below is the only setting: no
@@ -7,12 +7,16 @@ of ``optimize.min_eigenvalue`` (``cmatrix --tol``).  The CLI echoes the
 table under ``meta.tolerances``.
 
 Every integer parameter of the library (a dimension, a cutoff, a truncation
-order, a grid size, an exponent) goes through :func:`_as_int`, which imports
-no numpy.
+order, a grid size, an exponent) goes through :func:`_as_int`, and every
+real one through :func:`_as_real`; neither imports numpy.
+
+``_POWER_SUM_ROWS`` is data, not a setting: the power-sum identity, stated
+once for the ``polyid`` proof and the ``witnesses`` evaluation.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import asdict, dataclass
 from typing import Any
@@ -37,6 +41,10 @@ class Tolerances:
 
 DEFAULT = Tolerances()
 
+# Rows (L, R) of sum_k (L_k . x)^n = sum_k (R_k . x)^n, x = (ab, ab', a'b, a'b')
+_POWER_SUM_ROWS = (((1, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, -1)),
+                   ((0, 1, -1, 0), (1, 0, 1, 1), (1, 1, 0, 1)))
+
 
 def _as_int(value: Any, name: str) -> int:
     """``value`` as an int.  Only Python and numpy integers pass (numpy
@@ -45,3 +53,14 @@ def _as_int(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name!r} must be an integer, got {value!r}")
     return int(value)
+
+
+def _as_real(value: Any, name: str) -> float:
+    """``value`` as a finite float.  Only Python and numpy reals pass; a bool,
+    a string or a non-finite value is rejected, not cast."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name!r} must be a real number, got {value!r}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ValueError(f"{name!r} must be finite, got {value!r}")
+    return out

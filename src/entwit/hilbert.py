@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, _as_int
+from .config import DEFAULT, _as_int, _as_real
 
 Array = np.ndarray
 
@@ -368,6 +368,15 @@ def _refuse_oversize(nbytes: int, what: str) -> None:
                          f"({budget / 2**30:.3g} GiB)")
 
 
+def _as_reals(values: Any, name: str) -> Array:
+    """A list or array of reals as a 1-d float array, each checked by :func:`_as_real`."""
+    if isinstance(values, np.ndarray):
+        values = values.reshape(-1).tolist()
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name!r} must be a list of real numbers, got {values!r}")
+    return np.array([_as_real(v, name) for v in values], dtype=float)
+
+
 def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumState:
     """Convex mixture ``sum_n p_n rho_n``: the components' ensembles, each
     with its weight multiplied in.  A convex sum of valid states is a valid
@@ -376,7 +385,7 @@ def mix(states: Sequence[QuantumState], weights: Sequence[float]) -> QuantumStat
         raise ValueError(f"{len(states)} states but {len(weights)} weights")
     if not states:
         raise ValueError("mix requires at least one state")
-    w = np.asarray(weights, dtype=float)
+    w = _as_reals(weights, "weights")
     if np.any(w < 0.0):
         raise ValueError("mixture weights must be non-negative")
     total = float(w.sum())

@@ -29,8 +29,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import _as_int
-from .hilbert import _refuse_oversize
+from .config import _as_int, _as_real
+from .hilbert import _as_reals, _refuse_oversize
 
 Array = np.ndarray
 
@@ -65,8 +65,8 @@ class TridiagonalMatrix:
     offdiag: Array
 
     def __post_init__(self):
-        diag = np.asarray(self.diag, dtype=float)
-        off = np.asarray(self.offdiag, dtype=float)
+        diag = np.array(self.diag, dtype=float)
+        off = np.array(self.offdiag, dtype=float)
         if diag.ndim != 1 or off.ndim != 1 or diag.size < 1:
             raise ValueError("diag/offdiag must be one-dimensional, diag non-empty")
         if off.size != diag.size - 1:
@@ -74,8 +74,6 @@ class TridiagonalMatrix:
                              f"({diag.size - 1})")
         if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
             raise ValueError("matrix entries must be finite")
-        diag = diag.copy()
-        off = off.copy()
         diag.setflags(write=False)
         off.setflags(write=False)
         object.__setattr__(self, "diag", diag)
@@ -125,11 +123,9 @@ def quadratic_form(c: Sequence[float]) -> float:
     Identical in value to ``c @ c_matrix(N).dense() @ c``, which splits each
     cross term symmetrically.
     """
-    coeffs = np.asarray(c, dtype=float).reshape(-1)
+    coeffs = _as_reals(c, "c")
     if coeffs.size < 1:
         raise ValueError("need at least one coefficient")
-    if not np.all(np.isfinite(coeffs)):
-        raise ValueError("coefficients must be finite")
     total = 0.0
     for n, cn in enumerate(coeffs):
         total += 2.0 * n * (2.0 * n + 1.0) * cn * cn
@@ -320,10 +316,10 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
 
 def vmax_from_lambda(lambda_min: float, p: float = 1.0) -> float:
     """Peak violation measure (1/4) / (1/4 + p*lambda_min) of the mixture family."""
-    p = float(p)
+    p = _as_real(p, "p")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    denominator = 0.25 + p * float(lambda_min)
+    denominator = 0.25 + p * _as_real(lambda_min, "lambda_min")
     if denominator <= 0.0:
         raise ValueError(f"1/4 + p*lambda_min = {denominator!r} is not positive; "
                          f"the ratio form does not apply")
@@ -340,12 +336,10 @@ class ScanResult:
     best: float
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        grid = np.array(self.grid, dtype=float)
+        values = np.array(self.values, dtype=float)
         if grid.shape != values.shape or grid.ndim != 1:
             raise ValueError("grid and values must be 1-d arrays of equal length")
-        grid = grid.copy()
-        values = values.copy()
         grid.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)

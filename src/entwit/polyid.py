@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .config import _as_int
+from .config import _POWER_SUM_ROWS, _as_int
 
 __all__ = [
     "VARIABLES",
@@ -454,13 +454,21 @@ def equal(p: Polynomial, q: Polynomial) -> bool:
 
 _IDENTITY_NAMES = ("complex_norm", "ramanujan")
 _TRIALS = 20  # random rational points at which verify() cross-checks a verdict
+_PRODUCTS = ("a*b", "a*b'", "a'*b", "a'*b'")  # the x of the power-sum rows
+
+
+def _power_sum(rows: Sequence[Sequence[int]], n: int) -> Expr:
+    """``sum_k (row_k . x)^n`` over ``x = (a*b, a*b', a'*b, a'*b')``."""
+    forms = (" + ".join(f"{c}*{x}" for c, x in zip(row, _PRODUCTS) if c) for row in rows)
+    return parse(" + ".join(f"({form})^{n}" for form in forms))
 
 
 def builtin_identity(name: str, n: int | None = None) -> tuple[Expr, Expr]:
-    """The two sides of a named identity, as ASTs exactly as displayed.
+    """The two sides of a named identity, as ASTs.
 
-    ``complex_norm`` ignores ``n``; ``ramanujan`` accepts any n >= 1 and
-    leaves validity to :func:`verify` (it holds only for n = 2 and n = 4).
+    ``complex_norm`` ignores ``n``; ``ramanujan`` is built from the rows of
+    ``config._POWER_SUM_ROWS`` that the witness evaluates, accepts any n >= 1
+    and leaves validity to :func:`verify` (it holds only for n = 2 and n = 4).
     """
     if name == "complex_norm":
         lhs = parse("(a*b - a'*b')^2 + (a*b' + a'*b)^2")
@@ -470,11 +478,7 @@ def builtin_identity(name: str, n: int | None = None) -> tuple[Expr, Expr]:
         n = None if n is None else _as_int(n, "n")
         if n is None or n < 1:
             raise ValueError(f"the power-sum identity needs an exponent n >= 1, got {n!r}")
-        lhs = parse(f"(a*b + a*b' + a'*b)^{n} + (a*b' + a'*b + a'*b')^{n}"
-                    f" + (a*b - a'*b')^{n}")
-        rhs = parse(f"(a'*b + a'*b' + a*b)^{n} + (a'*b' + a*b + a*b')^{n}"
-                    f" + (a*b' - a'*b)^{n}")
-        return (lhs, rhs)
+        return (_power_sum(_POWER_SUM_ROWS[0], n), _power_sum(_POWER_SUM_ROWS[1], n))
     raise ValueError(f"unknown identity {name!r}; expected one of {_IDENTITY_NAMES}")
 
 

@@ -22,8 +22,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, _as_int
-from .hilbert import QuantumState, _refuse_oversize, mix
+from .config import DEFAULT, _as_int, _as_real
+from .hilbert import QuantumState, _as_reals, _refuse_oversize, mix
 
 __all__ = [
     "StateSpec",
@@ -145,27 +145,6 @@ def schmidt_pair(alpha: complex, beta: complex) -> QuantumState:
     return QuantumState.pure([alpha, 0.0, 0.0, beta], (2, 2))
 
 
-def _as_real(value: Any, name: str) -> float:
-    """``value`` as a finite float.  Only Python and numpy reals pass; a bool,
-    a string or a non-finite value is rejected, not cast."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name!r} must be a real number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValueError(f"{name!r} must be finite, got {value!r}")
-    return out
-
-
-def _as_reals(values: Any, name: str) -> np.ndarray:
-    """A list (or array) of reals as a 1-d float array, each entry checked
-    by :func:`_as_real`."""
-    if isinstance(values, np.ndarray):
-        values = values.reshape(-1).tolist()
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{name!r} must be a list of real numbers, got {values!r}")
-    return np.array([_as_real(v, name) for v in values], dtype=float)
-
-
 def _as_complex(value: Any, name: str) -> complex:
     """``value`` as a finite complex: a real checked by :func:`_as_real`, a
     Python or numpy complex, or a [re, im] pair of reals."""
@@ -176,15 +155,6 @@ def _as_complex(value: Any, name: str) -> complex:
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(_as_real(value[0], name), _as_real(value[1], name))
     raise ValueError(f"parameter {name!r} must be a real number or a [re, im] pair")
-
-
-def _require_params(params: Mapping[str, Any], family: str, required: set[str]) -> None:
-    missing = required - set(params)
-    extra = set(params) - required
-    if missing:
-        raise ValueError(f"family {family!r} is missing parameters {sorted(missing)}")
-    if extra:
-        raise ValueError(f"family {family!r} does not take parameters {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -252,5 +222,10 @@ _FAMILIES: dict[str, tuple[set[str], Callable[..., QuantumState]]] = {
 def build_state(spec: StateSpec) -> QuantumState:
     """Construct the QuantumState described by ``spec``."""
     required, construct = _FAMILIES[spec.family]
-    _require_params(spec.params, spec.family, required)
+    missing = required - set(spec.params)
+    extra = set(spec.params) - required
+    if missing:
+        raise ValueError(f"family {spec.family!r} is missing parameters {sorted(missing)}")
+    if extra:
+        raise ValueError(f"family {spec.family!r} does not take parameters {sorted(extra)}")
     return construct(spec.params, spec.cutoff)

@@ -31,7 +31,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import _POWER_SUM_ROWS, DEFAULT
 from .hilbert import (
     Array,
     ComplexMatrix,
@@ -238,21 +238,25 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
                         V=_guarded_ratio(lhs, rhs), details=details)
 
 
-# The three sums M of the power-sum condition, as coefficients c_p of P_p.
-_POWER_SUMS = ((0, 1, -1, 0), (1, 0, 1, 1), (1, 1, 0, 1))
+# The power-sum forms of the means and the sums M, as coefficients c_p of P_p.
+_POWER_MEANS, _POWER_SUMS = _POWER_SUM_ROWS
 _POWER_COEFFS = np.array(_POWER_SUMS, dtype=float)
 
 
 def _fourth_moments(Zs: list[Array], A: ComplexMatrix, Ap: ComplexMatrix,
                     B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> list[float]:
-    """``<M^4> = sum_r w_r ||M^2 v_r||^2`` for the three power sums, from the
-    table's ``Z_i = A_i v``: with ``C_i = c_2i B + c_2i+1 B'``, ``M v = Z_0 C_0^T
-    + Z_1 C_1^T`` by blocks of rows, then ``M^2 v = A (M v) C_0^T + A' (M v) C_1^T``
-    by blocks of columns, so ``M v`` is the only new array of the state's size.
-    The ``C_i`` of the three sums are ``B``, ``B'``, ``-B`` and ``B + B'``; the
-    last two are built once per call."""
+    """``<M^4> = sum_r w_r ||M^2 v_r||^2`` for each sum ``M = sum_p c_p P_p`` of
+    ``_POWER_SUMS``, from the table's ``Z_i = A_i v``: with ``C_i = c_2i B +
+    c_2i+1 B'`` (``B`` or ``B'`` itself for a unit pair, else built once per
+    call), ``M v = Z_0 C_0^T + Z_1 C_1^T`` by blocks of rows, then ``M^2 v =
+    A (M v) C_0^T + A' (M v) C_1^T`` by blocks of columns, so ``M v`` is the
+    only new array of the state's size."""
     (left, b), r = Zs[0].shape, s.weights.size
-    combos = {(1, 0): B.data, (0, 1): Bp.data, (-1, 0): -B.data, (1, 1): B.data + Bp.data}
+    combos = {(1, 0): B.data, (0, 1): Bp.data}
+    for pair in (c[k:k + 2] for c in _POWER_SUMS for k in (0, 2)):
+        if pair not in combos:
+            C = combos[pair] = pair[0] * B.data
+            C += pair[1] * Bp.data
     w, row_blocks, col_blocks = s.weights[:, None, None], _blocks(left, b), _blocks(b, left)
     Mv, out = np.empty_like(Zs[0]), []
     for c in _POWER_SUMS:
@@ -275,18 +279,21 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
     """Power-sum condition (n in {2, 4}), violated when lhs > rhs:
 
     <AB + AB' + A'B>^n + <AB' + A'B + A'B'>^n + <AB - A'B'>^n
-        <= <(AB' - A'B)^n> + <(A'B + A'B' + AB)^n> + <(A'B' + AB + AB')^n>
+        <= <(AB' - A'B)^n> + <(AB + A'B + A'B')^n> + <(AB + AB' + A'B')^n>
 
-    with all products tensor-lifted.  The scalar identity behind it holds
-    exactly for these two exponents (see the polyid module).
+    with all products tensor-lifted, the rows of ``config._POWER_SUM_ROWS``,
+    whose scalar identity ``polyid`` proves exact for these two exponents.
     """
     if n not in (2, 4):
         raise ValueError(f"power-sum condition is only available for n in {{2, 4}}, got {n}")
     means, _, G = _shared_table(A, Ap, B, Bp, s)
     m_ab, m_abp, m_apb, m_apbp = means
-    lhs = ((m_ab + m_abp + m_apb) ** n
-           + (m_abp + m_apb + m_apbp) ** n
-           + (m_ab - m_apbp) ** n)
+    lhs = 0.0
+    for row in _POWER_MEANS:  # each form summed left to right, as displayed
+        form = 0.0
+        for c, m in zip(row, means):
+            form += c * m
+        lhs += form ** n
     if n == 2:  # <M^2> = ||M psi||^2 = c^T G c
         pow1, pow2, pow3 = ((_POWER_COEFFS @ G) * _POWER_COEFFS).sum(axis=1).real.tolist()
     else:

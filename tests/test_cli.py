@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -592,6 +594,12 @@ def test_identity_and_eval_run_without_numpy():
     assert "numpy" not in loaded
 
 
+def test_witnesses_load_no_polyid():
+    loaded = loaded_after("import entwit.witnesses")
+    assert "entwit.witnesses" in loaded
+    assert "entwit.polyid" not in loaded
+
+
 def test_cmatrix_loads_neither_polyid_nor_witnesses():
     loaded = loaded_after("from entwit.cli import run\n"
                           "assert run(['cmatrix', '--n', '50']) == 0")
@@ -719,3 +727,24 @@ def test_presets_report_what_witness_reports(capsys, tmp_path, preset, spec, ops
     assert code == 0
     assert doc["results"]["report"] == wdoc["results"]["report"]
     assert doc["meta"]["cutoffs"] == wdoc["meta"]["cutoffs"]
+
+
+def readme_commands() -> list[list[str]]:
+    """The ``entwit`` lines of the README's command block, continuations
+    joined, as argument lists without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("entwit ")]
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._HANDLERS)
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "state.json", {"family": "bell", "params": {"parties": 2}})
+    write_json(tmp_path, "ops.json", {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"})
+    for argv in commands:
+        code, doc, err = invoke(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert doc["command"] == argv[0]

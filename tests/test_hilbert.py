@@ -278,6 +278,21 @@ def test_mix_validates_weights_and_dims():
         mix([], [])
 
 
+@pytest.mark.parametrize("weights", [[True, False], ["0.5", "0.5"], [0.5, None]])
+def test_mix_refuses_non_real_weights(weights):
+    a = QuantumState.pure([1.0, 0.0], (2,))
+    with pytest.raises(ValueError, match="'weights' must be a real number"):
+        mix([a, a], weights)
+
+
+def test_mix_accepts_numpy_real_weights():
+    a = QuantumState.pure([1.0, 0.0], (2,))
+    b = QuantumState.pure([0.0, 1.0], (2,))
+    want = mix([a, b], [0.25, 0.75]).weights
+    assert mix([a, b], [np.float64(0.25), np.float32(0.75)]).weights.tolist() == want.tolist()
+    assert mix([a, b], np.array([0.25, 0.75])).weights.tolist() == want.tolist()
+
+
 def test_mix_half_half_orthogonal_spectrum():
     a = QuantumState.pure([1.0, 0.0], (2,))
     b = QuantumState.pure([0.0, 1.0], (2,))

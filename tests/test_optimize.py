@@ -119,6 +119,19 @@ def test_quadratic_form_validation():
         quadratic_form([1.0, np.nan])
 
 
+@pytest.mark.parametrize("bad", [["0.6", "0.8"], [True, False], [0.8, None], "0.8"])
+def test_quadratic_form_refuses_non_real_coefficients(bad):
+    with pytest.raises(ValueError, match="'c' must be"):
+        quadratic_form(bad)
+
+
+def test_quadratic_form_accepts_numpy_reals():
+    want = quadratic_form([0.8, 0.6])
+    assert quadratic_form([np.float64(0.8), np.float64(0.6)]) == want
+    assert quadratic_form(np.array([[0.8, 0.6]])) == want
+    assert quadratic_form(np.array([0.5, 0.25], dtype=np.float32)) == quadratic_form([0.5, 0.25])
+
+
 # --- smallest eigenvalue -----------------------------------------------------
 
 
@@ -218,6 +231,19 @@ def test_vmax_validation():
         vmax_from_lambda(-0.25)
     with pytest.raises(ValueError, match="not positive"):
         vmax_from_lambda(-0.3, p=1.0)
+
+
+@pytest.mark.parametrize("lambda_min, p, name", [(-0.1, "0.5", "p"), (-0.1, True, "p"),
+                                                 ("-0.1", 0.5, "lambda_min"),
+                                                 (False, 0.5, "lambda_min")])
+def test_vmax_refuses_strings_and_bools(lambda_min, p, name):
+    with pytest.raises(ValueError, match=f"'{name}' must be a real number"):
+        vmax_from_lambda(lambda_min, p)
+
+
+def test_vmax_accepts_numpy_reals():
+    assert vmax_from_lambda(np.float64(-0.1), np.float32(0.5)) == vmax_from_lambda(-0.1, 0.5)
+    assert vmax_from_lambda(-0.1, 1) == vmax_from_lambda(-0.1, 1.0)
 
 
 def test_vmax_grows_with_mixing_weight():

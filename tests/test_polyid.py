@@ -152,6 +152,27 @@ def test_power_sum_identity_holds_only_for_2_and_4(n, holds):
     assert verify("ramanujan", n) is holds
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_power_sum_identity_is_built_from_the_config_rows(n):
+    from entwit.config import _POWER_SUM_ROWS
+
+    x = [Polynomial.variable(u) * Polynomial.variable(v)
+         for u in ("a", "a'") for v in ("b", "b'")]
+
+    def power_sum(rows):
+        total = Polynomial.constant(0)
+        for row in rows:
+            form = Polynomial.constant(0)
+            for c, xp in zip(row, x):
+                form = form + Polynomial.constant(c) * xp
+            total = total + form ** n
+        return total
+
+    lhs, rhs = builtin_identity("ramanujan", n)
+    assert expand(lhs) == power_sum(_POWER_SUM_ROWS[0])
+    assert expand(rhs) == power_sum(_POWER_SUM_ROWS[1])
+
+
 def test_power_sum_n1_difference_is_explicit():
     lhs, rhs = builtin_identity("ramanujan", 1)
     diff = expand(lhs) - expand(rhs)

@@ -754,6 +754,41 @@ def test_moment_table_matches_dense_kron(split, kind, seed):
         assert_matches(got, np.trace(rho @ np.linalg.matrix_power(M, 4)).real)
 
 
+# Sums M over the four products with coefficients in {-1, 0, 1}: a zero pair,
+# negated units, B - B', -B - B' and a zero sum, none of them in the identity.
+OTHER_POWER_SUMS = ((1, -1, 0, 0), (0, 0, -1, 1), (-1, -1, 1, 0), (0, 1, 1, -1),
+                    (-1, 0, 0, -1), (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("split", [((2,), (2,)), ((2,), (3,)), ((3,), (2, 2))])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_fourth_moments_follow_any_rows(monkeypatch, split, kind):
+    import entwit.witnesses as witnesses
+
+    monkeypatch.setattr(witnesses, "_POWER_SUMS", OTHER_POWER_SUMS)
+    gen = rng(31)
+    dims_a, dims_b = split
+    s = {"pure": random_pure, "mixed": random_mixed}[kind](gen, dims_a + dims_b)
+    A, Ap = hermitian_on(gen, dims_a), hermitian_on(gen, dims_a)
+    B, Bp = hermitian_on(gen, dims_b), hermitian_on(gen, dims_b)
+    rho = s.density.data
+    P = [kron(X, Y).data for X in (A, Ap) for Y in (B, Bp)]
+    Zs = witnesses._moment_table(A, Ap, B, Bp, s)[3]
+    got = witnesses._fourth_moments(Zs, A, Ap, B, Bp, s)
+    assert len(got) == len(OTHER_POWER_SUMS)
+    for value, c in zip(got, OTHER_POWER_SUMS):
+        M = sum(cp * Pp for cp, Pp in zip(c, P))
+        assert_matches(value, np.trace(rho @ np.linalg.matrix_power(M, 4)).real)
+
+
+def test_power_sum_tables_are_the_identity_rows():
+    from entwit.config import _POWER_SUM_ROWS
+    from entwit.witnesses import _POWER_COEFFS, _POWER_MEANS, _POWER_SUMS
+
+    assert (_POWER_MEANS, _POWER_SUMS) == _POWER_SUM_ROWS
+    assert _POWER_COEFFS.tolist() == [list(row) for row in _POWER_SUMS]
+
+
 def non_hermitian(op, defect=1e-3):
     skew = np.zeros(op.data.shape, dtype=complex)
     skew[0, -1] = defect
