@@ -132,9 +132,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_cmatrix(args) -> tuple[dict, dict, dict]:
-    from .optimize import c_matrix, min_eigenvalue, vmax_from_lambda
+    from .optimize import _mixing_weight, c_matrix, min_eigenvalue, vmax_from_lambda
 
-    lam, vec = min_eigenvalue(c_matrix(args.n), args.tol)
+    C = c_matrix(args.n)
+    _mixing_weight(args.p)  # a bad --p is refused before the solve
+    lam, vec = min_eigenvalue(C, args.tol)
     results = {
         "lambda_min": lam,
         "eigenvector_head": [float(x) for x in vec[:8]],

@@ -18,25 +18,69 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
 from typing import Any
 
 __all__ = ["Tolerances", "DEFAULT"]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    state_norm: float = 1e-12       # pure-state normalization
-    density_atol: float = 1e-12     # density Hermiticity / trace deviation
-    eigenvalue_floor: float = 1e-10  # most negative admissible density eigenvalue
-    hermitian: float = 1e-10        # observable Hermiticity (max-abs deviation)
-    variance_clamp: float = 1e-6    # variances below -this are an error
-    violation: float = 1e-9         # witness violation threshold on delta
-    ratio_guard: float = 1e-12      # smallest denominator for the V ratio
-    tail_mass: float = 1e-12        # truncation tail bound for cutoff rules
+class _Record:
+    """Immutable value whose fields are the names in ``__match_args__``, set
+    once by :meth:`_init`.  ``==``, ``hash``, ``repr`` and pickling go by type
+    and fields, as a frozen data class's do; the standard module for those is
+    not imported, as with ``inspect`` and ``ast`` it would be the largest part
+    of what ``import entwit.cli`` costs."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _init(self, *values: Any) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__match_args__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Tolerances(_Record):
+    __slots__ = __match_args__ = ("state_norm", "density_atol", "eigenvalue_floor", "hermitian",
+                                  "variance_clamp", "violation", "ratio_guard", "tail_mass")
+
+    def __init__(self,
+                 state_norm: float = 1e-12,       # pure-state normalization
+                 density_atol: float = 1e-12,     # density Hermiticity / trace deviation
+                 eigenvalue_floor: float = 1e-10,  # most negative admissible density eigenvalue
+                 hermitian: float = 1e-10,        # observable Hermiticity (max-abs deviation)
+                 variance_clamp: float = 1e-6,    # variances below -this are an error
+                 violation: float = 1e-9,         # witness violation threshold on delta
+                 ratio_guard: float = 1e-12,      # smallest denominator for the V ratio
+                 tail_mass: float = 1e-12):       # truncation tail bound for cutoff rules
+        self._init(state_norm, density_atol, eigenvalue_floor, hermitian,
+                   variance_clamp, violation, ratio_guard, tail_mass)
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        return dict(zip(self.__match_args__, self._values()))
 
 
 DEFAULT = Tolerances()

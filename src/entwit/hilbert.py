@@ -369,8 +369,15 @@ def _refuse_oversize(nbytes: int, what: str) -> None:
 
 
 def _as_reals(values: Any, name: str) -> Array:
-    """A list or array of reals as a 1-d float array, each checked by :func:`_as_real`."""
+    """A list or array of reals as a 1-d float array, each checked by :func:`_as_real`.
+    An integer or float array is checked whole, not entry by entry."""
     if isinstance(values, np.ndarray):
+        if values.dtype.kind in "iuf":
+            out = np.array(values, dtype=float).reshape(-1)
+            finite = np.isfinite(out)
+            if not finite.all():
+                raise ValueError(f"{name!r} must be finite, got {float(out[finite.argmin()])!r}")
+            return out
         values = values.reshape(-1).tolist()
     if not isinstance(values, (list, tuple)):
         raise ValueError(f"{name!r} must be a list of real numbers, got {values!r}")

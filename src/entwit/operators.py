@@ -6,11 +6,9 @@ away from the truncation edge and the vacuum quadrature variance is 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import _as_int
+from .config import _Record, _as_int
 from .hilbert import ComplexMatrix
 
 __all__ = [
@@ -33,17 +31,17 @@ def annihilation(dim: int) -> ComplexMatrix:
     return ComplexMatrix(a, _owned=True)
 
 
-@dataclass(frozen=True)
-class QuadraturePair:
+class QuadraturePair(_Record):
     """Hermitian quadratures of one truncated mode.
 
     The commutator [x, p] equals i*I on the top-left (dim-2)x(dim-2) block;
     the corner deviation is the unavoidable truncation edge.
     """
 
-    x: ComplexMatrix
-    p: ComplexMatrix
-    dim: int
+    __slots__ = __match_args__ = ("x", "p", "dim")
+
+    def __init__(self, x: ComplexMatrix, p: ComplexMatrix, dim: int):
+        self._init(x, p, dim)
 
 
 def quadratures(dim: int) -> QuadraturePair:

@@ -24,12 +24,11 @@ would not fit in memory are refused before anything is allocated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from .config import _as_int, _as_real
+from .config import _Record, _as_int, _as_real
 from .hilbert import _as_reals, _refuse_oversize
 
 Array = np.ndarray
@@ -57,27 +56,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TridiagonalMatrix:
-    """Real symmetric tridiagonal matrix, stored as diagonal and off-diagonal."""
+class TridiagonalMatrix(_Record):
+    """Real symmetric tridiagonal matrix, stored as diagonal and off-diagonal.
 
-    diag: Array
-    offdiag: Array
+    The entries must be finite reals: a string, a bool or a complex is
+    refused with ValueError, not cast."""
 
-    def __post_init__(self):
-        diag = np.array(self.diag, dtype=float)
-        off = np.array(self.offdiag, dtype=float)
-        if diag.ndim != 1 or off.ndim != 1 or diag.size < 1:
+    __slots__ = __match_args__ = ("diag", "offdiag")
+
+    def __init__(self, diag: Array, offdiag: Array):
+        if np.ndim(diag) != 1 or np.ndim(offdiag) != 1 or np.size(diag) < 1:
             raise ValueError("diag/offdiag must be one-dimensional, diag non-empty")
+        diag, off = _as_reals(diag, "diag"), _as_reals(offdiag, "offdiag")
         if off.size != diag.size - 1:
             raise ValueError(f"offdiag length {off.size} must be diag length - 1 "
                              f"({diag.size - 1})")
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-            raise ValueError("matrix entries must be finite")
         diag.setflags(write=False)
         off.setflags(write=False)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", off)
+        self._init(diag, off)
 
     @property
     def size(self) -> int:
@@ -314,11 +310,17 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     return rayleigh, v
 
 
-def vmax_from_lambda(lambda_min: float, p: float = 1.0) -> float:
-    """Peak violation measure (1/4) / (1/4 + p*lambda_min) of the mixture family."""
+def _mixing_weight(p: Any) -> float:
+    """``p`` as a mixing weight: a real in [0, 1]."""
     p = _as_real(p, "p")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
+    return p
+
+
+def vmax_from_lambda(lambda_min: float, p: float = 1.0) -> float:
+    """Peak violation measure (1/4) / (1/4 + p*lambda_min) of the mixture family."""
+    p = _mixing_weight(p)
     denominator = 0.25 + p * _as_real(lambda_min, "lambda_min")
     if denominator <= 0.0:
         raise ValueError(f"1/4 + p*lambda_min = {denominator!r} is not positive; "
@@ -326,24 +328,19 @@ def vmax_from_lambda(lambda_min: float, p: float = 1.0) -> float:
     return 0.25 / denominator
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Grid scan outcome plus the refined optimum."""
+class ScanResult(_Record):
+    """Grid scan outcome plus the refined optimum; grid and values are
+    checked as the entries of :class:`TridiagonalMatrix` are."""
 
-    grid: Array
-    values: Array
-    argbest: float
-    best: float
+    __slots__ = __match_args__ = ("grid", "values", "argbest", "best")
 
-    def __post_init__(self):
-        grid = np.array(self.grid, dtype=float)
-        values = np.array(self.values, dtype=float)
-        if grid.shape != values.shape or grid.ndim != 1:
+    def __init__(self, grid: Array, values: Array, argbest: float, best: float):
+        if np.ndim(grid) != 1 or np.shape(grid) != np.shape(values):
             raise ValueError("grid and values must be 1-d arrays of equal length")
+        grid, values = _as_reals(grid, "grid"), _as_reals(values, "values")
         grid.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
+        self._init(grid, values, argbest, best)
 
     def to_json(self) -> dict[str, Any]:
         return {"grid": self.grid.tolist(), "values": self.values.tolist(),

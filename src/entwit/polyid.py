@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .config import _POWER_SUM_ROWS, _as_int
+from .config import _POWER_SUM_ROWS, _Record, _as_int
 
 __all__ = [
     "VARIABLES",
@@ -189,59 +188,63 @@ class Polynomial:
 # --- AST ---------------------------------------------------------------
 
 
-class Expr:
+class Expr(_Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if self.name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {self.name!r}")
+    def __init__(self, name: str):
+        if name not in _VAR_INDEX:
+            raise ValueError(f"unknown variable {name!r}")
+        self._init(name)
 
 
-@dataclass(frozen=True)
 class IntLit(Expr):
-    value: int
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self):
-        if self.value < 0:
+    def __init__(self, value: int):
+        if value < 0:
             raise ValueError("integer literals are unsigned; use Neg for negatives")
+        self._init(value)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    operand: Expr
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Expr):
+        self._init(operand)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self._init(left, right)
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self._init(left, right)
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    left: Expr
-    right: Expr
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Expr, right: Expr):
+        self._init(left, right)
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
 
-    def __post_init__(self):
-        if not isinstance(self.exponent, int) or self.exponent < 0:
+    def __init__(self, base: Expr, exponent: int):
+        if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("power exponents must be non-negative integers")
+        self._init(base, exponent)
 
 
 class ParseError(ValueError):

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, _as_int, _as_real
+from .config import DEFAULT, _Record, _as_int, _as_real
 from .hilbert import QuantumState, _as_reals, _refuse_oversize, mix
 
 __all__ = [
@@ -157,22 +156,19 @@ def _as_complex(value: Any, name: str) -> complex:
     raise ValueError(f"parameter {name!r} must be a real number or a [re, im] pair")
 
 
-@dataclass(frozen=True)
-class StateSpec:
+class StateSpec(_Record):
     """Declarative state description with the canonical JSON encoding
     ``{"family": ..., "params": {...}, "cutoff": D}``."""
 
-    family: str
-    params: Mapping[str, Any] = field(default_factory=dict)
-    cutoff: int | None = None
+    __slots__ = __match_args__ = ("family", "params", "cutoff")
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown state family {self.family!r}; "
+    def __init__(self, family: str, params: Mapping[str, Any] | None = None,
+                 cutoff: int | None = None):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown state family {family!r}; "
                              f"expected one of {', '.join(_FAMILIES)}")
-        object.__setattr__(self, "params", dict(self.params))
-        if self.cutoff is not None:
-            object.__setattr__(self, "cutoff", _as_int(self.cutoff, "cutoff"))
+        self._init(family, {} if params is None else dict(params),
+                   None if cutoff is None else _as_int(cutoff, "cutoff"))
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "StateSpec":

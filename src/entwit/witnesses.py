@@ -26,12 +26,11 @@ the lifted Hermiticity of its own products.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
 
-from .config import _POWER_SUM_ROWS, DEFAULT
+from .config import _POWER_SUM_ROWS, DEFAULT, _Record
 from .hilbert import (
     Array,
     ComplexMatrix,
@@ -58,24 +57,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(_Record):
     """Evaluation record of one condition.
 
     ``details`` holds every single-product expectation (and second moment)
     that entered the evaluation, so lhs/rhs can be recomputed independently.
     """
 
-    name: str
-    lhs: float
-    rhs: float
-    delta: float
-    V: float | None
-    violated: bool
-    details: dict[str, float] = field(default_factory=dict)
+    __slots__ = __match_args__ = ("name", "lhs", "rhs", "delta", "V", "violated", "details")
+
+    def __init__(self, name: str, lhs: float, rhs: float, delta: float, V: float | None,
+                 violated: bool, details: dict[str, float] | None = None):
+        self._init(name, lhs, rhs, delta, V, violated, {} if details is None else details)
 
     def to_json(self) -> dict[str, Any]:
-        return asdict(self)
+        """The fields by name, ``details`` as a copy."""
+        out = dict(zip(self.__match_args__, self._values()))
+        out["details"] = dict(self.details)
+        return out
 
 
 def _make_report(name: str, lhs: float, rhs: float, *, leq: bool,

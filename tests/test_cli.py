@@ -569,11 +569,11 @@ def test_psi2_document_is_written_in_bounded_pieces(monkeypatch):
 
 
 def loaded_after(code):
-    """Run ``code`` in a fresh interpreter; return the numpy and entwit
-    modules it left in ``sys.modules``."""
+    """Run ``code`` in a fresh interpreter; return the numpy, entwit,
+    dataclasses and inspect modules it left in ``sys.modules``."""
     report = ("\nimport json, sys\n"
               "json.dump(sorted(m for m in sys.modules if m.split('.')[0] in "
-              "('numpy', 'entwit')), sys.stderr)")
+              "('numpy', 'entwit', 'dataclasses', 'inspect')), sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code + report],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -605,6 +605,38 @@ def test_cmatrix_loads_neither_polyid_nor_witnesses():
                           "assert run(['cmatrix', '--n', '50']) == 0")
     assert "entwit.optimize" in loaded
     assert not loaded & {"entwit.polyid", "entwit.witnesses"}
+
+
+def test_cli_identity_and_eval_load_neither_dataclasses_nor_inspect():
+    assert not loaded_after("import entwit.cli") & {"dataclasses", "inspect"}
+    loaded = loaded_after(
+        "from entwit.cli import run\n"
+        "assert run(['identity', '--name', 'ramanujan', '--n', '4']) == 0\n"
+        "assert run(['eval', '--expr-lhs', 'a*b', '--expr-rhs', 'b*a']) == 0")
+    assert "entwit.polyid" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("code", [
+    "from entwit.cli import run\nassert run(['cmatrix', '--n', '50']) == 0",
+    "import entwit.witnesses",
+])
+def test_numpy_runs_load_no_dataclasses(code):
+    loaded = loaded_after(code)
+    assert "numpy" in loaded and "dataclasses" not in loaded
+
+
+def test_cmatrix_refuses_bad_weight_before_the_solve(capsys, monkeypatch):
+    import entwit.optimize
+
+    def solve(*args):
+        raise AssertionError("min_eigenvalue called before --p was checked")
+
+    monkeypatch.setattr(entwit.optimize, "min_eigenvalue", solve)
+    assert run(["cmatrix", "--n", "200000", "--p", "1.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mixing weight must lie in [0, 1], got 1.5\n"
 
 
 def test_reader_closing_early_leaves_no_traceback():

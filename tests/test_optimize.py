@@ -285,6 +285,46 @@ def test_scan_result_validation_and_immutability():
         result.grid[0] = 0.5
 
 
+@pytest.mark.parametrize("diag,off", [
+    (["1", "2"], ["0.5"]),
+    ([True, False], [True]),
+    ([1.0, 2.0], [0.5 + 0j]),
+    ([1.0, True], [0.5]),
+    (np.array([True, False]), np.array([True])),
+    (np.array([1.0, 2.0]), np.array([0.5j])),
+])
+def test_tridiagonal_refuses_non_real_entries(diag, off):
+    with pytest.raises(ValueError, match="must be a real number"):
+        TridiagonalMatrix(diag, off)
+
+
+@pytest.mark.parametrize("grid,values", [
+    (["0.25", "0.75"], [1.0, 2.0]),
+    ([0.25, 0.75], [True, False]),
+    (np.array([0.25, 0.75]), np.array([1.0, 2.0 + 1j])),
+])
+def test_scan_result_refuses_non_real_entries(grid, values):
+    with pytest.raises(ValueError, match="must be a real number"):
+        ScanResult(grid, values, 0.5, 2.0)
+
+
+def test_float_arrays_are_checked_whole(monkeypatch):
+    import entwit.hilbert
+
+    want, want_int = quadratic_form([0.8, 0.6]), quadratic_form([4.0, 3.0])
+
+    def per_entry(value, name):
+        raise AssertionError("a float array was checked entry by entry")
+
+    monkeypatch.setattr(entwit.hilbert, "_as_real", per_entry)
+    M = c_matrix(200)
+    assert np.array_equal(TridiagonalMatrix(M.diag, M.offdiag).dense(), M.dense())
+    assert quadratic_form(np.array([0.8, 0.6])) == want
+    assert quadratic_form(np.array([4, 3])) == want_int
+    with pytest.raises(ValueError, match="'c' must be finite, got nan"):
+        quadratic_form(np.array([1.0, np.nan]))
+
+
 # --- the scalar kernels against the numpy-indexing loops they replaced --------
 
 
