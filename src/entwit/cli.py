@@ -132,24 +132,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_cmatrix(args) -> tuple[dict, dict, dict]:
-    from .optimize import _mixing_weight, c_matrix, min_eigenvalue, vmax_from_lambda
+    from .optimize import _c_entries, _eigenpair, _mixing_weight, vmax_from_lambda
 
-    C = c_matrix(args.n)
+    diag, off = _c_entries(args.n)
     _mixing_weight(args.p)  # a bad --p is refused before the solve
-    lam, vec = min_eigenvalue(C, args.tol)
+    lam, vec = _eigenpair(diag, off, args.tol)
     results = {
         "lambda_min": lam,
-        "eigenvector_head": [float(x) for x in vec[:8]],
+        "eigenvector_head": vec[:8].tolist(),
         "vmax": vmax_from_lambda(lam, args.p),
     }
     return {"n": args.n, "p": args.p, "tol": args.tol}, results, {}
 
 
 def _run_psi2(args) -> tuple[dict, dict, dict]:
-    from .optimize import psi2_scan
+    from .optimize import _scan
 
-    result = psi2_scan(args.scan)
-    return {"scan": args.scan}, {"scan": result.to_json()}, {}
+    grid, values, argbest, best = _scan(args.scan)
+    scan = {"grid": grid.tolist(), "values": values.tolist(), "argbest": argbest, "best": best}
+    return {"scan": args.scan}, {"scan": scan}, {}
 
 
 def _evaluate_spec(spec: StateSpec, condition: str, ops: Any) -> tuple[dict, dict]:

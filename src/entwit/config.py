@@ -1,4 +1,4 @@
-"""Shared tolerances, the parameter checks and the power-sum identity's rows.
+"""Shared tolerances, the input checks and the power-sum identity's rows.
 
 Every quantity handled by this package is O(1) to O(10^2), so absolute
 tolerances are used throughout.  The table below is the only setting: no
@@ -8,7 +8,8 @@ table under ``meta.tolerances``.
 
 Every integer parameter of the library (a dimension, a cutoff, a truncation
 order, a grid size, an exponent) goes through :func:`_as_int`, and every
-real one through :func:`_as_real`; neither imports numpy.
+real one through :func:`_as_real`, and :func:`_refuse_oversize` refuses a
+request too large for memory; none of them imports numpy.
 
 ``_POWER_SUM_ROWS`` is data, not a setting: the power-sum identity, stated
 once for the ``polyid`` proof and the ``witnesses`` evaluation.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from typing import Any
 
 __all__ = ["Tolerances", "DEFAULT"]
@@ -108,3 +110,24 @@ def _as_real(value: Any, name: str) -> float:
     if not math.isfinite(out):
         raise ValueError(f"{name!r} must be finite, got {value!r}")
     return out
+
+
+# Arrays of the state's size held at once, the state included: two to build
+# it; two partial products A_i v of a moment table and, for fourth moments,
+# one more (the products themselves are formed a small block at a time).
+_WORKING_COPIES = 4
+
+
+def _refuse_oversize(nbytes: int, what: str) -> None:
+    """Raise ValueError, before allocating, when a state of ``nbytes`` and its
+    working copies would take more than half of the machine's physical
+    memory.  Skipped where the platform does not report physical memory."""
+    try:
+        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+    except (AttributeError, ValueError, OSError):
+        return
+    need = _WORKING_COPIES * nbytes
+    if need > budget:
+        raise ValueError(f"{what} needs {need / 2**30:.3g} GiB with its working copies, "
+                         f"more than half of this machine's physical memory "
+                         f"({budget / 2**30:.3g} GiB)")

@@ -37,12 +37,12 @@ Conventions
 from __future__ import annotations
 
 import math
-import os
+from array import array
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, _as_int, _as_real
+from .config import _WORKING_COPIES, DEFAULT, _as_int, _as_real, _refuse_oversize
 
 Array = np.ndarray
 
@@ -347,31 +347,11 @@ def _lifted_moments(factors: Sequence[Array], s: QuantumState) -> tuple[complex,
     return complex(np.vdot(s.vectors, wY)), float(np.vdot(Y, wY).real)
 
 
-# Arrays of the state's size held at once, the state included: two to build
-# it; two partial products A_i v of a moment table and, for fourth moments,
-# one more (the products themselves are formed a small block at a time).
-_WORKING_COPIES = 4
-
-
-def _refuse_oversize(nbytes: int, what: str) -> None:
-    """Raise ValueError, before allocating, when a state of ``nbytes`` and its
-    working copies would take more than half of the machine's physical
-    memory.  Skipped where the platform does not report physical memory."""
-    try:
-        budget = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-    except (AttributeError, ValueError, OSError):
-        return
-    need = _WORKING_COPIES * nbytes
-    if need > budget:
-        raise ValueError(f"{what} needs {need / 2**30:.3g} GiB with its working copies, "
-                         f"more than half of this machine's physical memory "
-                         f"({budget / 2**30:.3g} GiB)")
-
-
 def _as_reals(values: Any, name: str) -> Array:
     """A list or array of reals as a 1-d float array, each checked by :func:`_as_real`.
-    An integer or float array is checked whole, not entry by entry."""
-    if isinstance(values, np.ndarray):
+    An integer or float ndarray or ``array.array`` is checked whole, not entry by entry."""
+    if isinstance(values, (np.ndarray, array)):
+        values = np.asarray(values)
         if values.dtype.kind in "iuf":
             out = np.array(values, dtype=float).reshape(-1)
             finite = np.isfinite(out)

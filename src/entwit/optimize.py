@@ -14,35 +14,35 @@ general eigensolver dependency.  A bisection step only asks whether any
 eigenvalue lies below the midpoint, so its recurrence stops at the first
 pivot the count would include; the two certificates take full counts.
 Inverse iteration factors the shifted matrix once and reuses the factors
-for every iterate.  The scalar recurrences (the Sturm sequence, the
-pivoted factorization and its solves) run on Python floats read and
-written through memoryviews of numpy buffers, never on numpy scalars; the
-psi2 grid is evaluated as one array expression.  Requests whose arrays
-would not fit in memory are refused before anything is allocated.
+for every iterate.  The kernels (C_N, the solve, the psi2 scan), which
+``cmatrix`` and ``psi2`` call, run on Python floats in ``array('d')``
+buffers with ``math.fsum``/``math.hypot`` reductions and no numpy; the
+public names wrap them in ndarrays.  Requests whose arrays would not fit
+in memory are refused before anything is allocated.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
+import sys
+from array import array
+from itertools import chain, islice, repeat
+from operator import add, mul, neg, sub, truediv
+from typing import TYPE_CHECKING, Any, Sequence
 
-import numpy as np
+from .config import _Record, _as_int, _as_real, _refuse_oversize
 
-from .config import _Record, _as_int, _as_real
-from .hilbert import _as_reals, _refuse_oversize
+if TYPE_CHECKING:
+    from numpy import ndarray as Array
 
-Array = np.ndarray
-
-# Float arrays of the matrix size that c_matrix and min_eigenvalue hold at
-# once: the matrix and its build temporaries, off2, the Gershgorin radii
-# (freed before the factorization), the four factor buffers and the swap
-# flags of _tridiag_factor, and the inverse-iteration vectors.
+# Floats per entry of C_N that c_matrix and min_eigenvalue hold at once, a
+# conservative bound: the matrix, off2, the factor buffers, the iteration
+# vectors (9) and the Python floats math.hypot is handed (4).  Counted with
+# the four working copies, 384 bytes an entry; `cmatrix --n 1000000` uses 125.
 _SOLVE_ARRAYS = 12
-# Floats per grid point of psi2_scan, kept as a conservative bound: the
-# grid, the values, their temporaries and the copies ScanResult keeps (6),
-# doubled for the lists of a JSON report of the scan.  With the four working
-# copies that _refuse_oversize counts, that is 384 bytes per point; `psi2
-# --scan` peaks at about 98, its report being written a slice at a time.
+# Floats per grid point of psi2_scan, a conservative bound: the grid and
+# the values (2) and the lists of a JSON report (8); 384 bytes a point with
+# the working copies, where `psi2 --scan 1000000` uses 92.
 _SCAN_FLOATS = 12
 
 __all__ = [
@@ -65,6 +65,9 @@ class TridiagonalMatrix(_Record):
     __slots__ = __match_args__ = ("diag", "offdiag")
 
     def __init__(self, diag: Array, offdiag: Array):
+        import numpy as np
+        from .hilbert import _as_reals
+
         if np.ndim(diag) != 1 or np.ndim(offdiag) != 1 or np.size(diag) < 1:
             raise ValueError("diag/offdiag must be one-dimensional, diag non-empty")
         diag, off = _as_reals(diag, "diag"), _as_reals(offdiag, "offdiag")
@@ -80,17 +83,33 @@ class TridiagonalMatrix(_Record):
         return int(self.diag.size)
 
     def dense(self) -> Array:
+        import numpy as np
+
         M = np.diag(self.diag)
         if self.offdiag.size:
             M += np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
         return M
 
     def matvec(self, v: Array) -> Array:
-        out = self.diag * v
-        if self.offdiag.size:
-            out[:-1] += self.offdiag * v[1:]
-            out[1:] += self.offdiag * v[:-1]
-        return out
+        import numpy as np
+        from .hilbert import _as_reals
+
+        v = _as_reals(v, "v")
+        if v.size != self.size:
+            raise ValueError(f"vector length {v.size} must be the matrix size {self.size}")
+        return np.asarray(_tridiag_product(memoryview(self.diag), memoryview(self.offdiag),
+                                           memoryview(v)))
+
+
+def _c_entries(N: Any) -> tuple[array, array]:
+    """The diagonal and off-diagonal of C_N, checked as by :func:`c_matrix`."""
+    N = _as_int(N, "N")
+    if N < 0:
+        raise ValueError(f"truncation order must be non-negative, got {N}")
+    _refuse_oversize(8 * _SOLVE_ARRAYS * (N + 1), f"C_N at N = {N}")
+    diag = array("d", [2.0 * n * (2.0 * n + 1.0) for n in range(N + 1)])
+    off = array("d", [-(m + 1.0) * (2.0 * m + 1.0) / 2.0 for m in range(N)])
+    return diag, off
 
 
 def c_matrix(N: int) -> TridiagonalMatrix:
@@ -102,15 +121,7 @@ def c_matrix(N: int) -> TridiagonalMatrix:
     :func:`min_eigenvalue` too) would not fit in memory is refused with
     ValueError before allocation.
     """
-    N = _as_int(N, "N")
-    if N < 0:
-        raise ValueError(f"truncation order must be non-negative, got {N}")
-    _refuse_oversize(8 * _SOLVE_ARRAYS * (N + 1), f"C_N at N = {N}")
-    ns = np.arange(N + 1, dtype=float)
-    diag = 2.0 * ns * (2.0 * ns + 1.0)
-    ms = np.arange(N, dtype=float)
-    off = -(ms + 1.0) * (2.0 * ms + 1.0) / 2.0
-    return TridiagonalMatrix(diag, off)
+    return TridiagonalMatrix(*_c_entries(N))
 
 
 def quadratic_form(c: Sequence[float]) -> float:
@@ -119,6 +130,8 @@ def quadratic_form(c: Sequence[float]) -> float:
     Identical in value to ``c @ c_matrix(N).dense() @ c``, which splits each
     cross term symmetrically.
     """
+    from .hilbert import _as_reals
+
     coeffs = _as_reals(c, "c")
     if coeffs.size < 1:
         raise ValueError("need at least one coefficient")
@@ -130,10 +143,10 @@ def quadratic_form(c: Sequence[float]) -> float:
     return total
 
 
-def _count_below(diag: Array, off2: Array, x: float, pivmin: float) -> int:
+def _count_below(diag, off2, x: float, pivmin: float) -> int:
     """Number of eigenvalues strictly below x (Sturm sign-change count).
 
-    The loop runs over memoryviews of the arrays, which yield Python floats
+    The loop runs over memoryviews of the buffers, which yield Python floats
     and copy nothing.  A pivot q with |q| < pivmin is replaced by -pivmin,
     so every q below pivmin counts as negative.
     """
@@ -153,7 +166,7 @@ def _count_below(diag: Array, off2: Array, x: float, pivmin: float) -> int:
     return count
 
 
-def _any_below(diag: Array, off2: Array, x: float, pivmin: float) -> bool:
+def _any_below(diag, off2, x: float, pivmin: float) -> bool:
     """``_count_below(diag, off2, x, pivmin) >= 1``, from the same recurrence
     stopped at the first pivot below pivmin."""
     q = float(diag[0]) - x
@@ -166,34 +179,35 @@ def _any_below(diag: Array, off2: Array, x: float, pivmin: float) -> bool:
     return False
 
 
-def _tridiag_factor(diag: Array, off: Array, sigma: float) -> tuple:
+def _tridiag_factor(diag, off, sigma: float) -> tuple:
     """Factor T - sigma*I by elimination with partial pivoting.
 
     Pivoting keeps the solve stable at the nearly singular shifts used by
     inverse iteration; the factored upper triangle gains a second
-    superdiagonal, nothing more.  Returns memoryviews of float64 buffers
-    (pivots, first and second superdiagonal, elimination factors) and of a
-    bool buffer marking the swapped row pairs; a zero pivot is stored as the
-    smallest normal float.  The loop reads and writes Python floats.
+    superdiagonal, nothing more.  Returns memoryviews (indexed faster than
+    the arrays) of float buffers of the pivots, first and second
+    superdiagonal and elimination factors, and a bytearray marking the
+    swapped row pairs; a zero pivot is stored as the smallest normal float.
     """
-    n = diag.size
-    tiny = float(np.finfo(float).tiny)
-    off = np.ascontiguousarray(off, dtype=float)
-    d = memoryview(diag - sigma)                 # main diagonal, then pivots
-    u1 = memoryview(np.append(off, 0.0))         # first superdiagonal
-    u2 = memoryview(np.zeros(n))                 # second superdiagonal (pivot fill-in)
-    factors = memoryview(np.empty(n - 1))
-    swaps = memoryview(np.zeros(n - 1, dtype=bool))
-    for i, sub in enumerate(memoryview(off)):    # subdiagonal entries, in order
-        if abs(sub) > abs(d[i]):
+    n = len(diag)
+    tiny = sys.float_info.min
+    off = memoryview(off)
+    d, u1, u2, factors = map(memoryview, (
+        array("d", map(sub, memoryview(diag), repeat(sigma))),  # diagonal, then pivots
+        array("d", chain(off, (0.0,))),          # first superdiagonal
+        array("d", [0.0]) * n,                   # second superdiagonal (pivot fill-in)
+        array("d", [0.0]) * (n - 1)))
+    swaps = bytearray(n - 1)
+    for i, below in enumerate(off):              # subdiagonal entries, in order
+        if abs(below) > abs(d[i]):
             # swap rows i and i+1
-            d[i], sub = sub, d[i]
+            d[i], below = below, d[i]
             u1[i], d[i + 1] = d[i + 1], u1[i]
             u2[i], u1[i + 1] = u1[i + 1], 0.0
-            swaps[i] = True
+            swaps[i] = 1
         if d[i] == 0.0:
             d[i] = tiny
-        factor = factors[i] = sub / d[i]
+        factor = factors[i] = below / d[i]
         d[i + 1] -= factor * u1[i]
         u1[i + 1] -= factor * u2[i]
     if d[n - 1] == 0.0:
@@ -201,12 +215,12 @@ def _tridiag_factor(diag: Array, off: Array, sigma: float) -> tuple:
     return d, u1, u2, factors, swaps
 
 
-def _tridiag_apply(factored: tuple, rhs: Array) -> Array:
+def _tridiag_apply(factored: tuple, rhs) -> array:
     """Solve with the factorization from :func:`_tridiag_factor`: the row
     swaps and eliminations on ``rhs``, then back substitution."""
     d, u1, u2, factors, swaps = factored
     n = len(d)
-    b = memoryview(np.array(rhs, dtype=float))
+    b = memoryview(array("d", memoryview(rhs)))
     carry = b[0]                                 # b[i], already eliminated
     for i, swap, factor in zip(range(n - 1), swaps, factors):
         below = b[i + 1]
@@ -215,7 +229,7 @@ def _tridiag_apply(factored: tuple, rhs: Array) -> Array:
         b[i] = carry
         carry = below - factor * carry
     b[n - 1] = carry
-    solution = np.empty(n)
+    solution = array("d", [0.0]) * n
     v = memoryview(solution)
     x1 = v[n - 1] = b[n - 1] / d[n - 1]         # x1, x2: v[i + 1], v[i + 2]
     if n > 1:
@@ -229,9 +243,73 @@ def _tridiag_apply(factored: tuple, rhs: Array) -> Array:
     return solution
 
 
-def _tridiag_solve(diag: Array, off: Array, sigma: float, rhs: Array) -> Array:
+def _tridiag_solve(diag, off, sigma: float, rhs) -> array:
     """Solve (T - sigma*I) v = rhs by elimination with partial pivoting."""
     return _tridiag_apply(_tridiag_factor(diag, off, sigma), rhs)
+
+
+def _tridiag_product(diag, off, v) -> array:
+    """``T v``, row i summed as ``(diag[i] v[i] + off[i] v[i+1]) + off[i-1] v[i-1]``."""
+    rows = chain(map(add, map(mul, diag, v), map(mul, off, v[1:])), (diag[-1] * v[-1],))
+    out = array("d", islice(rows, 1))
+    out.extend(map(add, rows, map(mul, off, v)))
+    return out
+
+
+def _eigenpair(diag, off, tol: float) -> tuple[float, array]:
+    """:func:`min_eigenvalue` on float buffers, the vector an ``array('d')``."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+    n = len(diag)
+    if n == 1:
+        return float(diag[0]), array("d", [1.0])
+    absoff = array("d", map(abs, off))
+    radius = array("d", map(add, chain(absoff, (0.0,)), chain((0.0,), absoff)))
+    lo = min(map(sub, diag, radius))
+    hi = max(map(add, diag, radius))
+    del absoff, radius
+    slack = 1e-12 * max(abs(lo), abs(hi))
+    # lambda_min <= min(diag), so the count above this point is at least 1
+    count_known_above = min(diag) + slack
+    off2 = array("d", map(mul, off, off))
+    pivmin = sys.float_info.min * max(1.0, max(off2))
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid > count_known_above or _any_below(diag, off2, mid, pivmin):
+            hi = mid
+        else:
+            lo = mid
+    lam = 0.5 * (lo + hi)
+    v = array("d", [1.0 / math.sqrt(n)]) * n
+    factored = _tridiag_factor(diag, off, lam + 1e-12)
+    for _ in range(3):
+        w = _tridiag_apply(factored, v)
+        norm = math.hypot(*w)
+        if norm == 0.0 or not math.isfinite(norm):  # pathological shift; nudge and retry
+            w = _tridiag_solve(diag, off, lam + 1e-10, v)
+            norm = math.hypot(*w)
+        v = array("d", map(truediv, w, repeat(norm)))
+    del factored
+    if max(v, key=abs) < 0.0:
+        v = array("d", map(neg, v))
+    Cv = _tridiag_product(diag, off, v)
+    rayleigh = math.fsum(map(mul, v, Cv))
+    # Some eigenvalue lies within the residual of the Rayleigh quotient;
+    # it is the smallest only if the Sturm count finds none further below.
+    residual = math.hypot(*map(sub, Cv, map(mul, repeat(rayleigh), v)))
+    floor = rayleigh - residual - slack
+    below = _count_below(diag, off2, floor, pivmin)
+    if below:
+        raise ValueError(f"eigenvalue {rayleigh:.6g} is not the smallest: {below} "
+                         f"eigenvalue(s) lie below {floor:.6g}; tolerance {tol} "
+                         f"is too loose")
+    ceiling = rayleigh + residual + slack
+    if _count_below(diag, off2, ceiling, pivmin) < 1:
+        raise ValueError(f"eigenvalue {rayleigh:.6g} is not certified: no eigenvalue "
+                         f"lies below {ceiling:.6g}")
+    return rayleigh, v
 
 
 def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Array]:
@@ -255,59 +333,10 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     bisection stopped away from the bottom of the spectrum, ValueError is
     raised.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
-    diag, off = M.diag, M.offdiag
-    if M.size == 1:
-        return float(diag[0]), np.array([1.0])
-    radius = np.zeros(M.size)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
-    del radius
-    slack = 1e-12 * max(abs(lo), abs(hi))
-    # lambda_min <= min(diag), so the count above this point is at least 1
-    count_known_above = float(np.min(diag)) + slack
-    off2 = off * off
-    pivmin = float(np.finfo(float).tiny) * max(1.0, float(off2.max()))
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if mid > count_known_above or _any_below(diag, off2, mid, pivmin):
-            hi = mid
-        else:
-            lo = mid
-    lam = 0.5 * (lo + hi)
-    v = np.full(M.size, 1.0 / math.sqrt(M.size))
-    factored = _tridiag_factor(diag, off, lam + 1e-12)
-    for _ in range(3):
-        w = _tridiag_apply(factored, v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0 or not np.isfinite(norm):  # pathological shift; nudge and retry
-            w = _tridiag_solve(diag, off, lam + 1e-10, v)
-            norm = float(np.linalg.norm(w))
-        v = w / norm
-    del factored
-    if v[np.argmax(np.abs(v))] < 0.0:
-        v = -v
-    Cv = M.matvec(v)
-    rayleigh = float(v @ Cv)
-    # Some eigenvalue lies within the residual of the Rayleigh quotient;
-    # it is the smallest only if the Sturm count finds none further below.
-    residual = float(np.linalg.norm(Cv - rayleigh * v))
-    floor = rayleigh - residual - slack
-    below = _count_below(diag, off2, floor, pivmin)
-    if below:
-        raise ValueError(f"eigenvalue {rayleigh:.6g} is not the smallest: {below} "
-                         f"eigenvalue(s) lie below {floor:.6g}; tolerance {tol} "
-                         f"is too loose")
-    ceiling = rayleigh + residual + slack
-    if _count_below(diag, off2, ceiling, pivmin) < 1:
-        raise ValueError(f"eigenvalue {rayleigh:.6g} is not certified: no eigenvalue "
-                         f"lies below {ceiling:.6g}")
-    return rayleigh, v
+    import numpy as np
+
+    lam, v = _eigenpair(memoryview(M.diag), memoryview(M.offdiag), tol)
+    return lam, np.asarray(v)
 
 
 def _mixing_weight(p: Any) -> float:
@@ -335,6 +364,9 @@ class ScanResult(_Record):
     __slots__ = __match_args__ = ("grid", "values", "argbest", "best")
 
     def __init__(self, grid: Array, values: Array, argbest: float, best: float):
+        import numpy as np
+        from .hilbert import _as_reals
+
         if np.ndim(grid) != 1 or np.shape(grid) != np.shape(values):
             raise ValueError("grid and values must be 1-d arrays of equal length")
         grid, values = _as_reals(grid, "grid"), _as_reals(values, "values")
@@ -348,28 +380,14 @@ class ScanResult(_Record):
 
 
 def _psi2_objective(c0: float) -> float:
+    """``vmax_from_lambda(quadratic_form([c0, c1]))`` at c1 = sqrt(max(0, 1 -
+    c0^2)): the same floating-point operations, without the checks."""
     c1 = math.sqrt(max(0.0, 1.0 - c0 * c0))
-    return vmax_from_lambda(quadratic_form([c0, c1]))
-
-
-def _psi2_values(grid: Array) -> Array:
-    """:func:`_psi2_objective` over the whole grid: the same floating-point
-    operations in the same order (only commuted operands, which round the
-    same), on two arrays reused in place."""
-    c1 = grid * grid
-    np.subtract(1.0, c1, out=c1)
-    np.maximum(c1, 0.0, out=c1)
-    np.sqrt(c1, out=c1)                  # c1 = sqrt(max(0, 1 - c0^2))
-    values = 6.0 * c1
-    values *= c1                         # (6*c1)*c1
-    c1 *= grid
-    np.subtract(0.0, c1, out=c1)         # 0 - c0*c1
-    values += c1                         # Q
-    values += 0.25
-    if not np.all(values > 0.0):
-        raise ValueError("1/4 + Q is not positive on the whole grid; "
-                         "the ratio form does not apply")
-    return np.divide(0.25, values, out=values)
+    denominator = 0.25 + ((0.0 - c0 * c1) + 6.0 * c1 * c1)
+    if not denominator > 0.0:
+        raise ValueError(f"1/4 + Q = {denominator!r} is not positive at c0 = {c0!r}; "
+                         f"the ratio form does not apply")
+    return 0.25 / denominator
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -400,15 +418,20 @@ def psi2_scan(grid_size: int) -> ScanResult:
     1e-6 parameter resolution.  A grid too large for memory is refused with
     ValueError before allocation.
     """
+    return ScanResult(*_scan(grid_size))
+
+
+def _scan(grid_size: Any) -> tuple[array, array, float, float]:
+    """:func:`psi2_scan`'s fields, with the grid and values in ``array('d')`` buffers."""
     grid_size = _as_int(grid_size, "grid_size")
     if grid_size < 3:
         raise ValueError(f"grid size must be at least 3, got {grid_size}")
     _refuse_oversize(8 * _SCAN_FLOATS * grid_size, f"a scan of {grid_size} points")
-    grid = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
-    values = _psi2_values(grid)
-    i = int(np.argmax(values))
+    step = 1.0 / (grid_size + 1)
+    grid = array("d", (i * step + 0.0 for i in range(1, grid_size + 1)))
+    values = array("d", map(_psi2_objective, grid))
+    i = max(range(grid_size), key=values.__getitem__)
     lo = grid[i - 1] if i > 0 else 0.0
-    hi = grid[i + 1] if i + 1 < grid.size else 1.0
+    hi = grid[i + 1] if i + 1 < grid_size else 1.0
     argbest = _golden_max(_psi2_objective, lo, hi, 1e-6)
-    return ScanResult(grid=grid, values=values, argbest=float(argbest),
-                      best=_psi2_objective(argbest))
+    return grid, values, argbest, _psi2_objective(argbest)

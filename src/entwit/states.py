@@ -21,8 +21,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, _Record, _as_int, _as_real
-from .hilbert import QuantumState, _as_reals, _refuse_oversize, mix
+from .config import DEFAULT, _Record, _as_int, _as_real, _refuse_oversize
+from .hilbert import QuantumState, _as_reals, mix
 
 __all__ = [
     "StateSpec",
@@ -164,9 +164,11 @@ class StateSpec(_Record):
 
     def __init__(self, family: str, params: Mapping[str, Any] | None = None,
                  cutoff: int | None = None):
-        if family not in _FAMILIES:
+        if not isinstance(family, str) or family not in _FAMILIES:
             raise ValueError(f"unknown state family {family!r}; "
                              f"expected one of {', '.join(_FAMILIES)}")
+        if params is not None and not isinstance(params, Mapping):
+            raise ValueError(f"state params must be a mapping, got {params!r}")
         self._init(family, {} if params is None else dict(params),
                    None if cutoff is None else _as_int(cutoff, "cutoff"))
 

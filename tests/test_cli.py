@@ -618,7 +618,9 @@ def test_cli_identity_and_eval_load_neither_dataclasses_nor_inspect():
 
 
 @pytest.mark.parametrize("code", [
-    "from entwit.cli import run\nassert run(['cmatrix', '--n', '50']) == 0",
+    pytest.param("from entwit.cli import run\n"
+                 "assert run(['schmidt', '--alpha', '0.6,0', '--beta', '0.8,0']) == 0",
+                 id="schmidt-run"),
     "import entwit.witnesses",
 ])
 def test_numpy_runs_load_no_dataclasses(code):
@@ -626,13 +628,20 @@ def test_numpy_runs_load_no_dataclasses(code):
     assert "numpy" in loaded and "dataclasses" not in loaded
 
 
+@pytest.mark.parametrize("argv", [["cmatrix", "--n", "50"], ["psi2", "--scan", "50"]])
+def test_cmatrix_and_psi2_run_without_numpy(argv):
+    loaded = loaded_after(f"from entwit.cli import run\nassert run({argv!r}) == 0")
+    assert "entwit.optimize" in loaded
+    assert not loaded & {"numpy", "entwit.hilbert"}
+
+
 def test_cmatrix_refuses_bad_weight_before_the_solve(capsys, monkeypatch):
     import entwit.optimize
 
     def solve(*args):
-        raise AssertionError("min_eigenvalue called before --p was checked")
+        raise AssertionError("the eigen-solve ran before --p was checked")
 
-    monkeypatch.setattr(entwit.optimize, "min_eigenvalue", solve)
+    monkeypatch.setattr(entwit.optimize, "_eigenpair", solve)
     assert run(["cmatrix", "--n", "200000", "--p", "1.5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -691,7 +700,45 @@ def test_witness_rejects_non_real_state_fields(capsys, tmp_path, spec, field):
     assert f"'{field}' must be a real number" in captured.err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ({"family": "bell", "params": 5}, "error: state params must be a mapping, got 5\n"),
+    ({"family": ["bell"]}, "error: unknown state family ['bell']; expected one of "),
+])
+def test_witness_refuses_state_fields_of_the_wrong_type(capsys, tmp_path, spec, message):
+    state = write_json(tmp_path, "state.json", spec)
+    ops = write_json(tmp_path, "ops.json",
+                     {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"})
+    assert run(["witness", "--state", state, "--ops", ops,
+                "--condition", "uffink"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1
+
+
 # --- one evaluation path -----------------------------------------------------
+
+
+def handler_results(*argv):
+    """The unrounded ``results`` of the handler a command line selects."""
+    args = cli._build_parser().parse_args(list(argv))
+    return cli._HANDLERS[args.command](args)[1]
+
+
+@pytest.mark.parametrize("N", [0, 1, 200, 2000])
+def test_cmatrix_results_equal_the_public_solve(N):
+    from entwit import c_matrix, min_eigenvalue, vmax_from_lambda
+
+    lam, vec = min_eigenvalue(c_matrix(N))
+    assert handler_results("cmatrix", "--n", str(N)) == {
+        "lambda_min": lam, "eigenvector_head": vec[:8].tolist(),
+        "vmax": vmax_from_lambda(lam)}
+
+
+def test_psi2_results_equal_the_public_scan():
+    from entwit import psi2_scan
+
+    assert handler_results("psi2", "--scan", "41") == {"scan": psi2_scan(41).to_json()}
 
 
 def test_witness_builds_each_operator_group_once(capsys, tmp_path, monkeypatch):

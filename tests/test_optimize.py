@@ -29,8 +29,11 @@ LAMBDA_1 = 3.0 - math.sqrt(9.25)          # exact smallest eigenvalue at N = 1
 LAMBDA_200 = -0.04495375427909592         # frozen from a dense solve
 BEST_V = 1.198358336218877                # 0.25 / (0.25 + LAMBDA_1)
 BEST_C0 = 0.9965926760297167              # normalized eigenvector head at N = 1
-# min_eigenvalue(c_matrix(2000)) as computed by the numpy-scalar loops
-LAMBDA_2000 = -0.04495375427909591
+# min_eigenvalue(c_matrix(2000)): the Rayleigh quotient summed by math.fsum,
+# the double nearest -0.04495375427909590774455218, the smallest eigenvalue
+# by a 50-digit Sturm bisection (a BLAS dot product gave the next double up,
+# -0.04495375427909591, 3.85e-18 off against 3.09e-18)
+LAMBDA_2000 = -0.044953754279095905
 HEAD_2000 = [0.9958748877354319, 0.08953662999196164, 0.014435781249230322,
              0.002767290342910153, 0.0005773025087923641, 0.00012665189988591275,
              2.873018236389888e-05, 6.674445760252407e-06]
@@ -438,6 +441,17 @@ def test_min_eigenvalue_factors_once_and_counts_only_to_certify(monkeypatch):
     assert calls == {"factor": 1, "count": 2}
 
 
+def test_matvec_matches_the_numpy_expression_bit_for_bit():
+    # the array expression matvec used before it ran the solver's kernel
+    gen = rng(25)
+    for diag, off in random_tridiagonals(26):
+        v = gen.normal(size=diag.size)
+        want = diag * v
+        want[:-1] += off * v[1:]
+        want[1:] += off * v[:-1]
+        assert np.array_equal(TridiagonalMatrix(diag, off).matvec(v), want)
+
+
 def test_tridiag_solve_matches_reference_loop():
     gen = rng(22)
     for diag, off in random_tridiagonals(23):
@@ -459,6 +473,62 @@ def test_psi2_grid_values_equal_scalar_objective(grid_size):
     result = psi2_scan(grid_size)
     want = [optimize._psi2_objective(c0) for c0 in result.grid]
     assert np.array_equal(result.values, want)
+
+
+@pytest.mark.parametrize("grid_size", [3, 41, 200, 20000, 99991])
+def test_psi2_grid_is_numpys_linspace_bit_for_bit(grid_size):
+    want = np.linspace(0.0, 1.0, grid_size + 2)[1:-1]
+    assert np.array_equal(psi2_scan(grid_size).grid, want)
+
+
+@pytest.mark.parametrize("grid_size", [41, 20000])
+def test_psi2_objective_is_the_public_composition(grid_size):
+    for c0 in psi2_scan(grid_size).grid.tolist():
+        c1 = math.sqrt(max(0.0, 1.0 - c0 * c0))
+        assert optimize._psi2_objective(c0) == vmax_from_lambda(quadratic_form([c0, c1]))
+
+
+def test_public_types_are_numpy_arrays():
+    M = c_matrix(3)
+    lam, v = min_eigenvalue(M)
+    result = psi2_scan(5)
+    for arr in (M.diag, M.offdiag, result.grid, result.values):
+        assert type(arr) is np.ndarray and arr.dtype == float
+        assert not arr.flags.writeable
+    assert type(lam) is float and type(v) is np.ndarray and v.dtype == float
+    assert type(M.matvec(v)) is np.ndarray
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: c_matrix(True), "'N' must be an integer"),
+    (lambda: c_matrix("3"), "'N' must be an integer"),
+    (lambda: c_matrix(math.nan), "'N' must be an integer"),
+    (lambda: psi2_scan(False), "'grid_size' must be an integer"),
+    (lambda: psi2_scan("41"), "'grid_size' must be an integer"),
+    (lambda: psi2_scan(math.inf), "'grid_size' must be an integer"),
+    (lambda: quadratic_form(0.8), "'c' must be a list of real numbers"),
+    (lambda: quadratic_form([0.8, math.inf]), "'c' must be finite"),
+    (lambda: TridiagonalMatrix(5.0, [1.0]), "one-dimensional"),
+    (lambda: TridiagonalMatrix([1.0, 2.0], [math.nan]), "'offdiag' must be finite"),
+    (lambda: ScanResult(0.5, 0.5, 0.5, 1.0), "1-d arrays"),
+    (lambda: ScanResult([0.5], [math.inf], 0.5, 1.0), "'values' must be finite"),
+    (lambda: min_eigenvalue(c_matrix(3), math.inf), "finite and positive"),
+])
+def test_public_wrappers_refuse_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("v,match", [
+    ([1.0, True], "'v' must be a real number"),
+    (np.array([1.0, 1j]), "'v' must be a real number"),
+    ([1.0, math.nan], "'v' must be finite"),
+    ([1.0], "vector length 1 must be the matrix size 2"),
+])
+def test_matvec_refuses_non_real_or_misfit_vectors(v, match):
+    # matvec runs the solver's product kernel, which takes real vectors only
+    with pytest.raises(ValueError, match=match):
+        c_matrix(1).matvec(v)
 
 
 # --- termination, certificates and size refusal --------------------------------

@@ -198,6 +198,19 @@ def test_spec_rejects_unknown_family_and_fields():
         StateSpec.from_json([1, 2])
 
 
+@pytest.mark.parametrize("obj,match", [
+    ({"family": "bell", "params": 5}, "params must be a mapping, got 5"),
+    ({"family": "bell", "params": [["parties", 2]]}, "params must be a mapping"),
+    ({"family": ["bell"]}, r"unknown state family \['bell'\]"),
+    ({"family": 3}, "unknown state family 3"),
+])
+def test_spec_refuses_wrong_types_with_value_error(obj, match):
+    with pytest.raises(ValueError, match=match):
+        StateSpec.from_json(obj)
+    with pytest.raises(ValueError, match=match):
+        StateSpec(obj["family"], obj.get("params"))
+
+
 def test_spec_param_validation():
     with pytest.raises(ValueError):
         build_state(StateSpec("bell", {}))                      # missing n
