@@ -146,11 +146,9 @@ def _run_cmatrix(args) -> tuple[dict, dict, dict]:
 
 
 def _run_psi2(args) -> tuple[dict, dict, dict]:
-    from .optimize import _scan
+    from .optimize import _scan, _scan_json
 
-    grid, values, argbest, best = _scan(args.scan)
-    scan = {"grid": grid.tolist(), "values": values.tolist(), "argbest": argbest, "best": best}
-    return {"scan": args.scan}, {"scan": scan}, {}
+    return {"scan": args.scan}, {"scan": _scan_json(*_scan(args.scan))}, {}
 
 
 def _evaluate_spec(spec: StateSpec, condition: str, ops: Any) -> tuple[dict, dict]:

@@ -25,7 +25,20 @@ from typing import Any
 __all__ = ["Tolerances", "DEFAULT"]
 
 
-class _Record:
+class _Frozen:
+    """Slots-only base that refuses to set or delete an attribute; a
+    constructor sets its fields with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class _Record(_Frozen):
     """Immutable value whose fields are the names in ``__match_args__``, set
     once by :meth:`_init`.  ``==``, ``hash``, ``repr`` and pickling go by type
     and fields, as a frozen data class's do; the standard module for those is
@@ -41,12 +54,6 @@ class _Record:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

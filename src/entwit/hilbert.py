@@ -42,7 +42,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .config import _WORKING_COPIES, DEFAULT, _as_int, _as_real, _refuse_oversize
+from .config import _WORKING_COPIES, DEFAULT, _Frozen, _as_int, _as_real, _refuse_oversize
 
 Array = np.ndarray
 
@@ -66,7 +66,7 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-class ComplexMatrix:
+class ComplexMatrix(_Frozen):
     """Square complex matrix on a composite Hilbert space.
 
     Parameters
@@ -103,9 +103,6 @@ class ComplexMatrix:
         object.__setattr__(self, "dims", resolved)
         object.__setattr__(self, "_defect", None)
         object.__setattr__(self, "_max_abs", peak)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexMatrix is immutable")
 
     @property
     def side(self) -> int:
@@ -147,7 +144,7 @@ class ComplexMatrix:
         return f"ComplexMatrix(side={self.side}, dims={self.dims})"
 
 
-class QuantumState:
+class QuantumState(_Frozen):
     """Pure or mixed state on a composite Hilbert space, held as an ensemble.
 
     The state is ``rho = sum_i w_i |v_i><v_i|``: ``weights`` has shape
@@ -173,9 +170,6 @@ class QuantumState:
         object.__setattr__(self, "vectors", vectors)
         # (A, A', B, B', means, second, G) of the last quadruple evaluated here
         object.__setattr__(self, "_moments", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuantumState is immutable")
 
     @classmethod
     def pure(cls, amplitudes, dims: Iterable[int]) -> "QuantumState":
@@ -284,12 +278,12 @@ def variance(A: ComplexMatrix, s: QuantumState) -> float:
     return _lifted_variance((A,), s, "A")[1]
 
 
-def _require_hermitian(factors: Sequence[ComplexMatrix], label: str, *args) -> None:
+def _require_hermitian(factors: Sequence[ComplexMatrix], label: str) -> None:
     """Reject the product ``F_1 (x) ... (x) F_k`` of ``factors`` (one factor:
     the operator itself), never built, when the bound
     ``sum_k delta_k prod_{j != k} max|F_j|`` (``delta_k`` the defect of factor
-    k) on its Hermiticity defect exceeds ``DEFAULT.hermitian``.  The message names it
-    ``label.format(*args)``, formatted only then."""
+    k) on its Hermiticity defect exceeds ``DEFAULT.hermitian``; the message
+    names it ``label``.  Conditions call it only where they build moments."""
     first, *rest = factors
     # the bound on the product of the factors so far, grown by the product rule
     bound, size = first.hermiticity_defect(), first._max_abs
@@ -297,7 +291,7 @@ def _require_hermitian(factors: Sequence[ComplexMatrix], label: str, *args) -> N
         bound, size = bound * F._max_abs + size * F.hermiticity_defect(), size * F._max_abs
     what = "max deviation bound" if rest else "max deviation"
     if bound > DEFAULT.hermitian:
-        raise ValueError(f"operator {label.format(*args)} is not Hermitian "
+        raise ValueError(f"operator {label} is not Hermitian "
                          f"({what} {bound:.3e})")
 
 
@@ -313,11 +307,11 @@ def _clamped_variance(second: float, mean: float) -> float:
 
 
 def _lifted_variance(factors: Sequence[ComplexMatrix], s: QuantumState,
-                     label: str, *args) -> tuple[float, float]:
+                     label: str) -> tuple[float, float]:
     """Mean and clamped variance of the Hermitian product of ``factors``:
     the product is checked (:func:`_require_hermitian`), applied to the
     state once (:func:`_lifted_moments`), and its variance clamped."""
-    _require_hermitian(factors, label, *args)
+    _require_hermitian(factors, label)
     mean, second = _lifted_moments([F.data for F in factors], s)
     return mean.real, _clamped_variance(second, mean.real)
 

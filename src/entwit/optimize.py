@@ -24,6 +24,7 @@ in memory are refused before anything is allocated.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from array import array
 from itertools import chain, islice, repeat
@@ -258,6 +259,8 @@ def _tridiag_product(diag, off, v) -> array:
 
 def _eigenpair(diag, off, tol: float) -> tuple[float, array]:
     """:func:`min_eigenvalue` on float buffers, the vector an ``array('d')``."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ValueError(f"'tol' must be a real number, got {tol!r}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     n = len(diag)
@@ -375,8 +378,12 @@ class ScanResult(_Record):
         self._init(grid, values, argbest, best)
 
     def to_json(self) -> dict[str, Any]:
-        return {"grid": self.grid.tolist(), "values": self.values.tolist(),
-                "argbest": self.argbest, "best": self.best}
+        return _scan_json(*self._values())
+
+
+def _scan_json(grid, values, argbest: float, best: float) -> dict[str, Any]:
+    """The scan document, from ndarrays or ``array('d')`` buffers alike."""
+    return {"grid": grid.tolist(), "values": values.tolist(), "argbest": argbest, "best": best}
 
 
 def _psi2_objective(c0: float) -> float:

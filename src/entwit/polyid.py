@@ -27,7 +27,7 @@ import zlib
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .config import _POWER_SUM_ROWS, _Record, _as_int
+from .config import _POWER_SUM_ROWS, _Frozen, _Record, _as_int
 
 __all__ = [
     "VARIABLES",
@@ -50,7 +50,7 @@ Exponent = tuple[int, int, int, int]
 _ZERO_EXP: Exponent = (0, 0, 0, 0)
 
 
-class Polynomial:
+class Polynomial(_Frozen):
     """Sparse polynomial: map from length-4 exponent vectors to coefficients.
 
     An integer coefficient is a Python ``int``; a ``Fraction`` appears only
@@ -84,9 +84,6 @@ class Polynomial:
         poly = object.__new__(cls)
         object.__setattr__(poly, "_terms", {e: c for e, c in terms.items() if c})
         return poly
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def constant(cls, value) -> "Polynomial":

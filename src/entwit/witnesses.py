@@ -17,10 +17,10 @@ Each bipartite condition is scalar arithmetic on one moment table: the means
 of the four lifted products ``A_i (x) B_j`` and their Gram matrix, from four
 products on the state.  The state keeps the table of the last quadruple
 evaluated on it, keyed by the identity of the four operators, so every
-condition on the same quadruple and state reads one table.  A table is
-stored only after its quadruple passed every check; as the four operators
-are immutable, a later call that finds it re-checks only what that call adds,
-the lifted Hermiticity of its own products.
+condition on the same quadruple and state reads one table.  The table
+assumes all four lifted products Hermitian, so a quadruple's four operators
+and four products are checked once, when its table is built; a later call
+that finds the table, on the same immutable operators, checks nothing.
 """
 
 from __future__ import annotations
@@ -95,9 +95,9 @@ def _blocks(n: int, width: int) -> list[slice]:
 
 
 def _check_quadruple(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix,
-                     Bp: ComplexMatrix, s: QuantumState, checked: Sequence[int]) -> None:
-    """Validate the quadruple against the state, and the lifted Hermiticity of
-    the products ``P_p`` with ``p`` in ``checked``."""
+                     Bp: ComplexMatrix, s: QuantumState) -> None:
+    """Validate the quadruple against the state: the dims, and the Hermiticity
+    of the four operators and of the four lifted products ``A_i (x) B_j``."""
     if A.dims != Ap.dims:
         raise ValueError(f"A and A' must share dims, got {A.dims} vs {Ap.dims}")
     if B.dims != Bp.dims:
@@ -107,15 +107,9 @@ def _check_quadruple(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix,
                          f"state dims {s.dims}")
     for op, label in zip((A, Ap, B, Bp), _LABELS):
         _require_hermitian((op,), label)
-    _check_products(A, Ap, B, Bp, checked)
-
-
-def _check_products(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix,
-                    Bp: ComplexMatrix, checked: Sequence[int]) -> None:
-    """The lifted Hermiticity of the products ``P_p`` with ``p`` in ``checked``."""
-    for p in checked:
-        _require_hermitian(((A, Ap)[p // 2], (B, Bp)[p % 2]), "{} (x) {}",
-                           _LABELS[p // 2], _LABELS[2 + p % 2])
+    for Ai, a in zip((A, Ap), _LABELS):
+        for Bj, b in zip((B, Bp), _LABELS[2:]):
+            _require_hermitian((Ai, Bj), f"{a} (x) {b}")
 
 
 def _partials(A: ComplexMatrix, Ap: ComplexMatrix, s: QuantumState) -> list[Array]:
@@ -125,7 +119,7 @@ def _partials(A: ComplexMatrix, Ap: ComplexMatrix, s: QuantumState) -> list[Arra
 
 
 def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
-                  s: QuantumState, checked: Sequence[int] = ()) -> tuple:
+                  s: QuantumState) -> tuple:
     """Moment table of the lifted products ``P_p = A_i (x) B_j``, ``p = 2i + j``
     (``A_0 = A``, ``A_1 = A'``, ``B_0 = B``, ``B_1 = B'``), applied to the
     state as ``P_p v = Z_i B_j^T`` from ``Z_i = A_i v``: six factor products.
@@ -136,7 +130,7 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
     factor is Hermitian, ``<P_p P_q> = G[p, q]``; for instance
     ``<[A,A'] (x) [B,B']> = 2 Re(G[0, 3] - G[1, 2])``.
     """
-    _check_quadruple(A, Ap, B, Bp, s, checked)
+    _check_quadruple(A, Ap, B, Bp, s)
     Zs = _partials(A, Ap, s)
     left, b = Zs[0].shape
     # a block of rows at a time; the Gram matrix of its products and v holds G and the means
@@ -150,21 +144,18 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
 
 
 def _shared_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
-                  s: QuantumState, checked: Sequence[int] = ()) -> tuple:
+                  s: QuantumState) -> tuple:
     """The means, second moments and Gram matrix of :func:`_moment_table`,
     computed once per quadruple and state: the state keeps the last table,
     keyed by the identity of the four operators (an equal but distinct
     operator recomputes).  A miss validates the quadruple in full
     (:func:`_check_quadruple`) before storing its table.  A hit finds the
-    same immutable operators and state whose dims and single-operator
-    defects passed then, so it checks only the lifted products in
-    ``checked``, which the storing call may not have asked for."""
+    same immutable operators and state that passed then, and checks nothing."""
     entry = s._moments
     if (entry is not None and entry[0] is A and entry[1] is Ap and entry[2] is B
             and entry[3] is Bp):
-        _check_products(A, Ap, B, Bp, checked)
         return entry[4:]
-    means, second, G, _ = _moment_table(A, Ap, B, Bp, s, checked)
+    means, second, G, _ = _moment_table(A, Ap, B, Bp, s)
     object.__setattr__(s, "_moments", (A, Ap, B, Bp, means, second, G))
     return means, second, G
 
@@ -178,7 +169,7 @@ def _guarded_ratio(lhs: float, rhs: float) -> float | None:
 def variance_product(A: ComplexMatrix, Ap: ComplexMatrix,
                      B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Product condition: sigma_AB * sigma_A'B' >= (1/4)|<[A,A'] (x) [B,B']>|."""
-    means, second, G = _shared_table(A, Ap, B, Bp, s, (0, 3))
+    means, second, G = _shared_table(A, Ap, B, Bp, s)
     (m_ab, m_apbp), (s_ab, s_apbp) = means[::3], second[::3]
     var_ab, var_apbp = _clamped_variance(s_ab, m_ab), _clamped_variance(s_apbp, m_apbp)
     m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
@@ -193,7 +184,7 @@ def variance_product(A: ComplexMatrix, Ap: ComplexMatrix,
 def variance_sum(A: ComplexMatrix, Ap: ComplexMatrix,
                  B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Sum condition: sigma²_AB + sigma²_A'B' >= (1/2)|<[A,A'] (x) [B,B']>|."""
-    means, second, G = _shared_table(A, Ap, B, Bp, s, (0, 3))
+    means, second, G = _shared_table(A, Ap, B, Bp, s)
     m_ab, m_apbp = means[::3]
     var_ab, var_apbp = map(_clamped_variance, second[::3], means[::3])
     m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
@@ -222,10 +213,10 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
         if Ak.dims != (s.dims[k],) or Apk.dims != (s.dims[k],):
             raise ValueError(f"party {k} operators must act on a factor of "
                              f"dimension {s.dims[k]}")
-        _require_hermitian((Ak,), "A_{}", k)
-        _require_hermitian((Apk,), "A'_{}", k)
-    m_prod, var_prod = _lifted_variance(As, s, "A_0 (x) ... (x) A_{}", n - 1)
-    m_prod_p, var_prod_p = _lifted_variance(Aps, s, "A'_0 (x) ... (x) A'_{}", n - 1)
+        _require_hermitian((Ak,), f"A_{k}")
+        _require_hermitian((Apk,), f"A'_{k}")
+    m_prod, var_prod = _lifted_variance(As, s, f"A_0 (x) ... (x) A_{n - 1}")
+    m_prod_p, var_prod_p = _lifted_variance(Aps, s, f"A'_0 (x) ... (x) A'_{n - 1}")
     m_comm = _lifted_moments([Ak.data @ Apk.data - Apk.data @ Ak.data
                               for Ak, Apk in zip(As, Aps)], s)[0].real
     lhs = math.sqrt(var_prod) * math.sqrt(var_prod_p)
@@ -323,7 +314,7 @@ def four_variance(A: ComplexMatrix, Ap: ComplexMatrix,
 
     sigma²_AB + sigma²_AB' + sigma²_A'B + sigma²_A'B' >= |<[A,A'] (x) [B,B']>|.
     """
-    means, second, G = _shared_table(A, Ap, B, Bp, s, range(4))
+    means, second, G = _shared_table(A, Ap, B, Bp, s)
     labels = ("AB", "ABp", "ApB", "ApBp")
     variances = list(map(_clamped_variance, second, means))
     m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)

@@ -808,10 +808,13 @@ def test_presets_report_what_witness_reports(capsys, tmp_path, preset, spec, ops
     assert doc["meta"]["cutoffs"] == wdoc["meta"]["cutoffs"]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands() -> list[list[str]]:
     """The ``entwit`` lines of the README's command block, continuations
     joined, as argument lists without the program name."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("entwit ")]
@@ -827,3 +830,9 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
         code, doc, err = invoke(capsys, *argv)
         assert code == 0, (argv, err)
         assert doc["command"] == argv[0]
+    # and every Python example runs, its assertions included
+    blocks = [block.split("```", 1)[0]
+              for block in README.read_text(encoding="utf-8").split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

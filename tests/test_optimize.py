@@ -513,6 +513,8 @@ def test_public_types_are_numpy_arrays():
     (lambda: ScanResult(0.5, 0.5, 0.5, 1.0), "1-d arrays"),
     (lambda: ScanResult([0.5], [math.inf], 0.5, 1.0), "'values' must be finite"),
     (lambda: min_eigenvalue(c_matrix(3), math.inf), "finite and positive"),
+    (lambda: min_eigenvalue(c_matrix(3), True), "'tol' must be a real number"),
+    (lambda: min_eigenvalue(c_matrix(3), "1e-3"), "'tol' must be a real number"),
 ])
 def test_public_wrappers_refuse_bad_input(call, match):
     with pytest.raises(ValueError, match=match):

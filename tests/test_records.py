@@ -12,9 +12,10 @@ import pytest
 
 from entwit.cli import run
 from entwit.config import DEFAULT, Tolerances
+from entwit.hilbert import ComplexMatrix, QuantumState
 from entwit.operators import QuadraturePair, quadratures
 from entwit.optimize import ScanResult, TridiagonalMatrix
-from entwit.polyid import Add, IntLit, Mul, Neg, Pow, Sub, Var
+from entwit.polyid import Add, IntLit, Mul, Neg, Polynomial, Pow, Sub, Var
 from entwit.states import StateSpec
 from entwit.witnesses import WitnessReport
 
@@ -89,6 +90,24 @@ def test_record_contract(cls, fields, make):
     assert repr(copy.copy(a)) == repr(a)
     if cls is not QuadraturePair:  # a ComplexMatrix does not pickle
         assert repr(pickle.loads(pickle.dumps(a))) == repr(a)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ComplexMatrix([[1.0, 0.0], [0.0, -1.0]]),
+    lambda: QuantumState.pure([1.0, 0.0], (2,)),
+    lambda: Polynomial.variable("a"),
+], ids=["ComplexMatrix", "QuantumState", "Polynomial"])
+def test_value_classes_refuse_assignment_and_deletion(make):
+    obj = make()
+    message = f"{type(obj).__name__} is immutable"
+    for name in type(obj).__slots__:
+        value = getattr(obj, name)
+        with pytest.raises(AttributeError, match=message):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError, match=message):
+            delattr(obj, name)
+        assert getattr(obj, name) is value
+    assert not hasattr(obj, "__dict__")
 
 
 def test_expression_nodes_differ_by_type():

@@ -810,20 +810,6 @@ def test_non_hermitian_operator_rejected_with_cached_defect(position, label):
                 condition(*quad, bell(2))
 
 
-def test_lifted_hermiticity_rejected_again_with_cached_values():
-    skew = np.zeros((2, 2), dtype=complex)
-    skew[0, 1] = 0.9e-10
-    A = ComplexMatrix(S_X.data + skew, (2,))
-    B = S_X * 20.0
-    for _ in range(2):
-        for condition in (variance_product, variance_sum, four_variance):
-            with pytest.raises(ValueError, match="Hermitian"):
-                condition(A, S_Y, B, S_Y, bell(2))
-        # the conditions that never checked the lifted products still accept them
-        for condition in (uffink, heisenberg_floor, lambda *q: ramanujan_witness(*q, 4)):
-            condition(A, S_Y, B, S_Y, bell(2))
-
-
 # --- working memory ----------------------------------------------------------
 #
 # The size refusal counts hilbert._WORKING_COPIES arrays of the state's size,
@@ -864,7 +850,8 @@ def test_conditions_stay_within_working_copies(state_index):
 # --- the moment table shared across conditions -------------------------------
 #
 # A state keeps the table of the last quadruple evaluated on it, keyed by the
-# identity of the four operators; the quadruple is validated on every call.
+# identity of the four operators; the quadruple is validated in full when
+# its table is built, and a read of the table checks nothing.
 
 
 @pytest.fixture
@@ -955,16 +942,40 @@ def lifted_defect_quadruple(position):
 
 @pytest.mark.parametrize("position,label", [(0, "A (x) B"), (1, "A (x) B'"),
                                             (2, "A' (x) B"), (3, "A' (x) B'")])
-def test_lifted_hermiticity_rejected_on_a_cache_hit(table_count, position, label):
-    quad, s = lifted_defect_quadruple(position), bell(2)
-    uffink(*quad, s)  # checks no lifted product, so the table is stored
-    assert s._moments is not None and len(table_count) == 1
-    checking = [four_variance] + ([variance_product, variance_sum] if position in (0, 3) else [])
-    for _ in range(2):
-        for condition in checking:
-            with pytest.raises(ValueError, match=re.escape(f"operator {label} is not Hermitian")):
-                condition(*quad, s)
-    assert len(table_count) == 1
+def test_lifted_hermiticity_rejected_by_every_condition(position, label):
+    # every condition reads all four products from the table, so every one
+    # refuses each product, whether or not the state holds another table
+    quad, fresh, held = lifted_defect_quadruple(position), bell(2), bell(2)
+    uffink(S_X, S_Y, S_X, S_Y, held)
+    entry = held._moments
+    for s in (fresh, held):
+        for condition in BIPARTITE:
+            for _ in range(2):  # the second call reads the cached defects
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"operator {label} is not Hermitian")):
+                    condition(*quad, s)
+    assert fresh._moments is None and held._moments is entry
+
+
+def test_table_hit_runs_no_hermiticity_check(monkeypatch):
+    import entwit.witnesses as witnesses
+
+    check, calls = witnesses._require_hermitian, []
+
+    def counted(factors, label):
+        calls.append(label)
+        return check(factors, label)
+
+    monkeypatch.setattr(witnesses, "_require_hermitian", counted)
+    s, quad = shared_table_case(72)
+    for condition in BIPARTITE:
+        condition(*quad, s)
+    # the four operators and the four lifted products, once, on the miss
+    assert calls == ["A", "A'", "B", "B'", "A (x) B", "A (x) B'", "A' (x) B", "A' (x) B'"]
+    calls.clear()
+    for condition in BIPARTITE:
+        condition(*quad, s)
+    assert calls == []
 
 
 def test_rejected_quadruple_stores_no_table(table_count):
