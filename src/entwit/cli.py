@@ -268,7 +268,6 @@ def _builtin_operators(requests: list[tuple[Any, int]]) -> list[ComplexMatrix]:
 
 def _evaluate(condition: str, ops: Any, state: QuantumState):
     """``condition`` on ``state`` with the builtin operators the op spec names."""
-    from .config import _as_int
     from .witnesses import (four_variance, multipartite, ramanujan_witness, uffink,
                             variance_product, variance_sum)
 
@@ -305,7 +304,7 @@ def _evaluate(condition: str, ops: Any, state: QuantumState):
     quadruple = _builtin_operators([(ops["A"], dim_a), (ops["Aprime"], dim_a),
                                     (ops["B"], dim_b), (ops["Bprime"], dim_b)])
     if condition == "ramanujan":
-        return ramanujan_witness(*quadruple, state, _as_int(ops.get("n", 2), "n"))
+        return ramanujan_witness(*quadruple, state, ops.get("n", 2))
     dispatch = {f.__name__: f for f in (variance_product, variance_sum, uffink, four_variance)}
     return dispatch[condition](*quadruple, state)
 

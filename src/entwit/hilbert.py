@@ -153,10 +153,10 @@ class QuantumState(_Frozen):
     :attr:`amplitudes`.  The dense density is never stored; :attr:`density`
     builds it on demand for tests and callers.
 
-    Use the :meth:`pure` / :meth:`mixed` constructors or :func:`mix`.
-    Invariants enforced at construction: pure amplitudes have unit norm
-    within 1e-12; a density given to :meth:`mixed` is Hermitian within
-    1e-12, has unit trace within 1e-12, and has no eigenvalue below -1e-10.
+    Caller-supplied data goes through :meth:`pure` (unit norm within 1e-12)
+    or :meth:`mixed` (a density Hermitian and of unit trace within 1e-12,
+    with no eigenvalue below -1e-10); :func:`mix` and the ``states``
+    families check their own inputs and call the bare constructor.
     """
 
     __slots__ = ("kind", "dims", "weights", "vectors", "_moments")

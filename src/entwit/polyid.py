@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 import zlib
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 from .config import _POWER_SUM_ROWS, _Frozen, _Record, _as_int
 
@@ -202,6 +202,7 @@ class IntLit(Expr):
     __slots__ = __match_args__ = ("value",)
 
     def __init__(self, value: int):
+        value = _as_int(value, "value")
         if value < 0:
             raise ValueError("integer literals are unsigned; use Neg for negatives")
         self._init(value)
@@ -239,7 +240,8 @@ class Pow(Expr):
     __slots__ = __match_args__ = ("base", "exponent")
 
     def __init__(self, base: Expr, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
+        exponent = _as_int(exponent, "exponent")
+        if exponent < 0:
             raise ValueError("power exponents must be non-negative integers")
         self._init(base, exponent)
 
@@ -366,7 +368,9 @@ class _Parser:
 
 
 def parse(text: str) -> Expr:
-    """Parse ``text`` into an AST; raises :class:`ParseError` with the offset."""
+    """Parse the string ``text`` into an AST; raises :class:`ParseError` with the offset."""
+    if not isinstance(text, str):
+        raise ValueError(f"'text' must be a string, got {text!r}")
     return _Parser(text).parse()
 
 

@@ -10,7 +10,8 @@ bell            n-party GHZ-type state (|0...0> + |1...1>)/sqrt(2)
 schmidt         two-qubit alpha|00> + beta|11>
 
 Each constructor checks every parameter it takes, ``cutoff`` and ``alpha``/
-``beta`` included: a wrong type is refused with a ValueError naming it, not cast.
+``beta`` included (a wrong type is refused with a ValueError naming it, not
+cast), then builds its state once, with the bare ``QuantumState`` constructor.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def squeezed_cutoff(lam: float) -> int:
     against the exact condition, so the result is that of stepping D = 2,
     4, ... until the condition holds, in O(1) time even for |lambda| near 1.
     """
-    r = abs(lam)
+    r = abs(_as_real(lam, "lambda"))
     if r >= 1.0:
         raise ValueError(f"squeezing parameter must satisfy |lambda| < 1, got {lam}")
     tail = DEFAULT.tail_mass
@@ -83,10 +84,7 @@ def fock_pair_superposition(c: Sequence[float], cutoff: int | None = None) -> Qu
     if 2 * N + 1 > D:
         raise ValueError(f"cutoff {D} too small for top level {2 * N} (need D >= {2 * N + 1})")
     _refuse_oversize(16 * D * D, f"a pure state at cutoff {D}")
-    amps = np.zeros(D * D, dtype=np.complex128)
-    for n, cn in enumerate(coeffs):
-        amps[(2 * n) * D + 2 * n] = cn
-    return QuantumState.pure(amps, (D, D))
+    return _paired(D, coeffs, 2)
 
 
 def vacuum_mixture(p: float, c: Sequence[float], cutoff: int | None = None) -> QuantumState:
@@ -95,11 +93,7 @@ def vacuum_mixture(p: float, c: Sequence[float], cutoff: int | None = None) -> Q
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
     psi = fock_pair_superposition(c, cutoff)
-    D = psi.dims[0]
-    vac = np.zeros(D * D, dtype=np.complex128)
-    vac[0] = 1.0
-    vacuum = QuantumState.pure(vac, (D, D))
-    return mix([psi, vacuum], [p, 1.0 - p])
+    return mix([psi, _paired(psi.dims[0], [1.0], 1)], [p, 1.0 - p])
 
 
 def squeezed_vacuum(lam: float, cutoff: int | None = None) -> QuantumState:
@@ -117,10 +111,7 @@ def squeezed_vacuum(lam: float, cutoff: int | None = None) -> QuantumState:
         raise ValueError(f"cutoff must be positive, got {D}")
     _refuse_oversize(16 * D * D, f"a pure state at cutoff {D}")
     diag = lam ** np.arange(D, dtype=float)
-    diag = diag / np.linalg.norm(diag)
-    amps = np.zeros(D * D, dtype=np.complex128)
-    amps[np.arange(D) * D + np.arange(D)] = diag
-    return QuantumState.pure(amps, (D, D))
+    return _paired(D, diag / np.linalg.norm(diag), 1)
 
 
 def bell(n: int) -> QuantumState:
@@ -129,9 +120,9 @@ def bell(n: int) -> QuantumState:
     if n < 2:
         raise ValueError(f"bell needs at least 2 parties, got {n}")
     _refuse_oversize(16 * 2**n, f"a {n}-party pure state")
-    amps = np.zeros(2**n, dtype=np.complex128)
-    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return QuantumState.pure(amps, (2,) * n)
+    amps = np.zeros((1, 2**n), dtype=np.complex128)
+    amps[0, 0] = amps[0, -1] = 1.0 / math.sqrt(2.0)
+    return QuantumState("pure", (2,) * n, np.ones(1), amps)
 
 
 def schmidt_pair(alpha: complex, beta: complex) -> QuantumState:
@@ -141,7 +132,14 @@ def schmidt_pair(alpha: complex, beta: complex) -> QuantumState:
     norm2 = abs(alpha) ** 2 + abs(beta) ** 2
     if abs(norm2 - 1.0) > DEFAULT.state_norm:
         raise ValueError(f"|alpha|^2 + |beta|^2 is {norm2!r}, not 1 within {DEFAULT.state_norm}")
-    return QuantumState.pure([alpha, 0.0, 0.0, beta], (2, 2))
+    return _paired(2, [alpha, beta], 1)
+
+
+def _paired(D: int, values: Sequence[complex], step: int) -> QuantumState:
+    """``sum_n values[n] |step*n, step*n>`` at cutoff ``D``, from checked values."""
+    amps = np.zeros((1, D * D), dtype=np.complex128)
+    amps[0, step * (D + 1) * np.arange(len(values))] = values
+    return QuantumState("pure", (D, D), np.ones(1), amps)
 
 
 def _as_complex(value: Any, name: str) -> complex:

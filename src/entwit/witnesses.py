@@ -30,7 +30,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import _POWER_SUM_ROWS, DEFAULT, _Record
+from .config import _POWER_SUM_ROWS, DEFAULT, _Record, _as_int
 from .hilbert import (
     Array,
     ComplexMatrix,
@@ -125,8 +125,8 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
     state as ``P_p v = Z_i B_j^T`` from ``Z_i = A_i v``: six factor products.
 
     Validates the quadruple (:func:`_check_quadruple`).  Returns the means
-    and the second moments as tuples, the read-only Gram matrix
-    ``G[p, q] = sum_r w_r <P_p v_r|P_q v_r>`` and ``[Z_0, Z_1]``.  As every
+    and the second moments as tuples and the read-only Gram matrix
+    ``G[p, q] = sum_r w_r <P_p v_r|P_q v_r>``.  As every
     factor is Hermitian, ``<P_p P_q> = G[p, q]``; for instance
     ``<[A,A'] (x) [B,B']> = 2 Re(G[0, 3] - G[1, 2])``.
     """
@@ -140,7 +140,7 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
         H = H + (Y.conj() * w[rows]).reshape(5, -1) @ Y.reshape(5, -1).T
     G = H[:4, :4]
     G.setflags(write=False)  # a state shares its table with every later caller
-    return tuple(H[:4, 4].real.tolist()), tuple(G.diagonal().real.tolist()), G, Zs
+    return tuple(H[:4, 4].real.tolist()), tuple(G.diagonal().real.tolist()), G
 
 
 def _shared_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
@@ -155,7 +155,7 @@ def _shared_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
     if (entry is not None and entry[0] is A and entry[1] is Ap and entry[2] is B
             and entry[3] is Bp):
         return entry[4:]
-    means, second, G, _ = _moment_table(A, Ap, B, Bp, s)
+    means, second, G = _moment_table(A, Ap, B, Bp, s)
     object.__setattr__(s, "_moments", (A, Ap, B, Bp, means, second, G))
     return means, second, G
 
@@ -233,27 +233,28 @@ _POWER_MEANS, _POWER_SUMS = _POWER_SUM_ROWS
 _POWER_COEFFS = np.array(_POWER_SUMS, dtype=float)
 
 
-def _fourth_moments(Zs: list[Array], A: ComplexMatrix, Ap: ComplexMatrix,
+def _fourth_moments(rows: Sequence[tuple[int, ...]], A: ComplexMatrix, Ap: ComplexMatrix,
                     B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> list[float]:
-    """``<M^4> = sum_r w_r ||M^2 v_r||^2`` for each sum ``M = sum_p c_p P_p`` of
-    ``_POWER_SUMS``, from the table's ``Z_i = A_i v``: with ``C_i = c_2i B +
-    c_2i+1 B'`` (``B`` or ``B'`` itself for a unit pair, else built once per
-    call), ``M v = Z_0 C_0^T + Z_1 C_1^T`` by blocks of rows, then ``M^2 v =
-    A (M v) C_0^T + A' (M v) C_1^T`` by blocks of columns, so ``M v`` is the
-    only new array of the state's size."""
+    """``<M^4> = sum_r w_r ||M^2 v_r||^2`` for each sum ``M = sum_p c_p P_p``
+    with coefficients ``c`` in ``rows``: with ``Z_i = A_i v`` and ``C_i =
+    c_2i B + c_2i+1 B'`` (``B`` or ``B'`` itself for a unit pair, else built
+    once per call), ``M v = Z_0 C_0^T + Z_1 C_1^T`` by blocks of rows, then
+    ``M^2 v = A (M v) C_0^T + A' (M v) C_1^T`` by blocks of columns, so the
+    ``Z_i`` and ``M v`` are the only arrays of the state's size."""
+    Zs = _partials(A, Ap, s)
     (left, b), r = Zs[0].shape, s.weights.size
     combos = {(1, 0): B.data, (0, 1): Bp.data}
-    for pair in (c[k:k + 2] for c in _POWER_SUMS for k in (0, 2)):
+    for pair in (c[k:k + 2] for c in rows for k in (0, 2)):
         if pair not in combos:
             C = combos[pair] = pair[0] * B.data
             C += pair[1] * Bp.data
     w, row_blocks, col_blocks = s.weights[:, None, None], _blocks(left, b), _blocks(b, left)
     Mv, out = np.empty_like(Zs[0]), []
-    for c in _POWER_SUMS:
+    for c in rows:
         C0, C1 = combos[c[:2]].T, combos[c[2:]].T
-        for rows in row_blocks:
-            np.matmul(Zs[0][rows], C0, out=Mv[rows])
-            Mv[rows] += Zs[1][rows] @ C1
+        for block in row_blocks:
+            np.matmul(Zs[0][block], C0, out=Mv[block])
+            Mv[block] += Zs[1][block] @ C1
         total = 0.0
         for cols in col_blocks:
             U = np.matmul(A.data, (Mv @ C0[:, cols]).reshape(r, A.side, -1))
@@ -274,6 +275,7 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
     with all products tensor-lifted, the rows of ``config._POWER_SUM_ROWS``,
     whose scalar identity ``polyid`` proves exact for these two exponents.
     """
+    n = _as_int(n, "n")
     if n not in (2, 4):
         raise ValueError(f"power-sum condition is only available for n in {{2, 4}}, got {n}")
     means, _, G = _shared_table(A, Ap, B, Bp, s)
@@ -287,7 +289,7 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
     if n == 2:  # <M^2> = ||M psi||^2 = c^T G c
         pow1, pow2, pow3 = ((_POWER_COEFFS @ G) * _POWER_COEFFS).sum(axis=1).real.tolist()
     else:
-        pow1, pow2, pow3 = _fourth_moments(_partials(A, Ap, s), A, Ap, B, Bp, s)
+        pow1, pow2, pow3 = _fourth_moments(_POWER_SUMS, A, Ap, B, Bp, s)
     rhs = pow1 + pow2 + pow3
     details = {"m_AB": m_ab, "m_ABp": m_abp, "m_ApB": m_apb, "m_ApBp": m_apbp,
                f"pow{n}_ABp_minus_ApB": pow1,
@@ -342,7 +344,7 @@ def heisenberg_floor(A: ComplexMatrix, Ap: ComplexMatrix,
 def schmidt_optimal_witness(alpha: complex, beta: complex
                             ) -> tuple[ComplexMatrix, ComplexMatrix,
                                        ComplexMatrix, ComplexMatrix, WitnessReport]:
-    """Variance-product witness tuned to the state alpha|00> + beta|11>.
+    """Variance-product witness tuned to the state ``schmidt_pair(alpha, beta)``.
 
     Builds the in-plane spin operators at angles theta = -arg(alpha),
     eta = arg(beta) with primed partners a quarter turn ahead, which makes
@@ -350,8 +352,8 @@ def schmidt_optimal_witness(alpha: complex, beta: complex
     1 - 4|alpha*beta|² >= 1 and fails exactly when alpha*beta != 0.
     """
     state = schmidt_pair(alpha, beta)
-    theta = -np.angle(complex(alpha))
-    eta = np.angle(complex(beta))
+    theta = -np.angle(state.amplitudes[0])
+    eta = np.angle(state.amplitudes[3])
     # s_x cos(angle) + s_y sin(angle) at the four angles, from one cos and one sin
     angles = np.array([theta, theta + np.pi / 2.0, eta, eta + np.pi / 2.0])[:, None, None]
     spins = _SX * np.cos(angles) + _SY * np.sin(angles)

@@ -95,3 +95,39 @@ def test_sweep_pass_builds_one_table_per_state_and_witness_state():
     doc = json.loads(out.stdout)
     assert doc["states"] == 240
     assert doc["tables"] == 2 * doc["states"]
+
+
+INPROC_CHILD = f"""
+import json, subprocess, sys
+from pathlib import Path
+sys.path.insert(0, {str(BENCH)!r})
+import checks
+from jobs import sweep_inputs
+work, doc = Path(sys.argv[1]), sweep_inputs(1)
+(work / "inputs.json").write_text(json.dumps(doc))
+(work / "jobs.json").write_text(json.dumps(
+    [{{"name": "qubit-sweep", "kind": "sweep", "argv": [str(work / "inputs.json")]}}]))
+traced = subprocess.run([sys.executable, {str(BENCH / "inproc.py")!r},
+                         str(work / "jobs.json"), "1"], capture_output=True, text=True,
+                        timeout=100)
+if traced.returncode != 0:
+    sys.exit(traced.stderr)
+out = json.loads(traced.stdout)
+got = out["outputs"]["qubit-sweep"]
+expected = [checks.oracle(item) for item in doc["states"]]
+print(json.dumps({{"rc": got["rc"], "stderr": got["stderr"],
+                   "problems": checks.check_sweep(doc, expected, got["stdout"]),
+                   "calls": out["trace"]["calls"]}}))
+"""
+
+
+def test_traced_inproc_pass_runs_the_sweep(tmp_path):
+    # one traced in-process pass of the qubit-sweep workload, as
+    # ``bench/run.py --workload qubit-sweep --trace 1`` runs it
+    out = subprocess.run([sys.executable, "-c", INPROC_CHILD, str(tmp_path)],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["rc"] == 0, doc["stderr"]
+    assert doc["problems"] == []
+    assert any(key.startswith("witnesses.") for key in doc["calls"])

@@ -262,6 +262,18 @@ def test_witness_ramanujan_power_selection(capsys, tmp_path):
     assert abs(rep["lhs"] - 18.0) < 1e-9 and abs(rep["rhs"] - 2.0) < 1e-9
 
 
+@pytest.mark.parametrize("bad,shown", [(2.5, "2.5"), (True, "True")])
+def test_witness_refuses_non_integer_power(capsys, tmp_path, bad, shown):
+    state = write_json(tmp_path, "state.json",
+                       {"family": "bell", "params": {"parties": 2}})
+    ops = write_json(tmp_path, "ops.json",
+                     {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy", "n": bad})
+    assert run(["witness", "--state", state, "--ops", ops, "--condition", "ramanujan"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 'n' must be an integer, got {shown}\n"
+
+
 def test_witness_multipartite_lists(capsys, tmp_path):
     state = write_json(tmp_path, "state.json",
                        {"family": "bell", "params": {"parties": 3}})

@@ -227,6 +227,33 @@ def test_polynomial_exponent_is_rejected_not_cast(bad):
         Polynomial({(bad, 0, 0, 0): 1})
 
 
+@pytest.mark.parametrize("make,name", [
+    (lambda: IntLit(True), "value"),
+    (lambda: IntLit(2.5), "value"),
+    (lambda: Pow(Var("a"), True), "exponent"),
+    (lambda: Pow(Var("a"), 1.5), "exponent"),
+])
+def test_ast_integers_are_rejected_not_cast(make, name):
+    with pytest.raises(ValueError, match=f"'{name}' must be an integer"):
+        make()
+
+
+def test_ast_integers_accept_numpy_integers():
+    assert Pow(Var("a"), np.int64(2)) == Pow(Var("a"), 2)
+    assert IntLit(np.int32(7)) == IntLit(7)
+    assert type(Pow(Var("a"), np.int64(2)).exponent) is int
+    with pytest.raises(ValueError, match="unsigned"):
+        IntLit(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        Pow(Var("a"), -1)
+
+
+@pytest.mark.parametrize("bad", [5, None, b"a*b", ["a"]])
+def test_parse_refuses_a_non_string(bad):
+    with pytest.raises(ValueError, match="'text' must be a string"):
+        parse(bad)
+
+
 def test_polynomial_accepts_numpy_integer_exponents():
     p = Polynomial({(np.int64(2), 0, np.int32(1), 0): 3})
     assert p == expand(parse("3*a^2*b"))

@@ -11,6 +11,7 @@ import pytest
 
 from entwit import (
     DEFAULT,
+    QuantumState,
     StateSpec,
     bell,
     build_state,
@@ -25,7 +26,7 @@ from entwit import (
     vacuum_mixture,
 )
 
-from entwit.states import _SPIN_FAMILIES
+from entwit.states import _FAMILIES, _SPIN_FAMILIES
 
 from _support import fake_sysconf
 
@@ -87,6 +88,13 @@ def test_squeezed_cutoff_closed_form_matches_stepping():
     assert squeezed_cutoff(0.0) == 2
     assert squeezed_cutoff(0.9) == 132
     assert squeezed_cutoff(0.99) == 1376
+
+
+@pytest.mark.parametrize("bad,match", [("0.5", "a real number"), (True, "a real number"),
+                                       (0.5 + 0.1j, "a real number"), (math.nan, "finite")])
+def test_squeezed_cutoff_checks_lambda(bad, match):
+    with pytest.raises(ValueError, match=f"'lambda' must be {match}"):
+        squeezed_cutoff(bad)
 
 
 def test_squeezed_near_one_refused_quickly(monkeypatch):
@@ -237,6 +245,28 @@ def test_spec_build_matches_direct_constructors():
         built = spec.build()
         assert built.dims == direct.dims
         assert np.allclose(built.density.data, direct.density.data)
+
+
+def test_families_build_their_state_once(monkeypatch):
+    # a family checks its parameters and builds its amplitudes itself; the
+    # checked entry for caller-supplied amplitudes is not run a second time
+    specs = [StateSpec("fock_pair", {"c": [0.6, 0.8]}, 9), StateSpec("psi2", {"c0": 0.9}),
+             StateSpec("vacuum_mixture", {"p": 0.4, "c": [0.6, 0.8]}),
+             StateSpec("squeezed", {"lambda": -0.7}), StateSpec("bell", {"parties": 3}),
+             StateSpec("schmidt", {"alpha": [0.6, 0.0], "beta": 0.8j})]
+    assert {spec.family for spec in specs} == set(_FAMILIES)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("QuantumState.pure called")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(QuantumState, "pure", refuse)
+        built = [build_state(spec) for spec in specs] + [vacuum_mixture(0.0, [1.0], 4)]
+    for s in built:
+        assert not s.weights.flags.writeable and not s.vectors.flags.writeable
+        assert s.vectors.shape[1] == math.prod(s.dims)
+        for v in s.vectors:  # each component passes the check it skipped
+            assert np.array_equal(QuantumState.pure(v, s.dims).amplitudes, v)
 
 
 def test_spec_psi2_equals_two_coefficient_family():

@@ -227,6 +227,18 @@ def test_ramanujan_rejects_other_powers():
             ramanujan_witness(S_X, S_Y, S_X, S_Y, bell(2), n)
 
 
+@pytest.mark.parametrize("bad", [2.0, np.float64(4), "2", True])
+def test_ramanujan_rejects_non_integer_powers(bad):
+    with pytest.raises(ValueError, match="'n' must be an integer"):
+        ramanujan_witness(S_X, S_Y, S_X, S_Y, bell(2), bad)
+
+
+def test_ramanujan_accepts_numpy_integer_powers():
+    for n in (2, 4):
+        want = ramanujan_witness(S_X, S_Y, S_X, S_Y, bell(2), n)
+        assert ramanujan_witness(S_X, S_Y, S_X, S_Y, bell(2), np.int64(n)) == want
+
+
 # --- uffink / four_variance --------------------------------------------------
 
 
@@ -311,6 +323,16 @@ def test_schmidt_witness_empty_schmidt_rank():
     assert abs(rep.lhs - 1.0) < TOL and abs(rep.rhs - 1.0) < TOL
     _, _, _, _, rep = schmidt_optimal_witness(0.0, 1.0)
     assert not rep.violated
+
+
+def test_schmidt_witness_accepts_pairs_as_schmidt_pair_does():
+    # [re, im] pairs give the witness of the complex amplitudes they name
+    for pairs, numbers in [(([0.6, 0], [0, 0.8]), (0.6, 0.8j)),
+                           (([0.36, 0.48], (-0.64, 0.48)), (0.36 + 0.48j, -0.64 + 0.48j))]:
+        got, want = schmidt_optimal_witness(*pairs), schmidt_optimal_witness(*numbers)
+        assert got[4] == want[4]
+        for op, ref in zip(got[:4], want[:4]):
+            assert np.array_equal(op.data, ref.data)
 
 
 def test_schmidt_witness_maximal_entanglement_omits_ratio():
@@ -741,7 +763,7 @@ def test_moment_table_matches_dense_kron(split, kind, seed):
     B, Bp = hermitian_on(gen, dims_b), hermitian_on(gen, dims_b)
     rho = s.density.data
     P = [kron(X, Y).data for X in (A, Ap) for Y in (B, Bp)]
-    means, second, G, Zs = _moment_table(A, Ap, B, Bp, s)
+    means, second, G = _moment_table(A, Ap, B, Bp, s)
     for p in range(4):
         assert_matches(means[p], np.trace(rho @ P[p]).real)
         assert_matches(second[p], np.trace(rho @ P[p] @ P[p]).real)
@@ -749,7 +771,7 @@ def test_moment_table_matches_dense_kron(split, kind, seed):
             want = np.trace(rho @ P[p] @ P[q])
             assert_matches(G[p, q].real, want.real)
             assert_matches(G[p, q].imag, want.imag)
-    for got, c in zip(_fourth_moments(Zs, A, Ap, B, Bp, s), _POWER_SUMS):
+    for got, c in zip(_fourth_moments(_POWER_SUMS, A, Ap, B, Bp, s), _POWER_SUMS):
         M = sum(cp * Pp for cp, Pp in zip(c, P))
         assert_matches(got, np.trace(rho @ np.linalg.matrix_power(M, 4)).real)
 
@@ -762,10 +784,9 @@ OTHER_POWER_SUMS = ((1, -1, 0, 0), (0, 0, -1, 1), (-1, -1, 1, 0), (0, 1, 1, -1),
 
 @pytest.mark.parametrize("split", [((2,), (2,)), ((2,), (3,)), ((3,), (2, 2))])
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
-def test_fourth_moments_follow_any_rows(monkeypatch, split, kind):
-    import entwit.witnesses as witnesses
+def test_fourth_moments_follow_any_rows(split, kind):
+    from entwit.witnesses import _fourth_moments
 
-    monkeypatch.setattr(witnesses, "_POWER_SUMS", OTHER_POWER_SUMS)
     gen = rng(31)
     dims_a, dims_b = split
     s = {"pure": random_pure, "mixed": random_mixed}[kind](gen, dims_a + dims_b)
@@ -773,8 +794,7 @@ def test_fourth_moments_follow_any_rows(monkeypatch, split, kind):
     B, Bp = hermitian_on(gen, dims_b), hermitian_on(gen, dims_b)
     rho = s.density.data
     P = [kron(X, Y).data for X in (A, Ap) for Y in (B, Bp)]
-    Zs = witnesses._moment_table(A, Ap, B, Bp, s)[3]
-    got = witnesses._fourth_moments(Zs, A, Ap, B, Bp, s)
+    got = _fourth_moments(OTHER_POWER_SUMS, A, Ap, B, Bp, s)
     assert len(got) == len(OTHER_POWER_SUMS)
     for value, c in zip(got, OTHER_POWER_SUMS):
         M = sum(cp * Pp for cp, Pp in zip(c, P))
