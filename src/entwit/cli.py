@@ -97,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", required=True,
                    choices=("variance", "ramanujan", "uffink"),
                    help="which condition to evaluate")
-    p.add_argument("--n", type=int, choices=(2, 4), default=2,
+    p.add_argument("--n", type=int, choices=(2, 4),
                    help="power for the ramanujan condition (default 2)")
 
     p = sub.add_parser(
@@ -198,7 +198,7 @@ def _run_bell(args) -> tuple[dict, dict, dict]:
         condition = "multipartite"
         ops = {"A": ["sx"] * args.parties, "Aprime": ["sy"] * args.parties}
     elif condition == "ramanujan":
-        inputs["n"] = ops["n"] = args.n
+        inputs["n"] = ops["n"] = 2 if args.n is None else args.n
     return inputs, *_evaluate_spec(StateSpec("bell", {"parties": args.parties}), condition, ops)
 
 
@@ -380,9 +380,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if (args.command == "bell" and args.condition in ("ramanujan", "uffink")
-                and args.parties != 2):
-            parser.error(f"--condition {args.condition} requires --parties 2")
+        if args.command == "bell":
+            if args.condition in ("ramanujan", "uffink") and args.parties != 2:
+                parser.error(f"--condition {args.condition} requires --parties 2")
+            if args.condition != "ramanujan" and args.n is not None:
+                parser.error("--n applies to --condition ramanujan only")
+        if args.command == "identity" and args.name != "ramanujan" and args.n is not None:
+            parser.error("--n applies to --name ramanujan only")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

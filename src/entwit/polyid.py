@@ -13,16 +13,22 @@ Grammar for :func:`parse`::
     unary  := '-' unary | power
     power  := atom ('^' power)?          # right-associative
     atom   := INT | VAR | '(' expr ')'
+    INT    := [0-9]+                     # ASCII digits only
     VAR    := a | a' | b | b'
 
 Precedence is ^ > unary minus > * > binary +/-, an explicit '*' is required
 between factors, and power exponents must fold to non-negative integer
-constants.
+constants.  Every malformed input is a :class:`ParseError` at a character
+offset: any other name (a run of word characters other than digits and '_',
+then primes) is an unknown identifier, any other non-space character
+(a non-ASCII digit such as '٣' included) is unexpected, and so is an INT
+with more digits than ``int()`` converts.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import zlib
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -247,49 +253,28 @@ class Pow(Expr):
 
 
 class ParseError(ValueError):
-    """Syntax or name error, carrying the byte offset into the input."""
+    """Syntax or name error, carrying the character offset into the input."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
 
 
-_SYMBOLS = set("+-*^()")
+# One group per token class of the grammar; the bare \S catches any other
+# non-space character.  ``re`` compiles the pattern on first use and caches it.
+_TOKEN = r"(?P<INT>[0-9]+)|(?P<VAR>[^\W\d_]+'*)|(?P<SYM>[-+*^()])|\S"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _SYMBOLS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < n and text[j].isalpha():
-                j += 1
-            while j < n and text[j] == "'":
-                j += 1
-            name = text[i:j]
-            if name not in _VAR_INDEX:
-                raise ParseError(f"unknown identifier {name!r}", i)
-            tokens.append(("VAR", name, i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("EOF", "", n))
+    for match in re.finditer(_TOKEN, text):
+        kind, value, offset = match.lastgroup, match.group(), match.start()
+        if kind is None:
+            raise ParseError(f"unexpected character {value!r}", offset)
+        if kind == "VAR" and value not in _VAR_INDEX:
+            raise ParseError(f"unknown identifier {value!r}", offset)
+        tokens.append((value if kind == "SYM" else kind, value, offset))
+    tokens.append(("EOF", "", len(text)))
     return tokens
 
 
@@ -357,7 +342,12 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, offset = self.take()
         if kind == "INT":
-            return IntLit(int(text))
+            try:
+                value = int(text)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"integer literal of {len(text)} digits is too long",
+                                 offset) from None
+            return IntLit(value)
         if kind == "VAR":
             return Var(text)
         if kind == "(":

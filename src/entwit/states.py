@@ -203,8 +203,9 @@ def _psi2_coeffs(c0: float) -> list[float]:
 
 
 # family -> (parameter names, constructor of (params, cutoff)); the spin
-# families ignore the cutoff.  Each lambda looks its constructor up when
-# called, so a wrapped or patched module function is the one that runs.
+# families take no cutoff (build_state refuses one).  Each lambda looks its
+# constructor up when called, so a wrapped or patched module function is
+# the one that runs.
 _FAMILIES: dict[str, tuple[set[str], Callable[..., QuantumState]]] = {
     "fock_pair": ({"c"}, lambda p, D: fock_pair_superposition(p["c"], D)),
     "psi2": ({"c0"}, lambda p, D: fock_pair_superposition(_psi2_coeffs(p["c0"]), D)),
@@ -224,4 +225,6 @@ def build_state(spec: StateSpec) -> QuantumState:
         raise ValueError(f"family {spec.family!r} is missing parameters {sorted(missing)}")
     if extra:
         raise ValueError(f"family {spec.family!r} does not take parameters {sorted(extra)}")
+    if spec.family in _SPIN_FAMILIES and spec.cutoff is not None:
+        raise ValueError(f"family {spec.family!r} has no Fock cutoff, got {spec.cutoff}")
     return construct(spec.params, spec.cutoff)

@@ -131,3 +131,47 @@ def test_traced_inproc_pass_runs_the_sweep(tmp_path):
     assert doc["rc"] == 0, doc["stderr"]
     assert doc["problems"] == []
     assert any(key.startswith("witnesses.") for key in doc["calls"])
+
+
+CLI_CHILD = f"""
+import json, subprocess, sys
+from pathlib import Path
+sys.path.insert(0, {str(BENCH)!r})
+import checks
+from jobs import workload_jobs
+work = Path(sys.argv[1])
+jobs = [job for workload in ("bosonic-dense", "solve-exact")
+        for job in workload_jobs(workload, 1, work)]
+(work / "jobs.json").write_text(json.dumps(
+    [{{"name": j.name, "kind": j.kind, "argv": list(j.argv)}} for j in jobs]))
+traced = subprocess.run([sys.executable, {str(BENCH / "inproc.py")!r},
+                         str(work / "jobs.json"), "1"], capture_output=True, text=True,
+                        timeout=250)
+if traced.returncode != 0:
+    sys.exit(traced.stderr)
+out = json.loads(traced.stdout)
+reference = json.loads(Path({str(BENCH / "reference.json")!r}).read_text(encoding="utf-8"))
+outputs = out["outputs"]
+print(json.dumps({{"jobs": len(jobs),
+                   "failed": {{name: got["stderr"] for name, got in outputs.items()
+                              if got["rc"] != 0}},
+                   "problems": [problem for name, got in outputs.items()
+                                for problem in checks.check_cli(name, got["stdout"],
+                                                                reference)],
+                   "calls": out["trace"]["calls"]}}))
+"""
+
+
+def test_traced_inproc_pass_runs_the_cli_workloads(tmp_path):
+    # one traced in-process pass of the bosonic-dense and solve-exact jobs,
+    # as ``bench/run.py --workload ... --trace 1`` runs each of them
+    out = subprocess.run([sys.executable, "-c", CLI_CHILD, str(tmp_path)],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    assert doc["jobs"] == 22
+    assert doc["failed"] == {}
+    assert doc["problems"] == []
+    for layer in ("polyid", "optimize", "states", "witnesses"):
+        assert any(key.startswith(f"{layer}.") and count > 0
+                   for key, count in doc["calls"].items()), layer

@@ -432,6 +432,13 @@ def test_eval_error_reports_offset(capsys):
     assert "unknown identifier 'q'" in err and "offset 4" in err
 
 
+def test_eval_reports_a_non_ascii_digit_at_its_offset(capsys):
+    assert run(["eval", "--expr-lhs", "a^\u00b2", "--expr-rhs", "a"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown identifier '\u00b2' at offset 2\n"
+
+
 def test_witness_file_errors_exit_1(capsys, tmp_path):
     ops = write_json(tmp_path, "ops.json",
                      {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"})
@@ -463,6 +470,53 @@ def test_witness_operator_mismatch_exits_1(capsys, tmp_path):
                 "--condition", "uffink"]) == 1
     err = capsys.readouterr().err
     assert "two-level factor" in err
+
+
+SPIN_OPS = {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"}
+
+
+@pytest.mark.parametrize("parties,ops,condition,message", [
+    (2, ["sx", "sy"], "uffink", "operator spec must be a JSON object"),
+    (2, {**SPIN_OPS, "C": "sz"}, "uffink", "operator spec has unknown fields ['C']"),
+    (2, {"A": "sx", "Aprime": "sy"}, "uffink", "operator spec is missing fields ['B', 'Bprime']"),
+    (2, {**SPIN_OPS, "B": 3}, "uffink", "operator names must be strings, got 3"),
+    (2, {**SPIN_OPS, "B": "sw"}, "uffink", "unknown builtin operator 'sw'"),
+    (2, {"A": "sx", "Aprime": "sy"}, "multipartite", "needs lists under 'A' and 'Aprime'"),
+    (2, {"A": ["sx"] * 3, "Aprime": ["sy"] * 3}, "multipartite",
+     "need one operator name per factor (2 factors)"),
+    (3, SPIN_OPS, "uffink", "condition 'uffink' is bipartite; state has 3 factors"),
+])
+def test_witness_refuses_bad_operator_specs(capsys, tmp_path, parties, ops, condition, message):
+    state = write_json(tmp_path, "state.json", {"family": "bell", "params": {"parties": parties}})
+    assert run(["witness", "--state", state, "--ops", write_json(tmp_path, "ops.json", ops),
+                "--condition", condition]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["mixture", "--p", "0.5", "--coeffs", "1,x"], "expected comma-separated numbers"),
+    (["schmidt", "--alpha", "1,x", "--beta", "0.8,0"], "expected 're,im' with numeric parts"),
+    # an input the command would echo and then ignore
+    (["identity", "--name", "complex_norm", "--n", "3"], "--n applies to --name ramanujan only"),
+    (["bell", "--parties", "4", "--condition", "variance", "--n", "4"],
+     "--n applies to --condition ramanujan only"),
+    (["bell", "--parties", "2", "--condition", "uffink", "--n", "2"],
+     "--n applies to --condition ramanujan only"),
+])
+def test_refused_arguments_exit_2(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_squeezed_echoes_its_cutoff(capsys):
+    code, doc, _ = invoke(capsys, "squeezed", "--lambda", "0.5", "--cutoff", "24")
+    assert code == 0
+    assert doc["inputs"] == {"lambda": 0.5, "cutoff": 24}
+    assert doc["meta"]["cutoffs"] == {"state": 24}
 
 
 # --- output formatting -------------------------------------------------------
@@ -715,6 +769,11 @@ def test_witness_rejects_non_real_state_fields(capsys, tmp_path, spec, field):
 @pytest.mark.parametrize("spec,message", [
     ({"family": "bell", "params": 5}, "error: state params must be a mapping, got 5\n"),
     ({"family": ["bell"]}, "error: unknown state family ['bell']; expected one of "),
+    # a cutoff the spin families would echo and ignore
+    ({"family": "bell", "params": {"parties": 3}, "cutoff": 5},
+     "error: family 'bell' has no Fock cutoff, got 5\n"),
+    ({"family": "schmidt", "params": {"alpha": 0.6, "beta": 0.8}, "cutoff": 5},
+     "error: family 'schmidt' has no Fock cutoff, got 5\n"),
 ])
 def test_witness_refuses_state_fields_of_the_wrong_type(capsys, tmp_path, spec, message):
     state = write_json(tmp_path, "state.json", spec)

@@ -19,7 +19,7 @@ from entwit import (
     variance,
 )
 from entwit.config import DEFAULT
-from entwit.hilbert import _second_moment
+from entwit.hilbert import _clamped_variance, _second_moment
 from entwit.operators import quadratures, spin_ops
 from entwit.states import fock_pair_superposition
 
@@ -149,6 +149,18 @@ def test_matrix_algebra_checks_dims():
         A @ B
 
 
+def test_matrix_algebra_refuses_a_scalar_operand():
+    with pytest.raises(TypeError):
+        ComplexMatrix(np.eye(2)) + 1
+
+
+def test_zero_factor_dimension_is_refused():
+    with pytest.raises(ValueError, match="factor dimensions must be positive"):
+        ComplexMatrix(np.zeros((0, 0)), (0,))
+    with pytest.raises(ValueError, match="factor dimensions must be positive"):
+        QuantumState.pure([1.0], (0,))
+
+
 # --- kron / commutator ---------------------------------------------------
 
 
@@ -197,6 +209,19 @@ def test_pure_state_requires_unit_norm():
     with pytest.raises(ValueError):
         QuantumState.pure([1.0, 1.0], (2,))
     QuantumState.pure([1.0, 0.0], (2,))
+
+
+def test_pure_state_length_must_match_dims():
+    with pytest.raises(ValueError, match="amplitude vector has length 3"):
+        QuantumState.pure([1.0, 0.0, 0.0], (2,))
+
+
+def test_mixed_state_from_a_complex_matrix():
+    rho = ComplexMatrix(np.diag([0.25] * 4), (2, 2))
+    assert QuantumState.mixed(rho).dims == (2, 2)
+    s = QuantumState.mixed(rho, (4,))
+    assert s.dims == (4,)
+    assert np.allclose(s.density.data, rho.data)
 
 
 def test_mixed_state_validation():
@@ -251,6 +276,13 @@ def test_variance_rejects_nonhermitian():
     s = random_pure(gen, (3,))
     with pytest.raises(ValueError):
         variance(ComplexMatrix(G, (3,)), s)
+
+
+def test_variance_round_off_is_clamped_and_larger_deficits_refused():
+    clamp = DEFAULT.variance_clamp
+    assert _clamped_variance(-0.5 * clamp, 0.0) == 0.0
+    with pytest.raises(ValueError, match="negative beyond round-off"):
+        _clamped_variance(-2.0 * clamp, 0.0)
 
 
 def test_variance_zero_on_eigenstate():

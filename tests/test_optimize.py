@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 
 import numpy as np
 import pytest
@@ -541,6 +542,28 @@ def test_min_eigenvalue_upper_certificate(monkeypatch):
     monkeypatch.setattr(optimize, "_count_below", lambda *args: 0)
     with pytest.raises(ValueError, match="not certified"):
         min_eigenvalue(c_matrix(20))
+
+
+def test_inverse_iteration_retries_a_non_finite_solve(monkeypatch):
+    # the first solve at the bisection shift returns NaNs; the step is
+    # solved again at a shift nudged by 1e-10, and the result is unchanged
+    lam, vec = min_eigenvalue(c_matrix(200))
+    original, shifts = optimize._tridiag_apply, []
+
+    def first_fails(factored, rhs):
+        monkeypatch.setattr(optimize, "_tridiag_apply", original)
+        return array("d", [math.nan]) * len(rhs)
+
+    def solve(diag, off, sigma, rhs):
+        shifts.append(sigma)
+        return original(optimize._tridiag_factor(diag, off, sigma), rhs)
+
+    monkeypatch.setattr(optimize, "_tridiag_apply", first_fails)
+    monkeypatch.setattr(optimize, "_tridiag_solve", solve)
+    retried, retried_vec = min_eigenvalue(c_matrix(200))
+    assert len(shifts) == 1
+    assert abs(retried - lam) < 1e-12
+    assert np.allclose(retried_vec, vec, atol=1e-9)
 
 
 def test_solve_and_scan_refused_before_allocation(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,8 @@ from entwit import (
     pretty,
     verify,
 )
-from entwit.polyid import Add, IntLit, Mul, Neg, Pow, Sub, Var
+from entwit import polyid
+from entwit.polyid import Add, IntLit, Mul, Neg, Pow, Sub, Var, _tokenize
 
 F = Fraction
 
@@ -66,6 +68,10 @@ def test_parse_exponent_constant_folding():
         ("(a+b", 4, "expected ')'"),
         ("", 0, "unexpected token 'end of input'"),
         ("1/2", 1, "unexpected character '/'"),
+        # INT is ASCII digits only: other numerals are no literal
+        ("a^\u00b2", 2, "unknown identifier '\u00b2'"),
+        ("\u0663*a", 0, "unexpected character '\u0663'"),
+        ("a +\u00a0\u0663", 4, "unexpected character '\u0663'"),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset, fragment):
@@ -74,6 +80,23 @@ def test_parse_errors_carry_offsets(text, offset, fragment):
     assert exc.value.offset == offset
     assert fragment in str(exc.value)
     assert f"at offset {offset}" in str(exc.value)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() converts any number of digits here")
+def test_integer_literal_beyond_the_digit_limit_is_a_parse_error():
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    with pytest.raises(ParseError, match=f"literal of {len(digits)} digits is too long") as exc:
+        parse("a^" + digits)
+    assert exc.value.offset == 2
+
+
+def test_tokens_and_offsets():
+    # tabs, Unicode spaces and the control separators \x1c-\x1f separate tokens
+    assert _tokenize("a'*\t(b'\u00a0+ 12)^2\x1c") == [
+        ("VAR", "a'", 0), ("*", "*", 2), ("(", "(", 4), ("VAR", "b'", 5), ("+", "+", 8),
+        ("INT", "12", 10), (")", ")", 12), ("^", "^", 13), ("INT", "2", 14), ("EOF", "", 16)]
+    assert _tokenize(" \u3000") == [("EOF", "", 2)]
 
 
 # --- expansion ---------------------------------------------------------------
@@ -191,6 +214,16 @@ def test_identity_registry_validation():
         verify("ramanujan", -2)
 
 
+@pytest.mark.parametrize("name,n,wrong,message", [
+    ("complex_norm", None, False, "no numeric witness"),
+    ("ramanujan", 3, True, "contradicted"),
+])
+def test_verify_refuses_a_verdict_the_sample_contradicts(monkeypatch, name, n, wrong, message):
+    monkeypatch.setattr(polyid, "equal", lambda p, q: wrong)
+    with pytest.raises(RuntimeError, match=message):
+        verify(name, n)
+
+
 @pytest.mark.parametrize("bad", [2.5, "4", True])
 def test_identity_exponent_is_rejected_not_cast(bad):
     with pytest.raises(ValueError, match="'n' must be an integer"):
@@ -198,6 +231,24 @@ def test_identity_exponent_is_rejected_not_cast(bad):
 
 
 # --- Polynomial edge cases ---------------------------------------------------
+
+
+def test_polynomial_repr():
+    assert repr(Polynomial()) == "Polynomial(0)"
+    assert repr(expand(parse("3*a^2*b - 1"))) == "Polynomial(3*a^2*b + -1)"
+
+
+def test_unknown_variables_are_refused():
+    with pytest.raises(ValueError, match="unknown variable 'c'"):
+        Polynomial.variable("c")
+    with pytest.raises(ValueError, match="unknown variable 'c'"):
+        Var("c")
+
+
+@pytest.mark.parametrize("walk", [expand, pretty, lambda e: eval_expr(e, (0, 0, 0, 0))])
+def test_tree_walks_refuse_a_non_node(walk):
+    with pytest.raises(TypeError, match="not an expression node"):
+        walk("a")
 
 
 def test_polynomial_constant_and_zero():

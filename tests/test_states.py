@@ -406,6 +406,19 @@ def test_library_constructors_reject_non_integer_cutoffs():
     assert fock_pair_superposition([1.0], cutoff=4).dims == (4, 4)
 
 
+def test_squeezed_vacuum_refuses_a_zero_cutoff():
+    with pytest.raises(ValueError, match="cutoff must be positive, got 0"):
+        squeezed_vacuum(0.5, cutoff=0)
+
+
+@pytest.mark.parametrize("family,params", [("bell", {"parties": 3}),
+                                           ("schmidt", {"alpha": 0.6, "beta": 0.8})])
+def test_spin_families_refuse_a_cutoff(family, params):
+    with pytest.raises(ValueError, match=f"family '{family}' has no Fock cutoff, got 5"):
+        build_state(StateSpec(family, params, 5))
+    assert build_state(StateSpec(family, params)).dims[0] == 2
+
+
 def test_schmidt_pair_rejects_non_numeric_amplitudes():
     for alpha, beta in [("1", 0), (True, False), (0.6, "0.8"), (0.6, [0.8, None])]:
         name = "beta" if alpha == 0.6 else "alpha"

@@ -126,6 +126,12 @@ def test_quadruple_validation():
         variance_product(nonherm, S_Y, S_X, S_Y, s)
 
 
+def test_quadruple_validation_refuses_b_pair_of_different_dims():
+    s = bell(2)
+    with pytest.raises(ValueError, match="B and B' must share dims"):
+        variance_product(S_X, S_Y, S_X, ComplexMatrix(np.eye(3), (3,)), s)
+
+
 # --- multipartite -----------------------------------------------------------
 
 
