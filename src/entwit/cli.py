@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from . import __version__
-from .config import DEFAULT
+from .config import _IDENTITY_ROWS, DEFAULT
 
 if TYPE_CHECKING:
     from .hilbert import ComplexMatrix, QuantumState
@@ -107,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_complex_pair, required=True, metavar="RE,IM")
 
     p = sub.add_parser("identity", help="verify a built-in polynomial identity")
-    p.add_argument("--name", required=True, choices=("complex_norm", "ramanujan"),
+    p.add_argument("--name", required=True, choices=tuple(_IDENTITY_ROWS),
                    help="identity family")
     p.add_argument("--n", type=int, default=None,
                    help="power for the ramanujan family")

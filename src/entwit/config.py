@@ -1,4 +1,4 @@
-"""Shared tolerances, the input checks and the power-sum identity's rows.
+"""Shared tolerances, the input checks and the rows of the polynomial identities.
 
 Every quantity handled by this package is O(1) to O(10^2), so absolute
 tolerances are used throughout.  The table below is the only setting: no
@@ -11,7 +11,8 @@ order, a grid size, an exponent) goes through :func:`_as_int`, and every
 real one through :func:`_as_real`, and :func:`_refuse_oversize` refuses a
 request too large for memory; none of them imports numpy.
 
-``_POWER_SUM_ROWS`` is data, not a setting: the power-sum identity, stated
+``_IDENTITY_ROWS`` is data, not a setting: each builtin identity
+``sum_k (L_k . x)^n = sum_k (R_k . x)^n`` as its left and right rows, stated
 once for the ``polyid`` proof and the ``witnesses`` evaluation.
 """
 
@@ -94,9 +95,15 @@ class Tolerances(_Record):
 
 DEFAULT = Tolerances()
 
-# Rows (L, R) of sum_k (L_k . x)^n = sum_k (R_k . x)^n, x = (ab, ab', a'b, a'b')
-_POWER_SUM_ROWS = (((1, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, -1)),
-                   ((0, 1, -1, 0), (1, 0, 1, 1), (1, 1, 0, 1)))
+# Rows (L, R) of sum_k (L_k . x)^n = sum_k (R_k . x)^n, x = (ab, ab', a'b, a'b'):
+# |(a + ia')(b + ib')|^2 = (a^2 + a'^2)(b^2 + b'^2) at n = 2, and the power sums
+# that hold at n = 2 and n = 4.
+_IDENTITY_ROWS = {
+    "complex_norm": (((1, 0, 0, -1), (0, 1, 1, 0)),
+                     ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    "ramanujan": (((1, 1, 1, 0), (0, 1, 1, 1), (1, 0, 0, -1)),
+                  ((0, 1, -1, 0), (1, 0, 1, 1), (1, 1, 0, 1))),
+}
 
 
 def _as_int(value: Any, name: str) -> int:

@@ -27,13 +27,14 @@ with more digits than ``int()`` converts.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import zlib
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .config import _POWER_SUM_ROWS, _Frozen, _Record, _as_int
+from .config import _IDENTITY_ROWS, _Frozen, _Record, _as_int, _refuse_oversize
 
 __all__ = [
     "VARIABLES",
@@ -54,6 +55,7 @@ _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 Exponent = tuple[int, int, int, int]
 _ZERO_EXP: Exponent = (0, 0, 0, 0)
+_TERM_BYTES = 200  # a term's exponent tuple, dict slot and int headers, digits aside
 
 
 class Polynomial(_Frozen):
@@ -140,16 +142,34 @@ class Polynomial(_Frozen):
                 out[exp] = get(exp, 0) + c1 * c2
         return Polynomial._nonzero(out)
 
+    def _power_bytes(self, k: int) -> float:
+        """An upper bound on the bytes of ``self ** k``, for ``self`` not 0.
+        Its terms are at most the monomials of its degree and the multisets of
+        k terms of ``self``.  With L the lcm of the denominators and S the sum
+        of the absolute coefficients, each coefficient is an integer of at most
+        (S L)^k over L^k: k log2(S L^2) bits, none for a power of 1 or -1."""
+        coeffs = self._terms.values()
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        # past 2^64, any power but that of a +-1 monomial needs over 2^61 bytes
+        k, d, t = min(k, 2**64), max(map(sum, self._terms)), len(self._terms)
+        terms = min(math.comb(k * d + 4, 4), math.comb(k + t - 1, t - 1), 2**64)
+        bits = k * math.log2(int(sum(map(abs, coeffs)) * scale) * scale)
+        return terms * (bits / 8 + _TERM_BYTES)
+
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("polynomial power requires a non-negative exponent")
+        if k > 1 and self._terms:  # refused before any term is formed
+            _refuse_oversize(self._power_bytes(k),
+                             f"a polynomial power of {k if k < 2**64 else 'over 2^64'}")
         result = Polynomial.constant(1)
         base = self
         while k:
             if k & 1:
                 result = result * base
-            base = base * base
             k >>= 1
+            if k:  # the square past the top bit is never used
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -446,7 +466,6 @@ def equal(p: Polynomial, q: Polynomial) -> bool:
     return p == q
 
 
-_IDENTITY_NAMES = ("complex_norm", "ramanujan")
 _TRIALS = 20  # random rational points at which verify() cross-checks a verdict
 _PRODUCTS = ("a*b", "a*b'", "a'*b", "a'*b'")  # the x of the power-sum rows
 
@@ -458,22 +477,22 @@ def _power_sum(rows: Sequence[Sequence[int]], n: int) -> Expr:
 
 
 def builtin_identity(name: str, n: int | None = None) -> tuple[Expr, Expr]:
-    """The two sides of a named identity, as ASTs.
+    """The two sides of a named identity, as ASTs, built from the rows of
+    ``config._IDENTITY_ROWS`` that the witnesses evaluate.
 
-    ``complex_norm`` ignores ``n``; ``ramanujan`` is built from the rows of
-    ``config._POWER_SUM_ROWS`` that the witness evaluates, accepts any n >= 1
-    and leaves validity to :func:`verify` (it holds only for n = 2 and n = 4).
+    ``complex_norm`` is stated at n = 2 and refuses any other ``n`` (None
+    means 2); ``ramanujan`` accepts any n >= 1 and leaves validity to
+    :func:`verify` (it holds only for n = 2 and n = 4).
     """
-    if name == "complex_norm":
-        lhs = parse("(a*b - a'*b')^2 + (a*b' + a'*b)^2")
-        rhs = parse("(a^2 + a'^2)*(b^2 + b'^2)")
-        return (lhs, rhs)
-    if name == "ramanujan":
-        n = None if n is None else _as_int(n, "n")
-        if n is None or n < 1:
-            raise ValueError(f"the power-sum identity needs an exponent n >= 1, got {n!r}")
-        return (_power_sum(_POWER_SUM_ROWS[0], n), _power_sum(_POWER_SUM_ROWS[1], n))
-    raise ValueError(f"unknown identity {name!r}; expected one of {_IDENTITY_NAMES}")
+    if name not in _IDENTITY_ROWS:
+        raise ValueError(f"unknown identity {name!r}; expected one of {tuple(_IDENTITY_ROWS)}")
+    n = None if n is None else _as_int(n, "n")
+    if name == "complex_norm" and n not in (None, 2):
+        raise ValueError(f"the complex-norm identity has the exponent n = 2 only, got n = {n}")
+    n = 2 if name == "complex_norm" else n
+    if n is None or n < 1:
+        raise ValueError(f"the power-sum identity needs an exponent n >= 1, got {n!r}")
+    return tuple(_power_sum(rows, n) for rows in _IDENTITY_ROWS[name])
 
 
 def _sample_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction, Fraction]:

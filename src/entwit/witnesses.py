@@ -30,7 +30,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .config import _POWER_SUM_ROWS, DEFAULT, _Record, _as_int
+from .config import _IDENTITY_ROWS, DEFAULT, _Record, _as_int
 from .hilbert import (
     Array,
     ComplexMatrix,
@@ -228,11 +228,6 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
                         V=_guarded_ratio(lhs, rhs), details=details)
 
 
-# The power-sum forms of the means and the sums M, as coefficients c_p of P_p.
-_POWER_MEANS, _POWER_SUMS = _POWER_SUM_ROWS
-_POWER_COEFFS = np.array(_POWER_SUMS, dtype=float)
-
-
 def _fourth_moments(rows: Sequence[tuple[int, ...]], A: ComplexMatrix, Ap: ComplexMatrix,
                     B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> list[float]:
     """``<M^4> = sum_r w_r ||M^2 v_r||^2`` for each sum ``M = sum_p c_p P_p``
@@ -264,6 +259,31 @@ def _fourth_moments(rows: Sequence[tuple[int, ...]], A: ComplexMatrix, Ap: Compl
     return out
 
 
+# The right rows of each identity as coefficients c_p of P_p, for c^T G c.
+_RIGHT_COEFFS = {name: np.array(rows[1], dtype=float) for name, rows in _IDENTITY_ROWS.items()}
+
+
+def _identity_terms(name: str, n: int, A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix,
+                    Bp: ComplexMatrix, s: QuantumState) -> tuple[dict, float, list[float]]:
+    """The identity ``config._IDENTITY_ROWS[name]`` on the lifted products
+    ``P``: the four means as ``details``, ``sum_k <L_k . P>^n`` over the left
+    rows, and ``<(R_k . P)^n>`` for each right row (``c^T G c`` at n = 2,
+    :func:`_fourth_moments` at n = 4)."""
+    means, _, G = _shared_table(A, Ap, B, Bp, s)
+    left, right = _IDENTITY_ROWS[name]
+    lhs = 0.0
+    for row in left:  # each form summed left to right, as displayed
+        form = 0.0
+        for c, m in zip(row, means):
+            form += c * m
+        lhs += form ** n
+    if n == 2:  # <M^2> = ||M psi||^2 = c^T G c
+        powers = ((_RIGHT_COEFFS[name] @ G) * _RIGHT_COEFFS[name]).sum(axis=1).real.tolist()
+    else:
+        powers = _fourth_moments(right, A, Ap, B, Bp, s)
+    return dict(zip(("m_AB", "m_ABp", "m_ApB", "m_ApBp"), means)), lhs, powers
+
+
 def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
                       B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState,
                       n: int) -> WitnessReport:
@@ -272,41 +292,27 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
     <AB + AB' + A'B>^n + <AB' + A'B + A'B'>^n + <AB - A'B'>^n
         <= <(AB' - A'B)^n> + <(AB + A'B + A'B')^n> + <(AB + AB' + A'B')^n>
 
-    with all products tensor-lifted, the rows of ``config._POWER_SUM_ROWS``,
-    whose scalar identity ``polyid`` proves exact for these two exponents.
+    with all products tensor-lifted: the rows ``config._IDENTITY_ROWS
+    ["ramanujan"]``, whose scalar identity ``polyid`` proves exact for these
+    two exponents.
     """
     n = _as_int(n, "n")
     if n not in (2, 4):
         raise ValueError(f"power-sum condition is only available for n in {{2, 4}}, got {n}")
-    means, _, G = _shared_table(A, Ap, B, Bp, s)
-    m_ab, m_abp, m_apb, m_apbp = means
-    lhs = 0.0
-    for row in _POWER_MEANS:  # each form summed left to right, as displayed
-        form = 0.0
-        for c, m in zip(row, means):
-            form += c * m
-        lhs += form ** n
-    if n == 2:  # <M^2> = ||M psi||^2 = c^T G c
-        pow1, pow2, pow3 = ((_POWER_COEFFS @ G) * _POWER_COEFFS).sum(axis=1).real.tolist()
-    else:
-        pow1, pow2, pow3 = _fourth_moments(_POWER_SUMS, A, Ap, B, Bp, s)
-    rhs = pow1 + pow2 + pow3
-    details = {"m_AB": m_ab, "m_ABp": m_abp, "m_ApB": m_apb, "m_ApBp": m_apbp,
-               f"pow{n}_ABp_minus_ApB": pow1,
-               f"pow{n}_ApB_plus_ApBp_plus_AB": pow2,
-               f"pow{n}_ApBp_plus_AB_plus_ABp": pow3}
-    return _make_report(f"ramanujan_{n}", lhs, rhs, leq=True, V=None, details=details)
+    details, lhs, (pow1, pow2, pow3) = _identity_terms("ramanujan", n, A, Ap, B, Bp, s)
+    details.update({f"pow{n}_ABp_minus_ApB": pow1, f"pow{n}_ApB_plus_ApBp_plus_AB": pow2,
+                    f"pow{n}_ApBp_plus_AB_plus_ABp": pow3})
+    return _make_report(f"ramanujan_{n}", lhs, pow1 + pow2 + pow3, leq=True, V=None,
+                        details=details)
 
 
 def uffink(A: ComplexMatrix, Ap: ComplexMatrix,
            B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
-    """Quadratic condition <AB - A'B'>² + <AB' + A'B>² <= <(A² + A'²)(x)(B² + B'²)>."""
-    means, second, _ = _shared_table(A, Ap, B, Bp, s)
-    m_ab, m_abp, m_apb, m_apbp = means
-    lhs = (m_ab - m_apbp) ** 2 + (m_abp + m_apb) ** 2
-    m_sq = sum(second)  # <(A² + A'²) (x) (B² + B'²)> = sum_p <P_p²>
-    details = {"m_AB": m_ab, "m_ABp": m_abp, "m_ApB": m_apb, "m_ApBp": m_apbp,
-               "m_square_product": m_sq}
+    """Quadratic condition <AB - A'B'>² + <AB' + A'B>² <= <(A² + A'²)(x)(B² + B'²)>:
+    the rows ``config._IDENTITY_ROWS["complex_norm"]`` at n = 2, whose right
+    side sums ``<P_p²>`` over the four products."""
+    details, lhs, powers = _identity_terms("complex_norm", 2, A, Ap, B, Bp, s)
+    details["m_square_product"] = m_sq = sum(powers)
     return _make_report("uffink", lhs, m_sq, leq=True, V=None, details=details)
 
 

@@ -7,6 +7,7 @@ import math
 import shlex
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -437,6 +438,16 @@ def test_eval_reports_a_non_ascii_digit_at_its_offset(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: unknown identifier '\u00b2' at offset 2\n"
+
+
+def test_eval_refuses_an_oversized_power_before_it_allocates(capsys):
+    start = time.perf_counter()
+    assert run(["eval", "--expr-lhs", "2^(10^12)", "--expr-rhs", "a"]) == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: a polynomial power of 1000000000000 needs 466 GiB")
+    assert captured.err.count("\n") == 1
 
 
 def test_witness_file_errors_exit_1(capsys, tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -175,10 +176,14 @@ def test_power_sum_identity_holds_only_for_2_and_4(n, holds):
     assert verify("ramanujan", n) is holds
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_power_sum_identity_is_built_from_the_config_rows(n):
-    from entwit.config import _POWER_SUM_ROWS
+@pytest.mark.parametrize("name, n", [
+    *(pytest.param("ramanujan", n, id=str(n)) for n in (1, 2, 3, 4)),
+    pytest.param("complex_norm", 2, id="complex_norm-2"),
+])
+def test_power_sum_identity_is_built_from_the_config_rows(name, n):
+    from entwit.config import _IDENTITY_ROWS
 
+    assert set(_IDENTITY_ROWS) == {"ramanujan", "complex_norm"}  # every name is a case
     x = [Polynomial.variable(u) * Polynomial.variable(v)
          for u in ("a", "a'") for v in ("b", "b'")]
 
@@ -191,9 +196,22 @@ def test_power_sum_identity_is_built_from_the_config_rows(n):
             total = total + form ** n
         return total
 
-    lhs, rhs = builtin_identity("ramanujan", n)
-    assert expand(lhs) == power_sum(_POWER_SUM_ROWS[0])
-    assert expand(rhs) == power_sum(_POWER_SUM_ROWS[1])
+    lhs, rhs = builtin_identity(name, n)
+    assert expand(lhs) == power_sum(_IDENTITY_ROWS[name][0])
+    assert expand(rhs) == power_sum(_IDENTITY_ROWS[name][1])
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, True, 2.0])
+def test_complex_norm_refuses_an_exponent_it_does_not_have(n):
+    with pytest.raises(ValueError, match="'n'|n = "):
+        builtin_identity("complex_norm", n)
+    with pytest.raises(ValueError, match="'n'|n = "):
+        verify("complex_norm", n)
+
+
+def test_complex_norm_is_the_identity_at_n_2():
+    assert builtin_identity("complex_norm", 2) == builtin_identity("complex_norm")
+    assert verify("complex_norm", 2) is True
 
 
 def test_power_sum_n1_difference_is_explicit():
@@ -231,6 +249,34 @@ def test_identity_exponent_is_rejected_not_cast(bad):
 
 
 # --- Polynomial edge cases ---------------------------------------------------
+
+
+@pytest.mark.parametrize("text", ["2^(10^12)", "(2*a)^(10^12)", "2^2^(10^12)",
+                                  "(a + b)^(10^12)", "(a - b)^(10^5000)"])
+def test_an_oversized_power_is_refused_before_it_allocates(text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="a polynomial power of .* needs .* GiB"):
+        expand(parse(text))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_rational_power_counts_its_denominators():
+    half = Polynomial({(1, 0, 0, 0): F(1, 2), (0, 1, 0, 0): F(-1, 2)})
+    assert half._power_bytes(10**12) > 2**40
+    with pytest.raises(ValueError, match="a polynomial power of 1000000000000"):
+        half ** 10**12
+    assert (half ** 3).terms[(3, 0, 0, 0)] == F(1, 8)
+
+
+@pytest.mark.parametrize("text, terms", [
+    ("a^(10^12)", {(10**12, 0, 0, 0): 1}),
+    ("(-a*b)^(10^12 + 1)", {(10**12 + 1, 0, 10**12 + 1, 0): -1}),
+    ("1^(10^12)", {(0, 0, 0, 0): 1}),
+    ("0^(10^12)", {}),
+    ("2^(10^4)", {(0, 0, 0, 0): 2**10**4}),
+])
+def test_a_power_of_one_term_still_expands(text, terms):
+    assert expand(parse(text)).terms == terms
 
 
 def test_polynomial_repr():

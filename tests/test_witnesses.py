@@ -758,7 +758,8 @@ def mixed_with_negative_weight(gen, dims):
 @pytest.mark.parametrize("kind", ["pure", "mixed", "negative_weight"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_moment_table_matches_dense_kron(split, kind, seed):
-    from entwit.witnesses import _POWER_SUMS, _fourth_moments, _moment_table
+    from entwit.config import _IDENTITY_ROWS
+    from entwit.witnesses import _fourth_moments, _moment_table
 
     gen = rng(seed)
     dims_a, dims_b = split
@@ -777,7 +778,8 @@ def test_moment_table_matches_dense_kron(split, kind, seed):
             want = np.trace(rho @ P[p] @ P[q])
             assert_matches(G[p, q].real, want.real)
             assert_matches(G[p, q].imag, want.imag)
-    for got, c in zip(_fourth_moments(_POWER_SUMS, A, Ap, B, Bp, s), _POWER_SUMS):
+    power_sums = _IDENTITY_ROWS["ramanujan"][1]
+    for got, c in zip(_fourth_moments(power_sums, A, Ap, B, Bp, s), power_sums):
         M = sum(cp * Pp for cp, Pp in zip(c, P))
         assert_matches(got, np.trace(rho @ np.linalg.matrix_power(M, 4)).real)
 
@@ -807,12 +809,30 @@ def test_fourth_moments_follow_any_rows(split, kind):
         assert_matches(value, np.trace(rho @ np.linalg.matrix_power(M, 4)).real)
 
 
-def test_power_sum_tables_are_the_identity_rows():
-    from entwit.config import _POWER_SUM_ROWS
-    from entwit.witnesses import _POWER_COEFFS, _POWER_MEANS, _POWER_SUMS
+def test_power_sum_tables_are_the_identity_rows(monkeypatch):
+    """``uffink`` and ``ramanujan_witness`` read their rows from
+    ``config._IDENTITY_ROWS``: patched left rows move lhs as the dense
+    oracle says, and rhs is ``<(c . P)^n>`` over the table's right rows."""
+    from entwit import config
 
-    assert (_POWER_MEANS, _POWER_SUMS) == _POWER_SUM_ROWS
-    assert _POWER_COEFFS.tolist() == [list(row) for row in _POWER_SUMS]
+    gen = rng(43)
+    s = random_mixed(gen, (2, 3))
+    A, Ap = hermitian_on(gen, (2,)), hermitian_on(gen, (2,))
+    B, Bp = hermitian_on(gen, (3,)), hermitian_on(gen, (3,))
+    rho = s.density.data
+    P = [kron(X, Y).data for X in (A, Ap) for Y in (B, Bp)]
+    means = [np.trace(rho @ Pp).real for Pp in P]
+    patched = ((1, -1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1))
+    for name, n, condition in (("complex_norm", 2, uffink),
+                               ("ramanujan", 2, lambda *q: ramanujan_witness(*q, 2)),
+                               ("ramanujan", 4, lambda *q: ramanujan_witness(*q, 4))):
+        right = config._IDENTITY_ROWS[name][1]
+        monkeypatch.setitem(config._IDENTITY_ROWS, name, (patched, right))
+        report = condition(A, Ap, B, Bp, s)
+        assert_matches(report.lhs, sum(np.dot(row, means) ** n for row in patched))
+        want = sum(np.trace(rho @ np.linalg.matrix_power(sum(cp * Pp for cp, Pp in zip(c, P)),
+                                                         n)).real for c in right)
+        assert_matches(report.rhs, want)
 
 
 def non_hermitian(op, defect=1e-3):
