@@ -13,10 +13,15 @@ Conventions
   tests and callers.
 * Moments have one path: :func:`expectation`, :func:`variance` and the
   conditions apply a product ``F_1 (x) ... (x) F_k`` to the state one factor
-  at a time (:func:`_apply_factor`, the vec trick), never reading the
-  density or building a lifted operator, so a condition holds at most
-  ``_WORKING_COPIES`` arrays of the state's size.  ``kron`` builds the dense
-  lifted matrix and serves as the reference the tests compare against.
+  at a time, never reading the density or building a lifted operator, so a
+  condition holds at most ``_WORKING_COPIES`` arrays of the state's size.
+  :func:`_apply_factor` (the vec trick) is the only code that multiplies an
+  operator factor into vectors derived from a state.  It takes and returns
+  2-d arrays, ``(left, d * rest)`` in and ``(left * F.shape[0], rest)`` out,
+  with ``d = F.shape[1]`` the factor's input side, so one factor's output is
+  the next one's input, and a block of a factor's rows applies the same way
+  as the whole factor.  ``kron`` builds the dense lifted matrix and serves as
+  the reference the tests compare against.
 * State constructors refuse, before allocating, any state that would take,
   with the working copies a condition makes of it, more than half of the
   machine's physical memory.
@@ -37,6 +42,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from typing import Any, Iterable, Sequence
 
@@ -80,6 +86,9 @@ class ComplexMatrix(_Frozen):
     """
 
     __slots__ = ("data", "dims", "_defect", "_max_abs")
+    # numpy hands a binary operation with a matrix back to the matrix, so an
+    # operand it refuses raises TypeError instead of making an object array
+    __array_ufunc__ = None
 
     def __init__(self, data, dims: Iterable[int] | None = None, *, _owned: bool = False):
         # _owned: ``data`` is a complex128 array no caller can write (the
@@ -136,6 +145,9 @@ class ComplexMatrix(_Frozen):
         return self._binary(other, np.matmul)
 
     def __mul__(self, scalar):
+        # a bool or a string is refused, not cast; Python and numpy numbers pass
+        if isinstance(scalar, bool) or not isinstance(scalar, numbers.Number):
+            return NotImplemented
         return ComplexMatrix(self.data * complex(scalar), self.dims, _owned=True)
 
     __rmul__ = __mul__
@@ -316,15 +328,22 @@ def _lifted_variance(factors: Sequence[ComplexMatrix], s: QuantumState,
     return mean.real, _clamped_variance(second, mean.real)
 
 
-def _apply_factor(F: Array, X: Array, left: int) -> Array:
+def _apply_factor(F: Array, X: Array) -> Array:
     """``(I_left (x) F (x) I_rest) x`` for every ``x`` in ``X`` without the
-    lifted matrix (the vec trick, Van Loan 2000): ``X`` is viewed as
-    ``(left, F.side, rest)``, ``left`` being the ensemble size times the sides
-    of the factors before ``F``.  A last factor is the product ``X F^T``."""
-    d = F.shape[0]
-    if X.size == left * d:
-        return np.matmul(X.reshape(left, d), F.T)
-    return np.matmul(F, X.reshape(left, d, -1))
+    lifted matrix (the vec trick, Van Loan 2000).  ``X`` is 2-d,
+    ``(left, d * rest)``: a row per ensemble vector and index of the factors
+    before ``F``, ``d = F.shape[1]`` the input side of ``F``.  The result is
+    ``(left * F.shape[0], rest)``, the input form of the next factor; for a
+    last factor (``rest = 1``) it is the product ``X F^T``, ``(left,
+    F.shape[0])``, which holds the same entries in the same order, so a
+    caller that needs one of the two shapes reshapes.  A block of a
+    factor's rows ``F[k0:k1]`` applies the same way and gives those output
+    rows.  Every product of an operator factor with vectors derived from a
+    state goes through here."""
+    left, d = X.shape[0], F.shape[1]
+    if X.shape[1] == d:
+        return X @ F.T
+    return np.matmul(F, X.reshape(left, d, -1)).reshape(left * F.shape[0], -1)
 
 
 def _lifted_moments(factors: Sequence[Array], s: QuantumState) -> tuple[complex, float]:
@@ -332,10 +351,9 @@ def _lifted_moments(factors: Sequence[Array], s: QuantumState) -> tuple[complex,
     (square arrays) acting on consecutive runs of ``s.dims``; M is never
     formed.  The second moment assumes M Hermitian; the mean is complex, which
     also covers an anti-Hermitian product such as a lifted commutator."""
-    Y, left = s.vectors, s.weights.size
+    Y = s.vectors
     for F in factors:
-        Y = _apply_factor(F, Y, left)
-        left *= F.shape[0]
+        Y = _apply_factor(F, Y)
     Y = Y.reshape(s.vectors.shape)
     wY = s.weights[:, None] * Y
     return complex(np.vdot(s.vectors, wY)), float(np.vdot(Y, wY).real)

@@ -28,6 +28,7 @@ with more digits than ``int()`` converts.
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import re
 import zlib
@@ -121,6 +122,8 @@ class Polynomial(_Frozen):
         return None
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         out = dict(self._terms)
         for exp, coeff in other._terms.items():
             out[exp] = out.get(exp, 0) + coeff
@@ -130,9 +133,11 @@ class Polynomial(_Frozen):
         return Polynomial._nonzero({exp: -c for exp, c in self._terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self + (-other) if isinstance(other, Polynomial) else NotImplemented
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         out: dict[Exponent, Fraction | int] = {}
         get = out.get
         right = list(other._terms.items())
@@ -157,6 +162,10 @@ class Polynomial(_Frozen):
         return terms * (bits / 8 + _TERM_BYTES)
 
     def __pow__(self, k: int) -> "Polynomial":
+        # a bool or a float is refused, not cast; Python and numpy integers pass
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            return NotImplemented
+        k = int(k)
         if k < 0:
             raise ValueError("polynomial power requires a non-negative exponent")
         if k > 1 and self._terms:  # refused before any term is formed
@@ -384,21 +393,13 @@ def parse(text: str) -> Expr:
     return _Parser(text).parse()
 
 
-def _precedence(e: Expr) -> int:
-    if isinstance(e, (Var, IntLit)):
-        return 4
-    if isinstance(e, Pow):
-        return 3
-    if isinstance(e, Neg):
-        return 2
-    if isinstance(e, Mul):
-        return 1
-    return 0  # Add / Sub
+# How tightly each node type binds, for the parentheses pretty() adds.
+_PRECEDENCE = {Var: 4, IntLit: 4, Pow: 3, Neg: 2, Mul: 1, Add: 0, Sub: 0}
 
 
 def _wrap(child: Expr, parent_prec: int, *, tight: bool = False) -> str:
     text = pretty(child)
-    child_prec = _precedence(child)
+    child_prec = _PRECEDENCE[type(child)]
     if child_prec < parent_prec or (tight and child_prec == parent_prec):
         return f"({text})"
     return text

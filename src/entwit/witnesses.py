@@ -15,12 +15,15 @@ still flagged violated).
 
 Each bipartite condition is scalar arithmetic on one moment table: the means
 of the four lifted products ``A_i (x) B_j`` and their Gram matrix, from four
-products on the state.  The state keeps the table of the last quadruple
-evaluated on it, keyed by the identity of the four operators, so every
-condition on the same quadruple and state reads one table.  The table
-assumes all four lifted products Hermitian, so a quadruple's four operators
-and four products are checked once, when its table is built; a later call
-that finds the table, on the same immutable operators, checks nothing.
+products on the state.  Every product of an operator factor with the state,
+or with an array derived from it, goes through ``hilbert._apply_factor``,
+here as in ``expectation``, ``variance`` and :func:`multipartite`.  The
+state keeps the table of the last quadruple evaluated on it, keyed by the
+identity of the four operators, so every condition on the same quadruple
+and state reads one table.  The table assumes all four lifted products
+Hermitian, so a quadruple's four operators and four products are checked
+once, when its table is built; a later call that finds the table, on the
+same immutable operators, checks nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 
 from .config import _IDENTITY_ROWS, DEFAULT, _Record, _as_int
 from .hilbert import (
-    Array,
     ComplexMatrix,
     QuantumState,
     _apply_factor,
@@ -112,17 +114,14 @@ def _check_quadruple(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix,
             _require_hermitian((Ai, Bj), f"{a} (x) {b}")
 
 
-def _partials(A: ComplexMatrix, Ap: ComplexMatrix, s: QuantumState) -> list[Array]:
-    """``[Z_0, Z_1]``, ``Z_i = A_i v`` viewed as ``(r * A.side, B.side)``."""
-    r = s.weights.size
-    return [_apply_factor(Ai.data, s.vectors, r).reshape(r * A.side, -1) for Ai in (A, Ap)]
-
-
 def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
                   s: QuantumState) -> tuple:
     """Moment table of the lifted products ``P_p = A_i (x) B_j``, ``p = 2i + j``
     (``A_0 = A``, ``A_1 = A'``, ``B_0 = B``, ``B_1 = B'``), applied to the
-    state as ``P_p v = Z_i B_j^T`` from ``Z_i = A_i v``: six factor products.
+    state as ``P_p v = Z_i B_j^T`` from ``Z_i = A_i v``, viewed as ``(r *
+    A.side, B.side)``: six factor products, each through
+    ``hilbert._apply_factor``, the ``B_j`` ones a block of rows of ``Z_i``
+    at a time.
 
     Validates the quadruple (:func:`_check_quadruple`).  Returns the means
     and the second moments as tuples and the read-only Gram matrix
@@ -131,12 +130,14 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
     ``<[A,A'] (x) [B,B']> = 2 Re(G[0, 3] - G[1, 2])``.
     """
     _check_quadruple(A, Ap, B, Bp, s)
-    Zs = _partials(A, Ap, s)
+    # reshaped, as a B of side 1 makes A the last factor and Z_i (r, A.side)
+    Zs = [_apply_factor(Ai.data, s.vectors).reshape(-1, B.side) for Ai in (A, Ap)]
     left, b = Zs[0].shape
     # a block of rows at a time; the Gram matrix of its products and v holds G and the means
     w, Vr, H = np.repeat(s.weights, A.side)[:, None], s.vectors.reshape(left, b), 0.0
     for rows in _blocks(left, b):
-        Y = np.array([Z[rows] @ Bj.data.T for Z in Zs for Bj in (B, Bp)] + [Vr[rows]])
+        Y = np.array([_apply_factor(Bj.data, Z[rows]) for Z in Zs for Bj in (B, Bp)]
+                     + [Vr[rows]])
         H = H + (Y.conj() * w[rows]).reshape(5, -1) @ Y.reshape(5, -1).T
     G = H[:4, :4]
     G.setflags(write=False)  # a state shares its table with every later caller
@@ -234,27 +235,30 @@ def _fourth_moments(rows: Sequence[tuple[int, ...]], A: ComplexMatrix, Ap: Compl
     with coefficients ``c`` in ``rows``: with ``Z_i = A_i v`` and ``C_i =
     c_2i B + c_2i+1 B'`` (``B`` or ``B'`` itself for a unit pair, else built
     once per call), ``M v = Z_0 C_0^T + Z_1 C_1^T`` by blocks of rows, then
-    ``M^2 v = A (M v) C_0^T + A' (M v) C_1^T`` by blocks of columns, so the
-    ``Z_i`` and ``M v`` are the only arrays of the state's size."""
-    Zs = _partials(A, Ap, s)
+    ``M^2 v = A (M v) C_0^T + A' (M v) C_1^T`` by blocks of columns, that is
+    by blocks of the rows of ``C_i``.  Every factor product goes through
+    ``hilbert._apply_factor``, and the ``Z_i`` and ``M v`` are the only
+    arrays of the state's size."""
+    Zs = [_apply_factor(Ai.data, s.vectors).reshape(-1, B.side) for Ai in (A, Ap)]
     (left, b), r = Zs[0].shape, s.weights.size
     combos = {(1, 0): B.data, (0, 1): Bp.data}
     for pair in (c[k:k + 2] for c in rows for k in (0, 2)):
         if pair not in combos:
             C = combos[pair] = pair[0] * B.data
             C += pair[1] * Bp.data
-    w, row_blocks, col_blocks = s.weights[:, None, None], _blocks(left, b), _blocks(b, left)
+    w, row_blocks, col_blocks = s.weights[:, None], _blocks(left, b), _blocks(b, left)
     Mv, out = np.empty_like(Zs[0]), []
     for c in rows:
-        C0, C1 = combos[c[:2]].T, combos[c[2:]].T
+        C0, C1 = combos[c[:2]], combos[c[2:]]
         for block in row_blocks:
-            np.matmul(Zs[0][block], C0, out=Mv[block])
-            Mv[block] += Zs[1][block] @ C1
+            Mv[block] = _apply_factor(C0, Zs[0][block])
+            Mv[block] += _apply_factor(C1, Zs[1][block])
         total = 0.0
         for cols in col_blocks:
-            U = np.matmul(A.data, (Mv @ C0[:, cols]).reshape(r, A.side, -1))
-            U += np.matmul(Ap.data, (Mv @ C1[:, cols]).reshape(r, A.side, -1))
-            total += float(np.vdot(U, w * U).real)
+            U = _apply_factor(A.data, _apply_factor(C0[cols], Mv).reshape(r, -1))
+            U += _apply_factor(Ap.data, _apply_factor(C1[cols], Mv).reshape(r, -1))
+            # U is (r * A.side, width), or (r, A.side) for a block of one column
+            total += float(np.vdot(U, w * U.reshape(r, -1)).real)
         out.append(total)
     return out
 

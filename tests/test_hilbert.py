@@ -19,7 +19,7 @@ from entwit import (
     variance,
 )
 from entwit.config import DEFAULT
-from entwit.hilbert import _clamped_variance, _second_moment
+from entwit.hilbert import _apply_factor, _clamped_variance, _second_moment
 from entwit.operators import quadratures, spin_ops
 from entwit.states import fock_pair_superposition
 
@@ -152,6 +152,33 @@ def test_matrix_algebra_checks_dims():
 def test_matrix_algebra_refuses_a_scalar_operand():
     with pytest.raises(TypeError):
         ComplexMatrix(np.eye(2)) + 1
+
+
+@pytest.mark.parametrize("scalar", ["2", "1+1j", True, np.bool_(False)])
+def test_matrix_scaling_refuses_a_string_or_a_bool(scalar):
+    M = ComplexMatrix(np.eye(2))
+    with pytest.raises(TypeError):
+        M * scalar
+    with pytest.raises(TypeError):
+        scalar * M
+
+
+def test_matrix_operations_refuse_an_array_operand():
+    # an ndarray operand is refused, not broadcast into an array of matrices
+    M = ComplexMatrix(np.eye(2))
+    for operation in (lambda: M * np.array([2.0, 3.0]), lambda: np.array([2.0, 3.0]) * M,
+                      lambda: M + np.eye(2), lambda: np.eye(2) + M, lambda: np.eye(2) @ M):
+        with pytest.raises(TypeError):
+            operation()
+
+
+@pytest.mark.parametrize("scalar", [2, np.float64(0.5), 1j, np.complex128(-1j), 0.25])
+def test_matrix_scaling_by_a_number(scalar):
+    data = np.array([[1.0, 2.0 - 1j], [2.0 + 1j, -3.0]])
+    M = ComplexMatrix(data, (2,))
+    for scaled in (M * scalar, scalar * M):
+        assert scaled.dims == (2,)
+        assert np.array_equal(scaled.data, data * complex(scalar))
 
 
 def test_zero_factor_dimension_is_refused():
@@ -371,3 +398,29 @@ def test_kron_is_associative(seed):
     right = kron(A, kron(B, C))
     assert left.dims == right.dims == (2, 3, 2)
     assert np.allclose(left.data, right.data)
+
+
+# --- the vec-trick primitive ---------------------------------------------------
+
+
+@pytest.mark.parametrize("dims,k", [((2, 3, 2), 0), ((2, 3, 2), 1), ((2, 3, 2), 2),
+                                    ((3, 4), 1), ((4,), 0)])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+@pytest.mark.parametrize("block", [slice(None), slice(1, 3), slice(0, 1), slice(-1, None)])
+def test_apply_factor_to_a_block_of_rows_matches_dense_kron(dims, k, kind, block):
+    # F[block] applied to the state gives those output rows of
+    # (I (x) F (x) I) v, in the 2-d form (left * rows, rest), or (left, rows)
+    # when F is the last factor
+    gen = rng(61)
+    s = {"pure": random_pure, "mixed": random_mixed}[kind](gen, dims)
+    d = dims[k]
+    F = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    before, after = math.prod(dims[:k]), math.prod(dims[k + 1:])
+    lifted = np.kron(np.kron(np.eye(before), F), np.eye(after))
+    r = s.weights.size
+    want = (s.vectors @ lifted.T).reshape(r, before, d, after)[:, :, block, :]
+    rows = want.shape[2]
+    got = _apply_factor(F[block], s.vectors.reshape(r * before, -1))
+    assert got.shape == ((r * before, rows) if after == 1 else (r * before * rows, after))
+    assert np.allclose(got.reshape(want.shape), want, atol=1e-12)
+

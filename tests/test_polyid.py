@@ -125,6 +125,28 @@ def test_expand_cancellation_yields_zero():
     assert expand(parse("(a + b)*(a - b) - a^2 + b^2")).is_zero()
 
 
+@pytest.mark.parametrize("operation", [
+    lambda p: p + 1, lambda p: 1 + p, lambda p: p - 1, lambda p: 2 - p, lambda p: p * 1.5,
+    lambda p: 1.5 * p, lambda p: p + "a", lambda p: p * F(1, 2),
+    lambda p: p ** True, lambda p: p ** 2.0, lambda p: p ** "2",
+], ids=["add-int", "radd-int", "sub-int", "rsub-int", "mul-float", "rmul-float", "add-str",
+        "mul-fraction", "pow-bool", "pow-float", "pow-str"])
+def test_polynomial_operators_refuse_an_operand_of_another_type(operation):
+    with pytest.raises(TypeError):
+        operation(expand(parse("a + b")))
+
+
+def test_polynomial_power_takes_python_and_numpy_integers():
+    p = expand(parse("a + b"))
+    square = expand(parse("(a + b)^2"))
+    assert p ** 2 == p ** np.int64(2) == p ** np.uint8(2) == square
+    assert p ** np.int64(0) == Polynomial.constant(1)
+    with pytest.raises(ValueError, match="non-negative"):
+        p ** -1
+    with pytest.raises(ValueError, match="non-negative"):
+        p ** np.int64(-1)
+
+
 def _random_expr(gen: random.Random, depth: int):
     if depth == 0 or gen.random() < 0.3:
         if gen.random() < 0.5:

@@ -809,6 +809,64 @@ def test_fourth_moments_follow_any_rows(split, kind):
         assert_matches(value, np.trace(rho @ np.linalg.matrix_power(M, 4)).real)
 
 
+def test_every_factor_product_goes_through_apply_factor(monkeypatch):
+    # with the vec-trick primitive doubling its output, a product of k factors
+    # on the state doubles k times: a mean (A then B) reads x4, the Gram
+    # matrix x16, and <M^4> = ||M^2 v||^2 (four factors in M^2 v) x256
+    import entwit.hilbert as hilbert
+    import entwit.witnesses as witnesses
+    from entwit.config import _IDENTITY_ROWS
+
+    gen = rng(23)
+    s = random_mixed(gen, (2, 3))
+    quad = (hermitian_on(gen, (2,)), hermitian_on(gen, (2,)),
+            hermitian_on(gen, (3,)), hermitian_on(gen, (3,)))
+    rows = _IDENTITY_ROWS["ramanujan"][1]
+    means, _, G = witnesses._moment_table(*quad, s)
+    fourth = witnesses._fourth_moments(rows, *quad, s)
+
+    apply_factor = hilbert._apply_factor
+
+    def doubled(*args):
+        return 2 * apply_factor(*args)
+
+    monkeypatch.setattr(hilbert, "_apply_factor", doubled)
+    monkeypatch.setattr(witnesses, "_apply_factor", doubled)
+    means_2, _, G_2 = witnesses._moment_table(*quad, s)
+    np.testing.assert_allclose(means_2, 4 * np.array(means), rtol=1e-12)
+    np.testing.assert_allclose(G_2, 16 * G, rtol=1e-12)
+    np.testing.assert_allclose(witnesses._fourth_moments(rows, *quad, s),
+                               256 * np.array(fourth), rtol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (1, 2), (3, 1), (1, 1)])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_conditions_with_a_factor_of_side_one_match_oracle(dims, kind):
+    # a side-1 factor makes the last product ambiguous in shape, (left, d) or
+    # (left * d, 1); both sides of the table must still read the same numbers
+    gen = rng(41)
+    s = {"pure": random_pure, "mixed": random_mixed}[kind](gen, dims)
+    assert_all_conditions_match_oracle(gen, s, dims[:1], dims[1:])
+
+
+def test_fourth_moments_in_columns_of_one_match_dense_kron():
+    # 72 ensemble vectors of a (24, 3) density give 1728 rows of M v, so the
+    # columns of B's side are taken one at a time
+    from entwit.witnesses import _blocks, _fourth_moments
+
+    gen = rng(43)
+    dims = (24, 3)
+    s = random_mixed(gen, dims)
+    assert _blocks(3, s.weights.size * dims[0])[0] == slice(0, 1)
+    A, Ap = hermitian_on(gen, dims[:1]), hermitian_on(gen, dims[:1])
+    B, Bp = hermitian_on(gen, dims[1:]), hermitian_on(gen, dims[1:])
+    rho = s.density.data
+    P = [kron(X, Y).data for X in (A, Ap) for Y in (B, Bp)]
+    for value, c in zip(_fourth_moments(OTHER_POWER_SUMS, A, Ap, B, Bp, s), OTHER_POWER_SUMS):
+        M = sum(cp * Pp for cp, Pp in zip(c, P))
+        assert_matches(value, np.trace(rho @ np.linalg.matrix_power(M, 4)).real)
+
+
 def test_power_sum_tables_are_the_identity_rows(monkeypatch):
     """``uffink`` and ``ramanujan_witness`` read their rows from
     ``config._IDENTITY_ROWS``: patched left rows move lhs as the dense
