@@ -125,9 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSON file with {\"family\", \"params\", \"cutoff\"}")
     p.add_argument("--ops", required=True, metavar="FILE",
                    help="JSON file naming builtin operators per factor")
-    p.add_argument("--condition", required=True,
-                   choices=("variance_product", "variance_sum", "multipartite",
-                            "ramanujan", "uffink", "four_variance"))
+    p.add_argument("--condition", required=True, choices=tuple(_CONDITIONS))
     return parser
 
 
@@ -233,6 +231,14 @@ def _run_eval(args) -> tuple[dict, dict, dict]:
 _GROUPS = (("sx", "sy", "sz"), ("x", "p"), ("blockx", "blocky"))
 _BUILTIN_NAMES = sum(_GROUPS, ())
 
+# Each `witness --condition`, in the order of its choices, with the fields of
+# its operator spec ("n" optional); each evaluates through `witnesses.<name>`,
+# ramanujan through `ramanujan_witness(..., n)`.
+_QUADRUPLE = ("A", "Aprime", "B", "Bprime")
+_CONDITIONS = {"variance_product": _QUADRUPLE, "variance_sum": _QUADRUPLE,
+               "multipartite": _QUADRUPLE[:2], "ramanujan": (*_QUADRUPLE, "n"),
+               "uffink": _QUADRUPLE, "four_variance": _QUADRUPLE}
+
 
 def _builtin_operators(requests: list[tuple[Any, int]]) -> list[ComplexMatrix]:
     """The builtin operator for each ``(name, factor dimension)``, checked in
@@ -268,17 +274,11 @@ def _builtin_operators(requests: list[tuple[Any, int]]) -> list[ComplexMatrix]:
 
 def _evaluate(condition: str, ops: Any, state: QuantumState):
     """``condition`` on ``state`` with the builtin operators the op spec names."""
-    from .witnesses import (four_variance, multipartite, ramanujan_witness, uffink,
-                            variance_product, variance_sum)
+    from . import witnesses
 
     if not isinstance(ops, Mapping):
         raise ValueError("operator spec must be a JSON object")
-    if condition == "multipartite":
-        allowed = {"A", "Aprime"}
-    elif condition == "ramanujan":
-        allowed = {"A", "Aprime", "B", "Bprime", "n"}
-    else:
-        allowed = {"A", "Aprime", "B", "Bprime"}
+    allowed = set(_CONDITIONS[condition])
     unknown = set(ops) - allowed
     if unknown:
         raise ValueError(f"operator spec has unknown fields {sorted(unknown)}")
@@ -295,7 +295,7 @@ def _evaluate(condition: str, ops: Any, state: QuantumState):
             raise ValueError(f"need one operator name per factor "
                              f"({len(state.dims)} factors)")
         built = _builtin_operators([*zip(names, state.dims), *zip(primed, state.dims)])
-        return multipartite(built[:len(names)], built[len(names):], state)
+        return witnesses.multipartite(built[:len(names)], built[len(names):], state)
 
     if len(state.dims) != 2:
         raise ValueError(f"condition {condition!r} is bipartite; "
@@ -304,9 +304,8 @@ def _evaluate(condition: str, ops: Any, state: QuantumState):
     quadruple = _builtin_operators([(ops["A"], dim_a), (ops["Aprime"], dim_a),
                                     (ops["B"], dim_b), (ops["Bprime"], dim_b)])
     if condition == "ramanujan":
-        return ramanujan_witness(*quadruple, state, ops.get("n", 2))
-    dispatch = {f.__name__: f for f in (variance_product, variance_sum, uffink, four_variance)}
-    return dispatch[condition](*quadruple, state)
+        return witnesses.ramanujan_witness(*quadruple, state, ops.get("n", 2))
+    return getattr(witnesses, condition)(*quadruple, state)
 
 
 def _run_witness(args) -> tuple[dict, dict, dict]:

@@ -32,11 +32,8 @@ Conventions
   :attr:`QuantumState.density`) or of an operator factory.  It
   computes its largest entry at construction, which doubles as the
   finiteness check, and its Hermiticity defect once, on first use.  A state
-  keeps the moment table of the last operator quadruple evaluated on it:
-  the four operators themselves, the four means and second moments and the
-  4x4 Gram matrix of ``witnesses._moment_table``, and no array of the
-  state's size.  The entry is one tuple assigned at once, so a race between
-  callers only recomputes it.
+  holds only its own data and is never written after construction; it
+  takes weak references, so a cache may key on it without keeping it alive.
 """
 
 from __future__ import annotations
@@ -171,7 +168,7 @@ class QuantumState(_Frozen):
     families check their own inputs and call the bare constructor.
     """
 
-    __slots__ = ("kind", "dims", "weights", "vectors", "_moments")
+    __slots__ = ("kind", "dims", "weights", "vectors", "__weakref__")
 
     def __init__(self, kind, dims, weights, vectors):
         weights.setflags(write=False)
@@ -180,8 +177,6 @@ class QuantumState(_Frozen):
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "vectors", vectors)
-        # (A, A', B, B', means, second, G) of the last quadruple evaluated here
-        object.__setattr__(self, "_moments", None)
 
     @classmethod
     def pure(cls, amplitudes, dims: Iterable[int]) -> "QuantumState":

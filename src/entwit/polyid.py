@@ -162,9 +162,11 @@ class Polynomial(_Frozen):
         return terms * (bits / 8 + _TERM_BYTES)
 
     def __pow__(self, k: int) -> "Polynomial":
-        # a bool or a float is refused, not cast; Python and numpy integers pass
+        # a bool, float, Fraction or 0-d array is refused here, not cast, and not
+        # handed to a reflected __rpow__ that would expand an integer-valued one;
+        # Python and numpy integers pass
         if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            return NotImplemented
+            raise TypeError(f"polynomial power requires an integer exponent, got {k!r}")
         k = int(k)
         if k < 0:
             raise ValueError("polynomial power requires a non-negative exponent")

@@ -17,18 +17,21 @@ Each bipartite condition is scalar arithmetic on one moment table: the means
 of the four lifted products ``A_i (x) B_j`` and their Gram matrix, from four
 products on the state.  Every product of an operator factor with the state,
 or with an array derived from it, goes through ``hilbert._apply_factor``,
-here as in ``expectation``, ``variance`` and :func:`multipartite`.  The
-state keeps the table of the last quadruple evaluated on it, keyed by the
-identity of the four operators, so every condition on the same quadruple
-and state reads one table.  The table assumes all four lifted products
-Hermitian, so a quadruple's four operators and four products are checked
-once, when its table is built; a later call that finds the table, on the
-same immutable operators, checks nothing.
+here as in ``expectation``, ``variance`` and :func:`multipartite`.  This
+module keeps, for each live state, the table of the last quadruple evaluated
+on it (``_TABLES``, keyed weakly by the state, so an entry goes with its
+state), and every condition on the same quadruple and state reads that one
+table.  It holds the four operators, the four means and second moments and
+the 4x4 Gram matrix, and no array of the state's size.  The table assumes
+all four lifted products Hermitian, so a quadruple's four operators and four
+products are checked once, when its table is built; a later call that finds
+the table, on the same immutable operators, checks nothing.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Any, Sequence
 
 import numpy as np
@@ -140,24 +143,29 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
                      + [Vr[rows]])
         H = H + (Y.conj() * w[rows]).reshape(5, -1) @ Y.reshape(5, -1).T
     G = H[:4, :4]
-    G.setflags(write=False)  # a state shares its table with every later caller
+    G.setflags(write=False)  # a stored table is shared with every later caller
     return tuple(H[:4, 4].real.tolist()), tuple(G.diagonal().real.tolist()), G
+
+
+# {state: (A, A', B, B', means, second, G)} of the last quadruple evaluated on
+# each live state; one tuple is stored at once, so a race only recomputes it
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _shared_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
                   s: QuantumState) -> tuple:
     """The means, second moments and Gram matrix of :func:`_moment_table`,
-    computed once per quadruple and state: the state keeps the last table,
-    keyed by the identity of the four operators (an equal but distinct
-    operator recomputes).  A miss validates the quadruple in full
-    (:func:`_check_quadruple`) before storing its table.  A hit finds the
+    computed once per quadruple and state: ``_TABLES`` keeps each live
+    state's last table, keyed by the identity of the four operators (an equal
+    but distinct operator recomputes).  A miss validates the quadruple in
+    full (:func:`_check_quadruple`) before storing its table.  A hit finds the
     same immutable operators and state that passed then, and checks nothing."""
-    entry = s._moments
+    entry = _TABLES.get(s)
     if (entry is not None and entry[0] is A and entry[1] is Ap and entry[2] is B
             and entry[3] is Bp):
         return entry[4:]
     means, second, G = _moment_table(A, Ap, B, Bp, s)
-    object.__setattr__(s, "_moments", (A, Ap, B, Bp, means, second, G))
+    _TABLES[s] = (A, Ap, B, Bp, means, second, G)
     return means, second, G
 
 

@@ -64,8 +64,8 @@ def test_tracer_counts_every_bipartite_condition_on_one_state():
                  "heisenberg_floor"):
         assert calls[f"witnesses.{name}"] == 1, name
     assert calls["witnesses.ramanujan_witness"] == 2
-    # the table kept on the state is no QuantumState method: the conditions
-    # call none, so the traced state group counts only the construction
+    # the table is kept in witnesses, not on the state: the conditions call
+    # no QuantumState method, so the traced state group counts only the construction
     assert calls["hilbert.state_new"] == doc["before"]["hilbert.state_new"]
 
 

@@ -128,9 +128,10 @@ def test_expand_cancellation_yields_zero():
 @pytest.mark.parametrize("operation", [
     lambda p: p + 1, lambda p: 1 + p, lambda p: p - 1, lambda p: 2 - p, lambda p: p * 1.5,
     lambda p: 1.5 * p, lambda p: p + "a", lambda p: p * F(1, 2),
-    lambda p: p ** True, lambda p: p ** 2.0, lambda p: p ** "2",
+    lambda p: p ** True, lambda p: p ** 2.0, lambda p: p ** "2", lambda p: p ** F(2),
+    lambda p: p ** np.array(2),
 ], ids=["add-int", "radd-int", "sub-int", "rsub-int", "mul-float", "rmul-float", "add-str",
-        "mul-fraction", "pow-bool", "pow-float", "pow-str"])
+        "mul-fraction", "pow-bool", "pow-float", "pow-str", "pow-fraction", "pow-0d-array"])
 def test_polynomial_operators_refuse_an_operand_of_another_type(operation):
     with pytest.raises(TypeError):
         operation(expand(parse("a + b")))

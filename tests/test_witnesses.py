@@ -981,6 +981,13 @@ def shared_table_case(seed, dims=(2, 3)):
     return s, quad
 
 
+def stored_table(s):
+    """The registry's ``(A, A', B, B', means, second, G)`` for ``s``, or None."""
+    from entwit.witnesses import _TABLES
+
+    return _TABLES.get(s)
+
+
 def same_state(s):
     """An equal-valued but distinct state object, with nothing cached."""
     return mix([s], [1.0])
@@ -1004,7 +1011,7 @@ def test_equal_but_distinct_operator_recomputes_the_table(table_count):
     A_copy = ComplexMatrix(A.data, A.dims)
     assert uffink(A_copy, Ap, B, Bp, s) == first
     assert len(table_count) == 2
-    assert s._moments[0] is A_copy
+    assert stored_table(s)[0] is A_copy
 
 
 def test_next_quadruple_replaces_the_cached_table(table_count):
@@ -1014,7 +1021,7 @@ def test_next_quadruple_replaces_the_cached_table(table_count):
     assert len(table_count) == 2
     for q, report in zip((quad, other, quad), want + want[:1]):
         assert variance_sum(*q, s) == report
-        assert all(x is y for x, y in zip(s._moments, q))
+        assert all(x is y for x, y in zip(stored_table(s), q))
     assert len(table_count) == 5
 
 
@@ -1025,7 +1032,7 @@ def test_cached_table_holds_no_state_sized_array():
     quad = tuple(hermitian_on(gen, (d,)) for d in (6, 6, 6, 6))
     for condition in BIPARTITE:  # the power-sum condition at n = 4 forms A_i v too
         condition(*quad, s)
-    entry = s._moments
+    entry = stored_table(s)
     assert len(entry) == 7 and all(x is y for x, y in zip(entry, quad))
     for value in entry[4:]:
         arr = np.asarray(value)
@@ -1051,14 +1058,14 @@ def test_lifted_hermiticity_rejected_by_every_condition(position, label):
     # refuses each product, whether or not the state holds another table
     quad, fresh, held = lifted_defect_quadruple(position), bell(2), bell(2)
     uffink(S_X, S_Y, S_X, S_Y, held)
-    entry = held._moments
+    entry = stored_table(held)
     for s in (fresh, held):
         for condition in BIPARTITE:
             for _ in range(2):  # the second call reads the cached defects
                 with pytest.raises(ValueError,
                                    match=re.escape(f"operator {label} is not Hermitian")):
                     condition(*quad, s)
-    assert fresh._moments is None and held._moments is entry
+    assert stored_table(fresh) is None and stored_table(held) is entry
 
 
 def test_table_hit_runs_no_hermiticity_check(monkeypatch):
@@ -1085,17 +1092,17 @@ def test_table_hit_runs_no_hermiticity_check(monkeypatch):
 def test_rejected_quadruple_stores_no_table(table_count):
     s, quad = shared_table_case(66)
     before = uffink(*quad, s)
-    entry = s._moments
+    entry = stored_table(s)
     for position in range(4):
         bad = list(quad)
         bad[position] = non_hermitian(bad[position])
         with pytest.raises(ValueError, match="is not Hermitian"):
             variance_sum(*bad, s)
-        assert s._moments is entry
+        assert stored_table(s) is entry
     fresh = bell(2)
     with pytest.raises(ValueError, match="is not Hermitian"):
         four_variance(*lifted_defect_quadruple(1), fresh)
-    assert fresh._moments is None
+    assert stored_table(fresh) is None
     assert uffink(*quad, s) == before and len(table_count) == 1 + 4 + 1
 
 
@@ -1173,7 +1180,7 @@ def test_multipartite_builds_no_matrix(monkeypatch):
 def test_shared_table_values_are_read_only():
     s, quad = shared_table_case(69)
     variance_product(*quad, s)
-    means, second, G = s._moments[4:]
+    means, second, G = stored_table(s)[4:]
     assert isinstance(means, tuple) and isinstance(second, tuple)
     with pytest.raises(ValueError, match="read-only"):
         G[0, 0] = 0.0
@@ -1250,3 +1257,41 @@ def test_all_conditions_on_one_state_match_exact_oracle(table_count, state_name,
         assert_exact(report.rhs, float(rhs))
     assert_exact(heisenberg_floor(A, Ap, B, Bp, s), float(want["floor"]))
     assert len(table_count) == 1
+
+
+def test_conditions_leave_every_state_slot_unchanged():
+    s, quad = shared_table_case(73)
+    multi = bell(3)
+    states = (s, multi)
+    # __weakref__ is the interpreter's list of weak references, not state data
+    held = [{name: getattr(state, name) for name in type(state).__slots__
+             if name != "__weakref__"} for state in states]
+    for condition in BIPARTITE:  # heisenberg_floor among them
+        condition(*quad, s)
+    multipartite([S_X] * 3, [S_Y] * 3, multi)
+    for state, before in zip(states, held):
+        for name, value in before.items():
+            assert getattr(state, name) is value, name
+
+
+def test_registry_keeps_one_entry_per_live_state_and_drops_it_with_the_state():
+    import gc
+    import weakref
+
+    from entwit.witnesses import _TABLES
+
+    s, quad = shared_table_case(74)
+    other = same_state(s)
+    for state in (s, other):
+        uffink(*quad, state)
+    entry = stored_table(other)
+    assert stored_table(s) is not entry
+    dead = weakref.ref(s)
+    gc.collect()
+    entries = len(_TABLES)
+    del s
+    gc.collect()
+    assert dead() is None
+    assert len(_TABLES) == entries - 1
+    assert all(ref() is not None for ref in _TABLES.keyrefs())
+    assert stored_table(other) is entry
