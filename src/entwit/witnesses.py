@@ -26,6 +26,15 @@ the 4x4 Gram matrix, and no array of the state's size.  The table assumes
 all four lifted products Hermitian, so a quadruple's four operators and four
 products are checked once, when its table is built; a later call that finds
 the table, on the same immutable operators, checks nothing.
+
+The bipartite conditions come in two families, and each reads the table
+through one private reader: the uncertainty conditions (``variance_product``,
+``variance_sum``, ``four_variance``) through :func:`_uncertainty`, which
+returns the products' means and clamped variances and the mean of
+``[A,A'] (x) [B,B']``, and the power-sum conditions (``ramanujan_witness``,
+``uffink``) through :func:`_identity_terms`.  The bound ``sigma * sigma' >=
+rhs`` that ``variance_product`` and :func:`multipartite` share, with its
+ratio guard, is :func:`_product_report`.
 """
 
 from __future__ import annotations
@@ -129,8 +138,8 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
     Validates the quadruple (:func:`_check_quadruple`).  Returns the means
     and the second moments as tuples and the read-only Gram matrix
     ``G[p, q] = sum_r w_r <P_p v_r|P_q v_r>``.  As every
-    factor is Hermitian, ``<P_p P_q> = G[p, q]``; for instance
-    ``<[A,A'] (x) [B,B']> = 2 Re(G[0, 3] - G[1, 2])``.
+    factor is Hermitian, ``<P_p P_q> = G[p, q]``; :func:`_uncertainty`
+    reads ``<[A,A'] (x) [B,B']>`` off it that way.
     """
     _check_quadruple(A, Ap, B, Bp, s)
     # reshaped, as a B of side 1 makes A the last factor and Z_i (r, A.side)
@@ -169,39 +178,50 @@ def _shared_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
     return means, second, G
 
 
-def _guarded_ratio(lhs: float, rhs: float) -> float | None:
-    if lhs < DEFAULT.ratio_guard:
-        return None
-    return rhs / lhs
+_PRODUCTS = ("AB", "ABp", "ApB", "ApBp")  # the labels of P_0 .. P_3
+
+
+def _uncertainty(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
+                 s: QuantumState, products: Sequence[int]) -> tuple[dict, dict, dict, float]:
+    """The uncertainty family's reading of the shared table: the means, the
+    second moments and the clamped variances of the lifted products
+    ``P_p``, ``p`` in ``products`` (clamped in that order), keyed ``m_``,
+    ``s_`` and ``var_`` plus the label in ``_PRODUCTS``, and ``<[A,A'] (x)
+    [B,B']>``, whose four terms ``P_0 P_3 - P_1 P_2 - P_2 P_1 + P_3 P_0``
+    pair into conjugate entries of ``G``."""
+    means, second, G = _shared_table(A, Ap, B, Bp, s)
+    m, sq, var = {}, {}, {}
+    for p in products:  # a loop, as each comprehension would be one more call
+        label = _PRODUCTS[p]
+        m["m_" + label], sq["s_" + label] = means[p], second[p]
+        var["var_" + label] = _clamped_variance(second[p], means[p])
+    return m, sq, var, float(2.0 * (G[0, 3] - G[1, 2]).real)
+
+
+def _product_report(name: str, var: float, var_p: float, rhs: float,
+                    details: dict[str, float]) -> WitnessReport:
+    """The report of ``sigma * sigma' >= rhs`` from the two variances, with
+    ``V = rhs / lhs`` unless ``lhs`` is below the ratio guard."""
+    lhs = math.sqrt(var) * math.sqrt(var_p)
+    V = None if lhs < DEFAULT.ratio_guard else rhs / lhs
+    return _make_report(name, lhs, rhs, leq=False, V=V, details=details)
 
 
 def variance_product(A: ComplexMatrix, Ap: ComplexMatrix,
                      B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Product condition: sigma_AB * sigma_A'B' >= (1/4)|<[A,A'] (x) [B,B']>|."""
-    means, second, G = _shared_table(A, Ap, B, Bp, s)
-    (m_ab, m_apbp), (s_ab, s_apbp) = means[::3], second[::3]
-    var_ab, var_apbp = _clamped_variance(s_ab, m_ab), _clamped_variance(s_apbp, m_apbp)
-    m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
-    lhs = math.sqrt(var_ab) * math.sqrt(var_apbp)
-    rhs = 0.25 * abs(m_comm)
-    details = {"m_AB": m_ab, "m_ApBp": m_apbp, "s_AB": s_ab, "s_ApBp": s_apbp,
-               "var_AB": var_ab, "var_ApBp": var_apbp, "m_comm": m_comm}
-    return _make_report("variance_product", lhs, rhs, leq=False,
-                        V=_guarded_ratio(lhs, rhs), details=details)
+    m, sq, var, m_comm = _uncertainty(A, Ap, B, Bp, s, (0, 3))
+    return _product_report("variance_product", *var.values(), 0.25 * abs(m_comm),
+                           {**m, **sq, **var, "m_comm": m_comm})
 
 
 def variance_sum(A: ComplexMatrix, Ap: ComplexMatrix,
                  B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Sum condition: sigma²_AB + sigma²_A'B' >= (1/2)|<[A,A'] (x) [B,B']>|."""
-    means, second, G = _shared_table(A, Ap, B, Bp, s)
-    m_ab, m_apbp = means[::3]
-    var_ab, var_apbp = map(_clamped_variance, second[::3], means[::3])
-    m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
-    lhs = var_ab + var_apbp
-    rhs = 0.5 * abs(m_comm)
-    details = {"m_AB": m_ab, "m_ApBp": m_apbp,
-               "var_AB": var_ab, "var_ApBp": var_apbp, "m_comm": m_comm}
-    return _make_report("variance_sum", lhs, rhs, leq=False, V=None, details=details)
+    m, _, var, m_comm = _uncertainty(A, Ap, B, Bp, s, (0, 3))
+    var_ab, var_apbp = var.values()
+    return _make_report("variance_sum", var_ab + var_apbp, 0.5 * abs(m_comm), leq=False,
+                        V=None, details={**m, **var, "m_comm": m_comm})
 
 
 def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
@@ -228,13 +248,10 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
     m_prod_p, var_prod_p = _lifted_variance(Aps, s, f"A'_0 (x) ... (x) A'_{n - 1}")
     m_comm = _lifted_moments([Ak.data @ Apk.data - Apk.data @ Ak.data
                               for Ak, Apk in zip(As, Aps)], s)[0].real
-    lhs = math.sqrt(var_prod) * math.sqrt(var_prod_p)
-    rhs = abs(m_comm) / 2.0**n
     details = {"m_A1..An": m_prod, "m_Ap1..Apn": m_prod_p,
                "var_A1..An": var_prod, "var_Ap1..Apn": var_prod_p,
                "m_comm": m_comm, "n_parties": float(n)}
-    return _make_report("multipartite", lhs, rhs, leq=False,
-                        V=_guarded_ratio(lhs, rhs), details=details)
+    return _product_report("multipartite", var_prod, var_prod_p, abs(m_comm) / 2.0**n, details)
 
 
 def _fourth_moments(rows: Sequence[tuple[int, ...]], A: ComplexMatrix, Ap: ComplexMatrix,
@@ -293,7 +310,7 @@ def _identity_terms(name: str, n: int, A: ComplexMatrix, Ap: ComplexMatrix, B: C
         powers = ((_RIGHT_COEFFS[name] @ G) * _RIGHT_COEFFS[name]).sum(axis=1).real.tolist()
     else:
         powers = _fourth_moments(right, A, Ap, B, Bp, s)
-    return dict(zip(("m_AB", "m_ABp", "m_ApB", "m_ApBp"), means)), lhs, powers
+    return {f"m_{label}": m for label, m in zip(_PRODUCTS, means)}, lhs, powers
 
 
 def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
@@ -334,15 +351,9 @@ def four_variance(A: ComplexMatrix, Ap: ComplexMatrix,
 
     sigma²_AB + sigma²_AB' + sigma²_A'B + sigma²_A'B' >= |<[A,A'] (x) [B,B']>|.
     """
-    means, second, G = _shared_table(A, Ap, B, Bp, s)
-    labels = ("AB", "ABp", "ApB", "ApBp")
-    variances = list(map(_clamped_variance, second, means))
-    m_comm = float(2.0 * (G[0, 3] - G[1, 2]).real)
-    lhs = sum(variances)
-    rhs = abs(m_comm)
-    details = {**{f"m_{label}": m for label, m in zip(labels, means)},
-               **{f"var_{label}": v for label, v in zip(labels, variances)}, "m_comm": m_comm}
-    return _make_report("four_variance", lhs, rhs, leq=False, V=None, details=details)
+    m, _, var, m_comm = _uncertainty(A, Ap, B, Bp, s, range(4))
+    return _make_report("four_variance", sum(var.values()), abs(m_comm), leq=False, V=None,
+                        details={**m, **var, "m_comm": m_comm})
 
 
 def heisenberg_floor(A: ComplexMatrix, Ap: ComplexMatrix,

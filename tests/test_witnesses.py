@@ -145,6 +145,19 @@ def test_multipartite_reduces_to_variance_product():
     assert abs(two.lhs - many.lhs) < 1e-12
     assert abs(two.rhs - many.rhs) < 1e-12
     assert two.violated == many.violated
+    assert abs(two.delta - many.delta) < 1e-12
+    assert abs(two.V - many.V) < 1e-12
+    # both products are eigen-operators of the Bell pair: lhs is zero up to
+    # round-off, below the ratio guard, so neither report has a ratio
+    s = bell(2)
+    two = variance_product(S_X, S_Y, S_X, S_Y, s)
+    many = multipartite([S_X, S_X], [S_Y, S_Y], s)
+    for rep in (two, many):
+        assert abs(rep.lhs) < 1e-12
+        assert rep.V is None
+        assert rep.violated
+    assert abs(two.rhs - many.rhs) < 1e-12
+    assert abs(two.delta - many.delta) < 1e-12
 
 
 def test_multipartite_bell_even_parties():
@@ -953,9 +966,10 @@ def test_conditions_stay_within_working_copies(state_index):
 
 # --- the moment table shared across conditions -------------------------------
 #
-# A state keeps the table of the last quadruple evaluated on it, keyed by the
-# identity of the four operators; the quadruple is validated in full when
-# its table is built, and a read of the table checks nothing.
+# The registry ``witnesses._TABLES`` keeps, for each live state, the table of
+# the last quadruple evaluated on it, keyed by the identity of the four
+# operators; the quadruple is validated in full when its table is built, and
+# a read of the table checks nothing.
 
 
 @pytest.fixture
@@ -1003,6 +1017,16 @@ def test_bipartite_conditions_build_one_table_per_quadruple_and_state(table_coun
     # another pass on the same pair reads the same table again
     assert [condition(*quad, s) for condition in BIPARTITE] == shared
     assert len(table_count) == 1 + len(BIPARTITE)
+
+
+def test_uncertainty_conditions_report_the_same_table_values():
+    s, quad = shared_table_case(66)
+    reports = [condition(*quad, s) for condition in (variance_product, variance_sum,
+                                                     four_variance)]
+    for key in ("m_AB", "m_ApBp", "var_AB", "var_ApBp", "m_comm"):
+        first, *rest = (rep.details[key] for rep in reports)
+        assert type(first) is float
+        assert all(value == first for value in rest), key
 
 
 def test_equal_but_distinct_operator_recomputes_the_table(table_count):
