@@ -10,9 +10,10 @@ eigenvalue of the symmetric tridiagonal matrix C_N that represents Q.
 Eigenvalues are located by bisection on the Sturm sequence (sign-change
 count of the shifted LDL^T recurrence; Barth, Martin and Wilkinson, Numer.
 Math. 9, 1967) -- robust for symmetric tridiagonal input and free of any
-general eigensolver dependency.  A bisection step only asks whether any
-eigenvalue lies below the midpoint, so its recurrence stops at the first
-pivot the count would include; the two certificates take full counts.
+general eigensolver dependency.  One recurrence gives every count, stopped
+once it reaches a given number: a bisection step only asks whether any
+eigenvalue lies below the midpoint, so it stops at one; the two
+certificates take full counts.
 Inverse iteration factors the shifted matrix once and reuses the factors
 for every iterate.  The kernels (C_N, the solve, the psi2 scan), which
 ``cmatrix`` and ``psi2`` call, run on Python floats in ``array('d')``
@@ -144,8 +145,9 @@ def quadratic_form(c: Sequence[float]) -> float:
     return total
 
 
-def _count_below(diag, off2, x: float, pivmin: float) -> int:
-    """Number of eigenvalues strictly below x (Sturm sign-change count).
+def _count_below(diag, off2, x: float, pivmin: float, most: float = math.inf) -> int:
+    """Number of eigenvalues strictly below x (Sturm sign-change count),
+    or ``most`` once the count reaches it.
 
     The loop runs over memoryviews of the buffers, which yield Python floats
     and copy nothing.  A pivot q with |q| < pivmin is replaced by -pivmin,
@@ -156,28 +158,19 @@ def _count_below(diag, off2, x: float, pivmin: float) -> int:
     count = 0
     if q < pivmin:
         count = 1
+        if count >= most:
+            return count
         if q > neg_pivmin:
             q = neg_pivmin
     for d, e2 in zip(memoryview(diag)[1:], memoryview(off2)):
         q = (d - x) - e2 / q
         if q < pivmin:
             count += 1
+            if count >= most:
+                return count
             if q > neg_pivmin:
                 q = neg_pivmin
     return count
-
-
-def _any_below(diag, off2, x: float, pivmin: float) -> bool:
-    """``_count_below(diag, off2, x, pivmin) >= 1``, from the same recurrence
-    stopped at the first pivot below pivmin."""
-    q = float(diag[0]) - x
-    if q < pivmin:
-        return True
-    for d, e2 in zip(memoryview(diag)[1:], memoryview(off2)):
-        q = (d - x) - e2 / q
-        if q < pivmin:
-            return True
-    return False
 
 
 def _tridiag_factor(diag, off, sigma: float) -> tuple:
@@ -280,7 +273,7 @@ def _eigenpair(diag, off, tol: float) -> tuple[float, array]:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if mid > count_known_above or _any_below(diag, off2, mid, pivmin):
+        if mid > count_known_above or _count_below(diag, off2, mid, pivmin, 1):
             hi = mid
         else:
             lo = mid

@@ -4,7 +4,11 @@ The separability conditions in :mod:`entwit.witnesses` rest on scalar
 polynomial identities.  This module expands both sides exactly (Python
 integer coefficients, a Fraction only where a caller supplies a rational
 one; sparse exponent-vector representation) and decides equality term by
-term -- no floating point anywhere.
+term -- no floating point anywhere.  One walk over the expression tree
+serves both :func:`expand` and :func:`eval_expr`; they differ only in the
+leaf map, which turns a variable or an integer into a ``Polynomial`` or a
+``Fraction``, and :func:`pretty` reads the binary operators' text from the
+same table.
 
 Grammar for :func:`parse`::
 
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import random
 import re
 import zlib
@@ -252,25 +257,23 @@ class Neg(Expr):
         self._init(operand)
 
 
-class Add(Expr):
+class _Binary(Expr):
     __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left: Expr, right: Expr):
         self._init(left, right)
 
 
-class Sub(Expr):
-    __slots__ = __match_args__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self._init(left, right)
+class Add(_Binary):
+    __slots__ = ()
 
 
-class Mul(Expr):
-    __slots__ = __match_args__ = ("left", "right")
+class Sub(_Binary):
+    __slots__ = ()
 
-    def __init__(self, left: Expr, right: Expr):
-        self._init(left, right)
+
+class Mul(_Binary):
+    __slots__ = ()
 
 
 class Pow(Expr):
@@ -397,6 +400,8 @@ def parse(text: str) -> Expr:
 
 # How tightly each node type binds, for the parentheses pretty() adds.
 _PRECEDENCE = {Var: 4, IntLit: 4, Pow: 3, Neg: 2, Mul: 1, Add: 0, Sub: 0}
+# Each binary node's operation and its text.
+_BINARY = {Add: (operator.add, " + "), Sub: (operator.sub, " - "), Mul: (operator.mul, "*")}
 
 
 def _wrap(child: Expr, parent_prec: int, *, tight: bool = False) -> str:
@@ -409,6 +414,10 @@ def _wrap(child: Expr, parent_prec: int, *, tight: bool = False) -> str:
 
 def pretty(e: Expr) -> str:
     """Canonical text form; ``parse(pretty(e))`` reproduces ``e`` exactly."""
+    binary = _BINARY.get(type(e))
+    if binary:
+        prec = _PRECEDENCE[type(e)]
+        return _wrap(e.left, prec) + binary[1] + _wrap(e.right, prec, tight=True)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, IntLit):
@@ -417,51 +426,39 @@ def pretty(e: Expr) -> str:
         return "-" + _wrap(e.operand, 2)
     if isinstance(e, Pow):
         return _wrap(e.base, 3, tight=True) + f"^{e.exponent}"
-    if isinstance(e, Mul):
-        return _wrap(e.left, 1) + "*" + _wrap(e.right, 1, tight=True)
-    if isinstance(e, Add):
-        return _wrap(e.left, 0) + " + " + _wrap(e.right, 0, tight=True)
-    if isinstance(e, Sub):
-        return _wrap(e.left, 0) + " - " + _wrap(e.right, 0, tight=True)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _fold(e: Expr, leaf: dict):
+    """Evaluate the tree bottom-up: each ``Var``/``IntLit`` through
+    ``leaf[type(node)]``, then ``-``, ``** exponent`` and the operations of
+    ``_BINARY`` on whatever values the leaves give."""
+    binary = _BINARY.get(type(e))
+    if binary:
+        return binary[0](_fold(e.left, leaf), _fold(e.right, leaf))
+    if isinstance(e, Neg):
+        return -_fold(e.operand, leaf)
+    if isinstance(e, Pow):
+        return _fold(e.base, leaf) ** e.exponent
+    if type(e) in leaf:
+        return leaf[type(e)](e)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def expand(e: Expr) -> Polynomial:
     """Fully expanded canonical polynomial; its coefficients are exact ints."""
-    if isinstance(e, Var):
-        return Polynomial.variable(e.name)
-    if isinstance(e, IntLit):
-        return Polynomial.constant(e.value)
-    if isinstance(e, Neg):
-        return -expand(e.operand)
-    if isinstance(e, Add):
-        return expand(e.left) + expand(e.right)
-    if isinstance(e, Sub):
-        return expand(e.left) - expand(e.right)
-    if isinstance(e, Mul):
-        return expand(e.left) * expand(e.right)
-    if isinstance(e, Pow):
-        return expand(e.base) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
+    return _fold(e, {Var: lambda v: Polynomial.variable(v.name),
+                     IntLit: lambda c: Polynomial.constant(c.value)})
 
 
 def eval_expr(e: Expr, point: Sequence[Fraction]) -> Fraction:
-    """Evaluate the AST directly (independently of :func:`expand`)."""
-    if isinstance(e, Var):
-        return Fraction(point[_VAR_INDEX[e.name]])
-    if isinstance(e, IntLit):
-        return Fraction(e.value)
-    if isinstance(e, Neg):
-        return -eval_expr(e.operand, point)
-    if isinstance(e, Add):
-        return eval_expr(e.left, point) + eval_expr(e.right, point)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, point) - eval_expr(e.right, point)
-    if isinstance(e, Mul):
-        return eval_expr(e.left, point) * eval_expr(e.right, point)
-    if isinstance(e, Pow):
-        return eval_expr(e.base, point) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")
+    """Evaluate the AST directly in ``Fraction`` arithmetic.
+
+    The tree walk is :func:`expand`'s, but no polynomial arithmetic is done,
+    so :func:`verify` still checks ``Polynomial``'s sparse arithmetic
+    against ``Fraction``'s."""
+    return _fold(e, {Var: lambda v: Fraction(point[_VAR_INDEX[v.name]]),
+                     IntLit: lambda c: Fraction(c.value)})
 
 
 def equal(p: Polynomial, q: Polynomial) -> bool:

@@ -43,6 +43,8 @@ def pair_cutoff(num_coeffs: int) -> int:
 
     The top populated level is 2N; two spare levels above it make every
     quadrature second moment on the family exact despite truncation.
+    :func:`fock_pair_superposition` refuses a cutoff below 2N + 3, the
+    bound at which those two spare levels are there.
     """
     num_coeffs = _as_int(num_coeffs, "num_coeffs")
     if num_coeffs < 1:
@@ -81,8 +83,8 @@ def fock_pair_superposition(c: Sequence[float], cutoff: int | None = None) -> Qu
         raise ValueError(f"coefficient norm is {norm!r}, not 1 within {DEFAULT.state_norm}")
     N = coeffs.size - 1
     D = pair_cutoff(coeffs.size) if cutoff is None else _as_int(cutoff, "cutoff")
-    if 2 * N + 1 > D:
-        raise ValueError(f"cutoff {D} too small for top level {2 * N} (need D >= {2 * N + 1})")
+    if 2 * N + 3 > D:
+        raise ValueError(f"cutoff {D} too small for top level {2 * N} (need D >= {2 * N + 3})")
     _refuse_oversize(16 * D * D, f"a pure state at cutoff {D}")
     return _paired(D, coeffs, 2)
 

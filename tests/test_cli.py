@@ -354,6 +354,7 @@ def test_usage_errors_exit_2(capsys):
         ["cmatrix", "--n", "-1"],
         ["psi2", "--scan", "2"],
         ["mixture", "--p", "1.5", "--coeffs", "1"],
+        ["mixture", "--p", "0.5", "--coeffs", "0.8,0.6", "--cutoff", "3"],
         ["squeezed", "--lambda", "1.0"],
         ["identity", "--name", "ramanujan"],
         ["eval", "--expr-lhs", "a +", "--expr-rhs", "a"],
@@ -425,6 +426,16 @@ def test_mixture_beyond_dense_density_size(capsys):
     assert code == 0
     res = doc["results"]
     assert abs(res["report"]["lhs"] - res["closed_form_lhs"]) < 1e-9
+
+
+def test_mixture_at_the_smallest_cutoff_matches_closed_form(capsys):
+    # D = 2N + 3 leaves the two spare levels x and p reach from level 2N
+    code, doc, _ = invoke(capsys, "mixture", "--p", "0.5", "--coeffs", "0.8,0.6",
+                          "--cutoff", "5")
+    assert code == 0
+    res = doc["results"]
+    assert abs(res["report"]["lhs"] - res["closed_form_lhs"]) < 1e-12
+    assert res["report"]["violated"] is False
 
 
 def test_eval_error_reports_offset(capsys):

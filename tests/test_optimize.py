@@ -412,31 +412,34 @@ def test_count_below_matches_reference_loop():
     assert zero_pivots > 40  # the pivmin branch was taken
 
 
-def test_any_below_answers_whether_the_count_is_positive():
+def test_count_below_stops_once_the_count_reaches_most():
     zero_pivots = 0
     for diag, off in random_tridiagonals(24):
         off2 = off * off
         pivmin = 1e-20 * max(1.0, float(off2.max(initial=0.0)))
         for x in list(diag) + [-30.0, -0.5, 0.0, 0.25, 30.0]:
-            want = optimize._count_below(diag, off2, x, pivmin) >= 1
-            assert optimize._any_below(diag, off2, x, pivmin) is want
+            full = optimize._count_below(diag, off2, x, pivmin)
+            for most in (1, 2, 3):
+                assert optimize._count_below(diag, off2, x, pivmin, most=most) == min(most, full)
             zero_pivots += diag[0] - x == 0.0
     assert zero_pivots > 40  # the pivmin branch was taken
 
 
 def test_min_eigenvalue_factors_once_and_counts_only_to_certify(monkeypatch):
+    # a bisection step passes `most`; only the two certificates count in full
     calls = {"factor": 0, "count": 0}
+    factor, count_below = optimize._tridiag_factor, optimize._count_below
 
-    def counting(name, key):
-        original = getattr(optimize, name)
+    def counting_factor(*args):
+        calls["factor"] += 1
+        return factor(*args)
 
-        def wrapper(*args):
-            calls[key] += 1
-            return original(*args)
-        monkeypatch.setattr(optimize, name, wrapper)
+    def counting_below(diag, off2, x, pivmin, most=math.inf):
+        calls["count"] += most == math.inf
+        return count_below(diag, off2, x, pivmin, most)
 
-    counting("_tridiag_factor", "factor")
-    counting("_count_below", "count")
+    monkeypatch.setattr(optimize, "_tridiag_factor", counting_factor)
+    monkeypatch.setattr(optimize, "_count_below", counting_below)
     lam, _ = min_eigenvalue(c_matrix(2000))
     assert lam == LAMBDA_2000
     assert calls == {"factor": 1, "count": 2}

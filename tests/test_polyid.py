@@ -172,6 +172,28 @@ def test_expand_is_a_ring_homomorphism():
         assert expand(e).evaluate(point) == eval_expr(e, point)
 
 
+def _node_kinds(e):
+    yield type(e)
+    for child in e._values():
+        if isinstance(child, polyid.Expr):
+            yield from _node_kinds(child)
+
+
+def test_eval_expr_matches_python_on_the_printed_tree():
+    # Python's own evaluator shares no code with the walk that expand and
+    # eval_expr both use, so a dispatch fault in that walk shows here
+    gen = random.Random(4242)
+    kinds = set()
+    for _ in range(200):
+        e = _random_expr(gen, 4)
+        kinds.update(_node_kinds(e))
+        point = tuple(F(gen.randint(-9, 9), gen.randint(1, 5)) for _ in range(4))
+        names = dict(zip(("a", "ap", "b", "bp"), point))
+        text = pretty(e).replace("^", "**").replace("'", "p")
+        assert eval(text, {"__builtins__": {}}, names) == eval_expr(e, point), text
+    assert kinds == {Var, IntLit, Neg, Add, Sub, Mul, Pow}
+
+
 def test_pretty_round_trips_exactly():
     gen = random.Random(77)
     for _ in range(80):
@@ -316,8 +338,9 @@ def test_unknown_variables_are_refused():
 
 @pytest.mark.parametrize("walk", [expand, pretty, lambda e: eval_expr(e, (0, 0, 0, 0))])
 def test_tree_walks_refuse_a_non_node(walk):
-    with pytest.raises(TypeError, match="not an expression node"):
-        walk("a")
+    for bad in ("a", polyid.Expr()):
+        with pytest.raises(TypeError, match="not an expression node"):
+            walk(bad)
 
 
 def test_polynomial_constant_and_zero():

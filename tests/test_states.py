@@ -46,9 +46,19 @@ def test_fock_pair_norm_and_cutoff_validation():
     with pytest.raises(ValueError):
         fock_pair_superposition([0.6, 0.7])
     with pytest.raises(ValueError):
-        fock_pair_superposition([0.6, 0.8], 2)  # top level 2 needs D >= 3
+        fock_pair_superposition([0.6, 0.8], 2)  # top level 2 needs D >= 5
     with pytest.raises(ValueError):
         fock_pair_superposition([])
+
+
+@pytest.mark.parametrize("c", [[1.0], [0.6, 0.8], [0.6, 0.0, 0.8]])
+def test_fock_pair_needs_two_spare_levels_above_the_top(c):
+    # x and p move the top level 2N up by one; their products by two
+    top = 2 * (len(c) - 1)
+    for cutoff in (top + 1, top + 2):
+        with pytest.raises(ValueError, match=f"need D >= {top + 3}"):
+            fock_pair_superposition(c, cutoff)
+    assert fock_pair_superposition(c, top + 3).dims == (top + 3, top + 3)
 
 
 def test_default_pair_cutoffs():
