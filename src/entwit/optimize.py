@@ -13,7 +13,11 @@ Math. 9, 1967) -- robust for symmetric tridiagonal input and free of any
 general eigensolver dependency.  One recurrence gives every count, stopped
 once it reaches a given number: a bisection step only asks whether any
 eigenvalue lies below the midpoint, so it stops at one; the two
-certificates take full counts.
+certificates take full counts.  Every count also stops where the rest of
+the matrix is provably positive: at a pivot no smaller than the next
+off-diagonal, once every later row's Gershgorin lower edge lies above the
+shift.  C_N's tail is diagonally dominant (row n's edge is 2n^2 + n - 1/2),
+so below 2.5 its counts end within the first rows.
 Inverse iteration factors the shifted matrix once and reuses the factors
 for every iterate.  The kernels (C_N, the solve, the psi2 scan), which
 ``cmatrix`` and ``psi2`` call, run on Python floats in ``array('d')``
@@ -28,6 +32,7 @@ import math
 import numbers
 import sys
 from array import array
+from bisect import bisect_right
 from itertools import chain, islice, repeat
 from operator import add, mul, neg, sub, truediv
 from typing import TYPE_CHECKING, Any, Sequence
@@ -37,10 +42,11 @@ from .config import _Record, _as_int, _as_real, _refuse_oversize
 if TYPE_CHECKING:
     from numpy import ndarray as Array
 
-# Floats per entry of C_N that c_matrix and min_eigenvalue hold at once, a
-# conservative bound: the matrix, off2, the factor buffers, the iteration
-# vectors (9) and the Python floats math.hypot is handed (4).  Counted with
-# the four working copies, 384 bytes an entry; `cmatrix --n 1000000` uses 125.
+# Floats per entry of C_N charged to c_matrix and min_eigenvalue.  They hold
+# the matrix, off2, the Sturm tail floors, the factor buffers and the
+# iteration vectors (10 floats an entry) and hand math.hypot a tuple of
+# Python floats (4 more); counted with the four working copies, 12 give 384
+# bytes an entry, and `cmatrix --n 1000000` uses 130.
 _SOLVE_ARRAYS = 12
 # Floats per grid point of psi2_scan, a conservative bound: the grid and
 # the values (2) and the lists of a JSON report (8); 384 bytes a point with
@@ -145,13 +151,18 @@ def quadratic_form(c: Sequence[float]) -> float:
     return total
 
 
-def _count_below(diag, off2, x: float, pivmin: float, most: float = math.inf) -> int:
+def _count_below(diag, off2, x: float, pivmin: float, most: float = math.inf,
+                 tail: tuple | None = None) -> int:
     """Number of eigenvalues strictly below x (Sturm sign-change count),
     or ``most`` once the count reaches it.
 
     The loop runs over memoryviews of the buffers, which yield Python floats
     and copy nothing.  A pivot q with |q| < pivmin is replaced by -pivmin,
-    so every q below pivmin counts as negative.
+    so every q below pivmin counts as negative.  ``tail``, the off-diagonal
+    and :func:`_gershgorin`'s floors, stops the count at the first pivot
+    ``q_k >= |o_k|`` whose floor ``floors[k]`` exceeds x: every later pivot
+    then stays above its own off-diagonal, so none counts, and the result is
+    the full recurrence's.
     """
     neg_pivmin = -pivmin
     q = float(diag[0]) - x
@@ -162,7 +173,15 @@ def _count_below(diag, off2, x: float, pivmin: float, most: float = math.inf) ->
             return count
         if q > neg_pivmin:
             q = neg_pivmin
-    for d, e2 in zip(memoryview(diag)[1:], memoryview(off2)):
+    # q >= NaN never holds: no row may stop before the floors exceed x
+    limits = repeat(math.nan)
+    if tail is not None:
+        off, floors = tail
+        start = bisect_right(floors, x)
+        limits = chain(repeat(math.nan, start), map(abs, memoryview(off)[start:]))
+    for d, e2, limit in zip(memoryview(diag)[1:], memoryview(off2), limits):
+        if q >= limit:
+            return count
         q = (d - x) - e2 / q
         if q < pivmin:
             count += 1
@@ -171,6 +190,37 @@ def _count_below(diag, off2, x: float, pivmin: float, most: float = math.inf) ->
             if q > neg_pivmin:
                 q = neg_pivmin
     return count
+
+
+def _gershgorin(diag, off, pivmin: float) -> tuple[float, float, float, array]:
+    """The Gershgorin bracket ``lo, hi`` of the spectrum, the slack ``1e-12 *
+    max(|lo|, |hi|)``, and the floors of :func:`_count_below`'s tail.
+
+    ``floors[k]`` is the least lower edge ``d_m - |o_{m-1}| - |o_m|`` of the
+    rows m > k, less a margin of the slack, ``pivmin`` and 2^-51.  If a
+    pivot ``q_k >= max(|o_k|, pivmin)`` and ``floors[k] > x``, then
+    ``o_k^2 / q_k <= |o_k|`` and the next pivot is at least ``|o_{k+1}|``
+    plus the margin less its round-off (at most about 7 * 2^-53 of the
+    largest entry, and 2^-53 where a square underflows), so by induction no
+    later pivot counts.  The floors are nondecreasing in k; for C_N the
+    edge of row n < N is ``2n^2 + n - 1/2``.
+    """
+    absoff = array("d", map(abs, off))
+    radius = array("d", map(add, chain(absoff, (0.0,)), chain((0.0,), absoff)))
+    del absoff
+    hi = max(map(add, diag, radius))
+    edges = array("d", map(sub, diag, radius))
+    del radius
+    lo = min(edges)
+    slack = 1e-12 * max(abs(lo), abs(hi))
+    margin = slack + pivmin + 2.0 ** -51
+    floors, least = array("d"), math.inf
+    for edge in reversed(memoryview(edges)[1:]):  # rows n-1 down to 1
+        if edge < least:
+            least = edge
+        floors.append(least - margin)
+    floors.reverse()
+    return lo, hi, slack, floors
 
 
 def _tridiag_factor(diag, off, sigma: float) -> tuple:
@@ -259,21 +309,17 @@ def _eigenpair(diag, off, tol: float) -> tuple[float, array]:
     n = len(diag)
     if n == 1:
         return float(diag[0]), array("d", [1.0])
-    absoff = array("d", map(abs, off))
-    radius = array("d", map(add, chain(absoff, (0.0,)), chain((0.0,), absoff)))
-    lo = min(map(sub, diag, radius))
-    hi = max(map(add, diag, radius))
-    del absoff, radius
-    slack = 1e-12 * max(abs(lo), abs(hi))
-    # lambda_min <= min(diag), so the count above this point is at least 1
-    count_known_above = min(diag) + slack
     off2 = array("d", map(mul, off, off))
     pivmin = sys.float_info.min * max(1.0, max(off2))
+    lo, hi, slack, floors = _gershgorin(diag, off, pivmin)
+    tail = (off, floors)
+    # lambda_min <= min(diag), so the count above this point is at least 1
+    count_known_above = min(diag) + slack
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if mid > count_known_above or _count_below(diag, off2, mid, pivmin, 1):
+        if mid > count_known_above or _count_below(diag, off2, mid, pivmin, 1, tail):
             hi = mid
         else:
             lo = mid
@@ -296,13 +342,13 @@ def _eigenpair(diag, off, tol: float) -> tuple[float, array]:
     # it is the smallest only if the Sturm count finds none further below.
     residual = math.hypot(*map(sub, Cv, map(mul, repeat(rayleigh), v)))
     floor = rayleigh - residual - slack
-    below = _count_below(diag, off2, floor, pivmin)
+    below = _count_below(diag, off2, floor, pivmin, math.inf, tail)
     if below:
         raise ValueError(f"eigenvalue {rayleigh:.6g} is not the smallest: {below} "
                          f"eigenvalue(s) lie below {floor:.6g}; tolerance {tol} "
                          f"is too loose")
     ceiling = rayleigh + residual + slack
-    if _count_below(diag, off2, ceiling, pivmin) < 1:
+    if _count_below(diag, off2, ceiling, pivmin, math.inf, tail) < 1:
         raise ValueError(f"eigenvalue {rayleigh:.6g} is not certified: no eigenvalue "
                          f"lies below {ceiling:.6g}")
     return rayleigh, v
@@ -318,11 +364,13 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     smallest diagonal entry (plus a 1e-12 relative slack): the count there is
     at least one.  Below it a step needs only to know whether the count is
     at least one, so its recurrence stops at the first pivot below the
-    Sturm floor.  The vector comes from inverse iteration at the converged
-    value shifted by 1e-12: the shifted matrix is factored once, and the
-    three solves reuse the factors.  A final Rayleigh quotient squeezes the
-    eigenvalue to round-off so nested truncations stay monotone well below
-    the bisection tolerance.  Two full Sturm counts then certify it against
+    Sturm floor; every count also stops where the Gershgorin edges of the
+    remaining rows prove that no later pivot counts.  The vector comes from
+    inverse iteration at the converged value shifted by 1e-12: the shifted
+    matrix is factored once, and the three solves reuse the factors.  A
+    final Rayleigh quotient squeezes the eigenvalue to round-off so nested
+    truncations stay monotone well below the bisection tolerance.  Two full
+    Sturm counts then certify it against
     its residual ``r = ||Cv - lambda v||`` and ``eps`` = 1e-12 of the
     Gershgorin bound: none below ``lambda - r - eps`` and at least one below
     ``lambda + r + eps``; otherwise, as when ``tol`` is so loose that

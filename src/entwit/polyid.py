@@ -25,8 +25,10 @@ between factors, and power exponents must fold to non-negative integer
 constants.  Every malformed input is a :class:`ParseError` at a character
 offset: any other name (a run of word characters other than digits and '_',
 then primes) is an unknown identifier, any other non-space character
-(a non-ASCII digit such as '٣' included) is unexpected, and so is an INT
-with more digits than ``int()`` converts.
+(a non-ASCII digit such as '٣' included) is unexpected, and so are an
+INT with more digits than ``int()`` converts and parentheses, unary minus
+signs and powers nested more than 100 levels deep.  A flat sum or product
+is a chain of binary nodes, not nesting: it may have any length.
 """
 
 from __future__ import annotations
@@ -312,10 +314,27 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Parentheses, unary minus signs and powers nested deeper than this are a
+# ParseError: each level costs the parser up to six Python frames and the
+# tree walks one or two, so the limit keeps them all well inside the
+# interpreter's default recursion limit of 1000.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse, offset: int) -> Expr:
+        """``parse()`` one level deeper, refused past ``_MAX_NESTING``."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels", offset)
+        self.depth += 1
+        e = parse()
+        self.depth -= 1
+        return e
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -356,8 +375,7 @@ class _Parser:
 
     def unary(self) -> Expr:
         if self.peek()[0] == "-":
-            self.take()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary, self.take()[2]))
         return self.power()
 
     def power(self) -> Expr:
@@ -366,7 +384,7 @@ class _Parser:
             return base
         self.take()
         exp_offset = self.peek()[2]
-        exponent_expr = self.power()  # right-associative
+        exponent_expr = self.nested(self.power, exp_offset)  # right-associative
         value = expand(exponent_expr).constant_value()
         if value is None or value.denominator != 1 or value < 0:
             raise ParseError("power exponent must fold to a non-negative integer",
@@ -385,7 +403,7 @@ class _Parser:
         if kind == "VAR":
             return Var(text)
         if kind == "(":
-            e = self.expr()
+            e = self.nested(self.expr, offset)
             self.expect(")")
             return e
         raise ParseError(f"unexpected token {text or 'end of input'!r}", offset)
@@ -413,36 +431,53 @@ def _wrap(child: Expr, parent_prec: int, *, tight: bool = False) -> str:
 
 
 def pretty(e: Expr) -> str:
-    """Canonical text form; ``parse(pretty(e))`` reproduces ``e`` exactly."""
-    binary = _BINARY.get(type(e))
-    if binary:
+    """Canonical text form; ``parse(pretty(e))`` reproduces ``e`` exactly.
+
+    The left operands of a chain of binary nodes (a flat sum or product, as
+    the parser builds it) are walked in a loop, so a long chain does not
+    recurse once per term."""
+    tails = []
+    while type(e) in _BINARY:
         prec = _PRECEDENCE[type(e)]
-        return _wrap(e.left, prec) + binary[1] + _wrap(e.right, prec, tight=True)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.operand, 2)
-    if isinstance(e, Pow):
-        return _wrap(e.base, 3, tight=True) + f"^{e.exponent}"
-    raise TypeError(f"not an expression node: {e!r}")
+        tails.append(_BINARY[type(e)][1] + _wrap(e.right, prec, tight=True))
+        e = e.left
+        if _PRECEDENCE.get(type(e), prec) < prec:  # a sum under a product
+            text = f"({pretty(e)})"
+            break
+    else:
+        if isinstance(e, Var):
+            text = e.name
+        elif isinstance(e, IntLit):
+            text = str(e.value)
+        elif isinstance(e, Neg):
+            text = "-" + _wrap(e.operand, 2)
+        elif isinstance(e, Pow):
+            text = _wrap(e.base, 3, tight=True) + f"^{e.exponent}"
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+    return text + "".join(reversed(tails))
 
 
 def _fold(e: Expr, leaf: dict):
     """Evaluate the tree bottom-up: each ``Var``/``IntLit`` through
     ``leaf[type(node)]``, then ``-``, ``** exponent`` and the operations of
-    ``_BINARY`` on whatever values the leaves give."""
-    binary = _BINARY.get(type(e))
-    if binary:
-        return binary[0](_fold(e.left, leaf), _fold(e.right, leaf))
+    ``_BINARY`` on whatever values the leaves give.  The left operands of a
+    chain of binary nodes are walked in a loop, as :func:`pretty` walks them."""
+    rights = []
+    while type(e) in _BINARY:
+        rights.append((_BINARY[type(e)][0], e.right))
+        e = e.left
     if isinstance(e, Neg):
-        return -_fold(e.operand, leaf)
-    if isinstance(e, Pow):
-        return _fold(e.base, leaf) ** e.exponent
-    if type(e) in leaf:
-        return leaf[type(e)](e)
-    raise TypeError(f"not an expression node: {e!r}")
+        value = -_fold(e.operand, leaf)
+    elif isinstance(e, Pow):
+        value = _fold(e.base, leaf) ** e.exponent
+    elif type(e) in leaf:
+        value = leaf[type(e)](e)
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    for op, right in reversed(rights):
+        value = op(value, _fold(right, leaf))
+    return value
 
 
 def expand(e: Expr) -> Polynomial:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import shlex
@@ -451,6 +452,20 @@ def test_eval_reports_a_non_ascii_digit_at_its_offset(capsys):
     assert captured.err == "error: unknown identifier '\u00b2' at offset 2\n"
 
 
+def test_eval_walks_a_long_flat_sum(capsys):
+    code, doc, err = invoke(capsys, "eval", "--expr-lhs", "+".join(["a"] * 5000),
+                            "--expr-rhs", "5000*a")
+    assert (code, err) == (0, "")
+    assert doc["results"] == {"equal": True}
+
+
+def test_eval_refuses_deep_nesting_at_its_offset(capsys):
+    assert run(["eval", "--expr-lhs", "(" * 500 + "a" + ")" * 500, "--expr-rhs", "a"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expression nested deeper than 100 levels at offset 100\n"
+
+
 def test_eval_refuses_an_oversized_power_before_it_allocates(capsys):
     start = time.perf_counter()
     assert run(["eval", "--expr-lhs", "2^(10^12)", "--expr-rhs", "a"]) == 1
@@ -600,6 +615,58 @@ def test_package_main_matches_cli_module():
                for module in ("entwit", "entwit.cli")]
     assert [proc.returncode for proc in outputs] == [0, 0]
     assert outputs[0].stdout == outputs[1].stdout
+
+
+def test_run_leaves_the_freeze_count_unchanged(capsys):
+    before = gc.get_freeze_count()
+    for argv in (["cmatrix", "--n", "20"], ["cmatrix", "--n", "-1"], ["cmatrix"]):
+        run(argv)
+        assert gc.get_freeze_count() == before
+    capsys.readouterr()
+
+
+def test_main_freezes_only_after_run_returns(monkeypatch):
+    events = []
+
+    def exit_(code):
+        events.append(("exit", code))
+        raise SystemExit(code)
+
+    monkeypatch.setattr(cli, "run", lambda: events.append("run") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "exit", exit_)
+    with pytest.raises(SystemExit):
+        cli.main()
+    assert events == ["run", "freeze", ("exit", 3)]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["cmatrix", "--n", "20"], 0),
+    (["squeezed", "--lambda", "0.5"], 0),
+    (["eval", "--expr-lhs", "a + q", "--expr-rhs", "a"], 1),
+    (["cmatrix", "--n", "-1"], 1),
+    (["cmatrix"], 2),
+    ([], 2),
+])
+def test_module_children_match_in_process_run(capsys, argv, code):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    proc = subprocess.run([sys.executable, "-m", "entwit", *argv],
+                          capture_output=True, timeout=120)
+    assert proc.returncode == code
+    assert proc.stdout.decode() == captured.out
+    assert proc.stderr.decode() == captured.err
+
+
+def test_main_keeps_the_exit_handlers():
+    # the process exits through the interpreter's own shutdown, so atexit
+    # handlers (coverage.py's among them) still run after the freeze
+    code = ("import atexit, sys; atexit.register(lambda: print('handler ran', file=sys.stderr)); "
+            "from entwit.cli import main; main()")
+    proc = subprocess.run([sys.executable, "-c", code, "cmatrix", "--n", "-1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: truncation order must be non-negative, got -1\nhandler ran\n"
 
 
 def _float_list(seed: int, size: int) -> list[float]:

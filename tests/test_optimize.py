@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from array import array
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -425,6 +427,76 @@ def test_count_below_stops_once_the_count_reaches_most():
     assert zero_pivots > 40  # the pivmin branch was taken
 
 
+def sturm_inputs(diag, off):
+    """off2, pivmin and the count's tail as the solve builds them, and the
+    Gershgorin bracket."""
+    off2 = off * off
+    pivmin = sys.float_info.min * max(1.0, float(off2.max(initial=0.0)))
+    lo, hi, slack, floors = optimize._gershgorin(diag, off, pivmin)
+    return off2, pivmin, (off, floors), lo, hi, slack
+
+
+def dominant_tridiagonals(seed):
+    """Tridiagonals whose rows grow diagonally dominant, as C_N's do, so the
+    tail stops counts, with zero off-diagonals mixed in."""
+    gen = rng(seed)
+    for _ in range(40):
+        size = int(gen.integers(2, 60))
+        n = np.arange(size, dtype=float)
+        off = -(n[1:] ** 2) * gen.uniform(0.0, 1.2)
+        off[gen.uniform(size=size - 1) < 0.2] = 0.0
+        yield 4.0 * n * n + gen.normal(size=size), off
+
+
+def test_count_below_with_the_tail_equals_the_full_count():
+    zero_pivots = 0
+    for diag, off in chain(random_tridiagonals(26), dominant_tridiagonals(27)):
+        off2, pivmin, tail, lo, hi, _ = sturm_inputs(diag, off)
+        floors = tail[1]
+        assert all(a <= b for a, b in zip(floors, floors[1:]))
+        shifts = list(diag) + list(np.linspace(lo - 1.0, hi + 1.0, 9)) + [-30.0, 0.0, 30.0]
+        for x in shifts:
+            full = optimize._count_below(diag, off2, x, pivmin)
+            assert optimize._count_below(diag, off2, x, pivmin, tail=tail) == full
+            for most in (1, 2, 3):
+                assert optimize._count_below(diag, off2, x, pivmin, most, tail) == min(most, full)
+            zero_pivots += diag[0] - x == 0.0
+    assert zero_pivots > 40  # the pivmin branch was taken
+
+
+def test_count_below_keeps_its_margin_at_a_floor_within_round_off():
+    # [[2, 1], [1, 2]] at x = 1 - 2^-53: q_0 rounds to 1 = |o_0| and q_1 to 0,
+    # so the full recurrence counts one; row 1's edge, 1, lies just above x,
+    # and only the margin keeps the tail from stopping the count at q_0
+    diag, off = np.array([2.0, 2.0]), np.array([1.0])
+    off2, pivmin, tail, *_ = sturm_inputs(diag, off)
+    x = 1.0 - 2.0 ** -53
+    assert optimize._count_below(diag, off2, x, pivmin) == 1
+    assert optimize._count_below(diag, off2, x, pivmin, tail=tail) == 1
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 200, 2000])
+def test_count_below_on_c_n_stops_within_its_first_rows(N):
+    diag, off = (np.asarray(a) for a in optimize._c_entries(N))
+    off2, pivmin, tail, lo, hi, slack = sturm_inputs(diag, off)
+    # row n's Gershgorin lower edge is 2n^2 + n - 1/2; the last row's lacks |o_N|
+    edges = [2.0 * n * n + n - 0.5 for n in range(1, N)] + [3.0 * N * N + 2.5 * N]
+    floors = [min(edges[k:]) for k in range(N)]
+    assert np.allclose(tail[1], floors, rtol=0.0, atol=2.0 * slack)
+    # rows past the 40th are never read: poisoning them changes the full count only
+    poisoned = off2.copy()
+    poisoned[40:] = np.inf
+    for x in (lo, -1.0, LAMBDA_200 - 1e-9, LAMBDA_200 + 1e-9, 0.0, 2.0, 2.4):
+        full = optimize._count_below(diag, off2, x, pivmin)
+        assert optimize._count_below(diag, off2, x, pivmin, tail=tail) == full
+        assert optimize._count_below(diag, poisoned, x, pivmin, tail=tail) == full
+        if N > 40:
+            assert optimize._count_below(diag, poisoned, x, pivmin) != full
+    for x in (3.0, 100.0, hi):
+        full = optimize._count_below(diag, off2, x, pivmin)
+        assert optimize._count_below(diag, off2, x, pivmin, tail=tail) == full
+
+
 def test_min_eigenvalue_factors_once_and_counts_only_to_certify(monkeypatch):
     # a bisection step passes `most`; only the two certificates count in full
     calls = {"factor": 0, "count": 0}
@@ -434,9 +506,9 @@ def test_min_eigenvalue_factors_once_and_counts_only_to_certify(monkeypatch):
         calls["factor"] += 1
         return factor(*args)
 
-    def counting_below(diag, off2, x, pivmin, most=math.inf):
+    def counting_below(diag, off2, x, pivmin, most=math.inf, tail=None):
         calls["count"] += most == math.inf
-        return count_below(diag, off2, x, pivmin, most)
+        return count_below(diag, off2, x, pivmin, most, tail)
 
     monkeypatch.setattr(optimize, "_tridiag_factor", counting_factor)
     monkeypatch.setattr(optimize, "_count_below", counting_below)

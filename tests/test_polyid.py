@@ -343,6 +343,57 @@ def test_tree_walks_refuse_a_non_node(walk):
             walk(bad)
 
 
+@pytest.mark.parametrize("walk", [expand, pretty, lambda e: eval_expr(e, (0, 0, 0, 0))])
+def test_tree_walks_refuse_a_non_node_inside_a_chain(walk):
+    for bad in (Add(Mul(polyid.Expr(), Var("a")), Var("b")),
+                Sub(Add(Var("a"), Var("b")), "c")):
+        with pytest.raises(TypeError, match="not an expression node"):
+            walk(bad)
+
+
+@pytest.mark.parametrize("op,value", [("+", 5000), ("-", -4998), ("*", 1)])
+def test_a_long_flat_chain_walks_without_recursing(op, value):
+    # the parser builds a flat chain left-deep; 5000 levels would exceed the
+    # interpreter's recursion limit if each were a call
+    text = op.join(["a"] * 5000)
+    e = parse(text)
+    assert eval_expr(e, (1, 0, 0, 0)) == value
+    assert expand(e) == (Polynomial({(5000, 0, 0, 0): 1}) if op == "*"
+                         else Polynomial({(1, 0, 0, 0): value}))
+    assert pretty(e) == text.replace(op, f" {op} " if op != "*" else op)
+    assert pretty(parse(pretty(e))) == pretty(e)
+
+
+def test_a_chain_under_a_product_keeps_its_parentheses():
+    e = parse("(a + b)*(a - b)*b' + a' + a")
+    assert pretty(e) == "(a + b)*(a - b)*b' + a' + a"
+    assert pretty(parse("((a + b)*a + b)*a")) == "((a + b)*a + b)*a"
+    assert expand(parse("((a + b)*a + b)*a")) == expand(parse("a^3 + b*a^2 + b*a"))
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("(" * 101 + "a" + ")" * 101, 100),
+    ("(" * 500 + "a" + ")" * 500, 100),
+    ("-" * 101 + "a", 100),
+    ("a + (" * 101 + "a" + ")" * 101, 5 * 100 + 4),
+    ("a" + "^1" * 101, 202),
+    # a unary minus is a level too: 60 + 2 * 20 levels before the 21st "-"
+    ("b - (a*" * 60 + "-(" * 41 + "a" + ")" * 101, 7 * 60 + 2 * 20),
+])
+def test_nesting_past_the_limit_is_a_parse_error_at_its_offset(text, offset):
+    with pytest.raises(ParseError, match=f"nested deeper than 100 levels at offset {offset}$"):
+        parse(text)
+
+
+def test_nesting_at_the_limit_parses_and_walks():
+    for text in ("(" * 100 + "a" + ")" * 100, "-" * 100 + "a",
+                 "a + (" * 100 + "b" + ")" * 100, "a" + "^1" * 100,
+                 "-(" * 50 + "a*b" + ")" * 50):
+        e = parse(text)
+        assert pretty(parse(pretty(e))) == pretty(e)
+        assert expand(e).evaluate((2, 3, 5, 7)) == eval_expr(e, (2, 3, 5, 7))
+
+
 def test_polynomial_constant_and_zero():
     assert Polynomial().is_zero()
     assert Polynomial().constant_value() == F(0)
