@@ -352,8 +352,15 @@ def _write_json(obj: Any, write: Callable[[str], object], indent: str = "") -> N
     float rounded to 12 significant digits, in pieces passed to ``write``.
 
     Mappings (with string keys), lists and tuples are laid out here, and
-    scalars go through ``json.dumps``.  A list of floats goes through the C
-    encoder a slice at a time, its item separator carrying the indentation.
+    scalars go through ``json.dumps``.  A list of floats is written a slice
+    at a time, its item separator carrying the indentation.  A slice is
+    formatted by one ``%`` over a template of ``%.12g`` fields joined by the
+    separator.  With at most 12 significant digits, ``repr`` of the rounded
+    float has the digits ``%g`` wrote, so that text is what ``json.dumps``
+    writes when every float shows a ``.`` and the text holds no ``e+1``
+    (``%g`` writes e+12 to e+15 where ``repr`` spells the digits out) and no
+    ``e-3`` (subnormals, whose ``repr`` is shorter).  Any other slice, with
+    integral values, -0, nan or inf among them, goes through the C encoder.
     """
     if isinstance(obj, Mapping):
         inner = indent + "  "
@@ -368,8 +375,12 @@ def _write_json(obj: Any, write: Callable[[str], object], indent: str = "") -> N
         lead, sep = "[\n" + inner, ",\n" + inner
         if all(type(value) is float for value in obj):
             for start in range(0, len(obj), _SLICE):
-                chunk = [float(f"{value:.12g}") for value in obj[start:start + _SLICE]]
-                write(lead + json.dumps(chunk, separators=(sep, ": "))[1:-1])
+                chunk = obj[start:start + _SLICE]
+                text = sep.join(["%.12g"] * len(chunk)) % tuple(chunk)
+                if text.count(".") != len(chunk) or "e+1" in text or "e-3" in text:
+                    text = json.dumps([float(f"{value:.12g}") for value in chunk],
+                                      separators=(sep, ": "))[1:-1]
+                write(lead + text)
                 lead = sep
         else:
             for value in obj:

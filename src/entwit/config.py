@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+from itertools import chain
 from typing import Any
 
 __all__ = ["Tolerances", "DEFAULT"]
@@ -39,12 +40,29 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
+class _Hashed:
+    """Stands in a tuple for a value whose hash is already known."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
 class _Record(_Frozen):
     """Immutable value whose fields are the names in ``__match_args__``, set
     once by :meth:`_init`.  ``==``, ``hash``, ``repr`` and pickling go by type
     and fields, as a frozen data class's do; the standard module for those is
     not imported, as with ``inspect`` and ``ast`` it would be the largest part
-    of what ``import entwit.cli`` costs."""
+    of what ``import entwit.cli`` costs.
+
+    A record whose first field is a record starts a chain, such as the
+    left-deep tree of a flat sum; ``==``, ``hash`` and ``repr`` walk it in a
+    loop, with the results of the recursion through nested tuples, so a long
+    chain does not recurse once per level."""
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
@@ -56,18 +74,48 @@ class _Record(_Frozen):
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
+    def _spine(self) -> list:
+        """This record and the records below it through first fields, in order."""
+        spine = [self]
+        while spine[-1].__match_args__:
+            first = getattr(spine[-1], spine[-1].__match_args__[0])
+            if not isinstance(first, _Record):
+                break
+            spine.append(first)
+        return spine
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        # down the first fields, then the other fields from the bottom up
+        rests = []
+        left, right = self, other
+        while (left is not right and left.__class__ is right.__class__
+               and isinstance(left, _Record) and left.__match_args__):
+            lv, rv = left._values(), right._values()
+            rests.append((lv[1:], rv[1:]))
+            left, right = lv[0], rv[0]
+        if not (left is right or left == right):
+            return False
+        return all(lv == rv for lv, rv in reversed(rests))
 
     def __hash__(self):
-        return hash(self._values())
+        spine = self._spine()
+        h = hash(spine[-1]._values())
+        for record in reversed(spine[:-1]):
+            h = hash((_Hashed(h),) + record._values()[1:])
+        return h
+
+    def _repr(self, texts) -> str:
+        fields = ", ".join(f"{name}={text}" for name, text in zip(self.__match_args__, texts))
+        return f"{type(self).__qualname__}({fields})"
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self.__match_args__, self._values()))
-        return f"{type(self).__qualname__}({fields})"
+        spine = self._spine()
+        text = spine[-1]._repr(map(repr, spine[-1]._values()))
+        for record in reversed(spine[:-1]):
+            text = record._repr(chain((text,), map(repr, record._values()[1:])))
+        return text
 
     def __reduce__(self):
         return type(self), self._values()

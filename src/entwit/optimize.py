@@ -19,7 +19,13 @@ off-diagonal, once every later row's Gershgorin lower edge lies above the
 shift.  C_N's tail is diagonally dominant (row n's edge is 2n^2 + n - 1/2),
 so below 2.5 its counts end within the first rows.
 Inverse iteration factors the shifted matrix once and reuses the factors
-for every iterate.  The kernels (C_N, the solve, the psi2 scan), which
+for every iterate, on the leading rows only: the same floors bound each
+ratio of consecutive entries of the eigenvector, and past the row where
+their product falls under the smallest subnormal every entry lies below
+what a double holds, so the vector is padded with zeros.  On C_N (bounds
+tending to 1/3) the block ends near row 675 for every larger N; a matrix
+without a dominant tail keeps all its rows.  The certificates still count
+over the whole matrix.  The kernels (C_N, the solve, the psi2 scan), which
 ``cmatrix`` and ``psi2`` call, run on Python floats in ``array('d')``
 buffers with ``math.fsum``/``math.hypot`` reductions and no numpy; the
 public names wrap them in ndarrays.  Requests whose arrays would not fit
@@ -42,11 +48,14 @@ from .config import _Record, _as_int, _as_real, _refuse_oversize
 if TYPE_CHECKING:
     from numpy import ndarray as Array
 
-# Floats per entry of C_N charged to c_matrix and min_eigenvalue.  They hold
-# the matrix, off2, the Sturm tail floors, the factor buffers and the
-# iteration vectors (10 floats an entry) and hand math.hypot a tuple of
-# Python floats (4 more); counted with the four working copies, 12 give 384
-# bytes an entry, and `cmatrix --n 1000000` uses 130.
+# Floats per entry of C_N charged to c_matrix and min_eigenvalue.  Each entry
+# holds the matrix, off2, the Sturm tail floors with the Gershgorin
+# temporaries they are built from, and the zero-padded eigenvector (about 7
+# floats); the factor buffers, the iteration vectors and the tuples handed to
+# math.hypot cover only the leading block, under 700 rows of C_N.  A matrix
+# without a dominant tail holds those over every row (10 floats an entry, and
+# 4 more for math.hypot).  Counted with the four working copies, 12 give 384
+# bytes an entry, and `cmatrix --n 1000000` peaks at 69 MB.
 _SOLVE_ARRAYS = 12
 # Floats per grid point of psi2_scan, a conservative bound: the grid and
 # the values (2) and the lists of a JSON report (8); 384 bytes a point with
@@ -223,6 +232,29 @@ def _gershgorin(diag, off, pivmin: float) -> tuple[float, float, float, array]:
     return lo, hi, slack, floors
 
 
+def _block_rows(off, floors, top: float) -> int:
+    """The number ``m`` of leading rows past which every entry of a unit
+    eigenvector of an eigenvalue below ``top`` is under 2^-1074.
+
+    Where ``floors[k] > top``, row k+1 of the eigen-equation gives
+    ``t_k = v_{k+1}/v_k = -o_k / (d_{k+1} - lambda + o_{k+1} t_{k+1})``, and by
+    backward induction from the last row ``|t_k| <= |o_k| / (|o_k| +
+    floors[k] - top) < 1``.  The product of these bounds from the first
+    such row bounds ``|v_{k+1}|``; ``m`` is the first k+1 where it falls
+    under 2^-1074, the smallest subnormal, or ``n`` where it never does.
+    The product is kept scaled by 2^1000, in the normal range, where its
+    rounding is relative.
+    """
+    start = bisect_right(floors, top)
+    scaled = 2.0 ** 1000
+    for k, (o, floor) in enumerate(zip(map(abs, memoryview(off)[start:]),
+                                       memoryview(floors)[start:]), start):
+        scaled *= o / (o + (floor - top))
+        if scaled < 2.0 ** -74:
+            return k + 1
+    return len(floors) + 1
+
+
 def _tridiag_factor(diag, off, sigma: float) -> tuple:
     """Factor T - sigma*I by elimination with partial pivoting.
 
@@ -324,19 +356,25 @@ def _eigenpair(diag, off, tol: float) -> tuple[float, array]:
         else:
             lo = mid
     lam = 0.5 * (lo + hi)
-    v = array("d", [1.0 / math.sqrt(n)]) * n
-    factored = _tridiag_factor(diag, off, lam + 1e-12)
+    m = _block_rows(off, floors, hi + slack)
+    head, head_off = memoryview(diag)[:m], memoryview(off)[:m - 1]
+    v = array("d", [1.0 / math.sqrt(n)]) * m
+    factored = _tridiag_factor(head, head_off, lam + 1e-12)
     for _ in range(3):
         w = _tridiag_apply(factored, v)
         norm = math.hypot(*w)
         if norm == 0.0 or not math.isfinite(norm):  # pathological shift; nudge and retry
-            w = _tridiag_solve(diag, off, lam + 1e-10, v)
+            w = _tridiag_solve(head, head_off, lam + 1e-10, v)
             norm = math.hypot(*w)
         v = array("d", map(truediv, w, repeat(norm)))
     del factored
     if max(v, key=abs) < 0.0:
         v = array("d", map(neg, v))
-    Cv = _tridiag_product(diag, off, v)
+    v += array("d", [0.0]) * (n - m)
+    # C v vanishes past row m, so rows 0..m give the quotient and the residual
+    rows = min(m + 1, n)
+    Cv = _tridiag_product(memoryview(diag)[:rows], memoryview(off)[:rows - 1],
+                          memoryview(v)[:rows])
     rayleigh = math.fsum(map(mul, v, Cv))
     # Some eigenvalue lies within the residual of the Rayleigh quotient;
     # it is the smallest only if the Sturm count finds none further below.
@@ -367,10 +405,18 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     Sturm floor; every count also stops where the Gershgorin edges of the
     remaining rows prove that no later pivot counts.  The vector comes from
     inverse iteration at the converged value shifted by 1e-12: the shifted
-    matrix is factored once, and the three solves reuse the factors.  A
-    final Rayleigh quotient squeezes the eigenvalue to round-off so nested
-    truncations stay monotone well below the bisection tolerance.  Two full
-    Sturm counts then certify it against
+    matrix is factored once, and the three solves reuse the factors.  They
+    run on the leading rows only: where the Gershgorin floors of the later
+    rows clear ``top``, the bisection's upper end plus the slack, each ratio
+    ``|v_{k+1}/v_k|`` of the exact eigenvector is at most ``|o_k| / (|o_k| +
+    floor_k - top)`` < 1, and past the row where the product of these bounds
+    falls under 2^-1074 the vector is zero.  On C_N that leaves under 700
+    rows at any N; without a dominant tail every row is kept.  The vector
+    has length n either way.  A final Rayleigh quotient squeezes the
+    eigenvalue to round-off so nested truncations stay monotone well below
+    the bisection tolerance; it and the residual are formed from the rows
+    where ``C v`` can be nonzero, one past the block.  Two full Sturm counts
+    over the whole matrix then certify it against
     its residual ``r = ||Cv - lambda v||`` and ``eps`` = 1e-12 of the
     Gershgorin bound: none below ``lambda - r - eps`` and at least one below
     ``lambda + r + eps``; otherwise, as when ``tol`` is so loose that

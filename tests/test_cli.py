@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from entwit import cli
 from entwit.cli import run
 
-from _support import round_floats
+from _support import rng, round_floats
 
 with resources.files("entwit").joinpath(
         "schemas/report_document.schema.json").open(encoding="utf-8") as _h:
@@ -699,6 +699,51 @@ def test_writer_matches_rounded_json_dumps(doc):
     pieces: list[str] = []
     cli._write_json(doc, pieces.append)
     assert "".join(pieces) == json.dumps(round_floats(doc), indent=2)
+
+
+def written(doc) -> str:
+    pieces: list[str] = []
+    cli._write_json(doc, pieces.append)
+    return "".join(pieces)
+
+
+_SPECIAL_FLOATS = ([0.0, -0.0, 1.0, -3.0, 2.0 ** 53, 1e300, math.nan, math.inf, -math.inf,
+                    5e-324, -1.5e-310, 2.2250738585072014e-308, 1e-300, 1.5e-30, 1e-5, 1.5e-5,
+                    123456789012.5, 999999999999.5]
+                   + [sign * m * 10.0 ** e for e in range(12, 18)
+                      for m in (1.0, 1.5, 9.9999999999996) for sign in (1.0, -1.0)])
+
+
+def test_writer_matches_json_dumps_float_by_float():
+    # one float per list, so each takes the one-join path or the fallback on its own
+    bits = rng(61).integers(0, 2**64, size=20000, dtype=np.uint64)
+    for value in _SPECIAL_FLOATS + bits.view(np.float64).tolist():
+        assert written([value]) == json.dumps(round_floats([value]), indent=2)
+        assert written({"x": [[value, 0.5]]}) == json.dumps(round_floats({"x": [[value, 0.5]]}),
+                                                             indent=2)
+
+
+def test_writer_falls_back_only_on_the_slices_that_need_it(monkeypatch):
+    gen = rng(62)
+    size = 3 * cli._SLICE
+    # magnitudes 1e-4 to 1e4: 12 significant digits keep a fractional part
+    values = (gen.standard_normal(size) * 10.0 ** gen.integers(-4, 4, size)).tolist()
+    documents = [values[:cli._SLICE - 1] + [special] for special in _SPECIAL_FLOATS]
+    values[cli._SLICE + 17] = -0.0       # the second slice takes the C encoder
+    wants = [json.dumps(round_floats(doc), indent=2) for doc in documents]
+    slices, dumps = [], json.dumps
+
+    def recording(obj, **kwargs):
+        slices.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", recording)
+    for doc, want in zip(documents, wants):
+        assert written(doc) == want
+    assert 0 < len(slices) < len(documents)  # the others were written in one join
+    del slices[:]
+    assert written(values) == dumps(round_floats(values), indent=2)
+    assert slices == [round_floats(values[cli._SLICE:2 * cli._SLICE])]
 
 
 def test_psi2_document_is_written_in_bounded_pieces(monkeypatch):

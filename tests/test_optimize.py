@@ -650,3 +650,155 @@ def test_solve_and_scan_refused_before_allocation(monkeypatch):
     assert psi2_scan(2730).values.size == 2730
     with pytest.raises(ValueError, match="physical memory"):
         psi2_scan(2731)
+
+
+# --- inverse iteration on the leading block ------------------------------------
+
+
+def full_length_eigenpair(diag, off, tol=1e-10):
+    """The eigenvalue and vector as the solve formed them over all n rows,
+    before it kept only the leading block: the same bisection, three solves
+    of length n and the Rayleigh quotient over every row (no certificates)."""
+    n = len(diag)
+    if n == 1:
+        return float(diag[0]), array("d", [1.0])
+    off2 = array("d", [o * o for o in off])
+    pivmin = sys.float_info.min * max(1.0, max(off2))
+    lo, hi, slack, floors = optimize._gershgorin(diag, off, pivmin)
+    count_known_above = min(diag) + slack
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid > count_known_above or optimize._count_below(diag, off2, mid, pivmin, 1,
+                                                            (off, floors)):
+            hi = mid
+        else:
+            lo = mid
+    lam = 0.5 * (lo + hi)
+    v = array("d", [1.0 / math.sqrt(n)]) * n
+    factored = optimize._tridiag_factor(diag, off, lam + 1e-12)
+    for _ in range(3):
+        w = optimize._tridiag_apply(factored, v)
+        norm = math.hypot(*w)
+        v = array("d", [x / norm for x in w])
+    if max(v, key=abs) < 0.0:
+        v = array("d", [-x for x in v])
+    Cv = optimize._tridiag_product(diag, off, v)
+    return math.fsum(a * b for a, b in zip(v, Cv)), v
+
+
+@pytest.mark.parametrize("Ns", [range(0, 100), range(100, 400), [2000], [20000], [200000]],
+                         ids=["0-99", "100-399", "2000", "20000", "200000"])
+def test_block_solve_equals_the_full_length_iteration_bit_for_bit(Ns):
+    for N in Ns:
+        diag, off = optimize._c_entries(N)
+        lam, v = optimize._eigenpair(diag, off, 1e-10)
+        want_lam, want_v = full_length_eigenpair(diag, off)
+        assert lam == want_lam
+        assert v[:8] == want_v[:8]
+        assert len(v) == N + 1
+
+
+def recorded_factor_sizes(monkeypatch):
+    sizes, factor = [], optimize._tridiag_factor
+
+    def recording(diag, off, sigma):
+        sizes.append(len(diag))
+        return factor(diag, off, sigma)
+
+    monkeypatch.setattr(optimize, "_tridiag_factor", recording)
+    return sizes
+
+
+def test_block_ends_where_the_ratio_bounds_pass_the_smallest_subnormal():
+    # rows (1, 4, 1): every floor is 2 less its margin, so at top = 0 each
+    # bound is 1/3 and 3^-678 < 2^-1074 < 3^-677
+    diag, off = np.full(2000, 4.0), np.ones(1999)
+    _, _, (_, floors), *_ = sturm_inputs(diag, off)
+    assert optimize._block_rows(off, floors, 0.0) == 678
+    # no floor above top: no bound, every row
+    assert optimize._block_rows(off, floors, 2.5) == 2000
+    # a zero off-diagonal bounds the next entry by zero
+    off[10] = 0.0
+    assert optimize._block_rows(off, floors, 0.0) == 11
+
+
+def test_block_solve_factors_only_the_leading_rows_of_c_n(monkeypatch):
+    sizes = recorded_factor_sizes(monkeypatch)
+    products, product = [], optimize._tridiag_product
+
+    def recording_product(diag, off, v):
+        products.append(len(diag))
+        return product(diag, off, v)
+
+    monkeypatch.setattr(optimize, "_tridiag_product", recording_product)
+    lam, v = min_eigenvalue(c_matrix(20000))
+    assert len(sizes) == 1 and sizes[0] < 1100
+    # C v is nonzero on the block and one row past it
+    assert products == [sizes[0] + 1]
+    assert type(v) is np.ndarray and v.shape == (20001,)
+    assert not v[sizes[0]:].any()
+    assert lam == LAMBDA_2000
+
+
+def test_block_solve_keeps_every_row_without_a_dominant_tail(monkeypatch):
+    sizes = recorded_factor_sizes(monkeypatch)
+    checked = 0
+    for diag, off in chain(random_tridiagonals(28), random_tridiagonals(30)):
+        if diag.size < 2 or not off.all():
+            continue
+        del sizes[:]
+        lam, v = min_eigenvalue(TridiagonalMatrix(diag, off))
+        assert sizes and set(sizes) == {diag.size}
+        assert v.shape == diag.shape
+        checked += 1
+    assert checked > 20
+
+
+def assert_matches_dense(M, lam, v):
+    dense = M.dense()
+    values, vectors = np.linalg.eigh(dense)
+    scale = max(1.0, float(np.abs(dense).max()))
+    assert type(v) is np.ndarray and v.shape == (M.size,)
+    assert abs(lam - values[0]) <= 1e-12 * scale
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+    assert np.max(np.abs(dense @ v - lam * v)) < 1e-8 * scale
+    if M.size > 1 and values[1] - values[0] > 1e-6 * scale:
+        assert abs(abs(v @ vectors[:, 0]) - 1.0) < 1e-9
+
+
+def test_block_solve_matches_dense_on_dominant_tridiagonals(monkeypatch):
+    sizes = recorded_factor_sizes(monkeypatch)
+    short = 0
+    for diag, off in dominant_tridiagonals(29):
+        del sizes[:]
+        M = TridiagonalMatrix(diag, off)
+        lam, v = min_eigenvalue(M)
+        assert_matches_dense(M, lam, v)
+        assert not v[sizes[0]:].any()
+        short += sizes[0] < diag.size
+    assert short > 5  # zero off-diagonals cut the block short
+
+
+def test_block_solve_matches_dense_across_a_zero_offdiagonal(monkeypatch):
+    sizes = recorded_factor_sizes(monkeypatch)
+    # C_50 decoupled after row 30: the block ends there
+    diag, off = (np.asarray(a) for a in optimize._c_entries(50))
+    off = off.copy()
+    off[30] = 0.0
+    M = TridiagonalMatrix(diag, off)
+    assert_matches_dense(M, *min_eigenvalue(M))
+    assert sizes == [31]
+    # row 0 alone holds the smallest eigenvalue: a block of one row
+    del sizes[:]
+    M = TridiagonalMatrix([-1.0, 5.0, 6.0, 7.0], [0.0, 1.0, 1.0])
+    lam, v = min_eigenvalue(M)
+    assert sizes == [1] and lam == -1.0 and v.tolist() == [1.0, 0.0, 0.0, 0.0]
+    assert_matches_dense(M, lam, v)
+    # the smallest eigenvalue below the zero: the tail is not dominant
+    del sizes[:]
+    M = TridiagonalMatrix([5.0, 6.0, -1.0], [1.0, 0.0])
+    lam, v = min_eigenvalue(M)
+    assert sizes == [3]
+    assert_matches_dense(M, lam, v)

@@ -7,6 +7,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import random
 
 import pytest
 
@@ -15,7 +16,7 @@ from entwit.config import DEFAULT, Tolerances
 from entwit.hilbert import ComplexMatrix, QuantumState
 from entwit.operators import QuadraturePair, quadratures
 from entwit.optimize import ScanResult, TridiagonalMatrix
-from entwit.polyid import Add, IntLit, Mul, Neg, Polynomial, Pow, Sub, Var
+from entwit.polyid import Add, IntLit, Mul, Neg, Polynomial, Pow, Sub, Var, parse
 from entwit.states import StateSpec
 from entwit.witnesses import WitnessReport
 
@@ -160,3 +161,69 @@ def test_witness_report_json_copies_details():
     assert out["details"] is not report.details and report.to_json() is not out
     out["details"]["m_AB"] = 9.0
     assert report.details["m_AB"] == 0.5
+
+
+# --- chains of records: a flat sum is a left-deep tree ---------------------------
+
+_REFERENCES = {cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True)
+               for cls, fields, _ in CASES}
+
+
+def nested_reference(obj):
+    """``obj`` rebuilt as nested frozen dataclasses, whose ``==``, ``hash`` and
+    ``repr`` recurse through tuples of the fields."""
+    if type(obj) not in _REFERENCES:
+        return obj
+    return _REFERENCES[type(obj)](*(nested_reference(getattr(obj, name))
+                                    for name in obj.__match_args__))
+
+
+def random_expression(gen: random.Random, depth: int) -> str:
+    if depth == 0 or gen.random() < 0.3:
+        return gen.choice(["a", "b", "a'", "b'", "2", "0", "13"])
+    pick = gen.random()
+    if pick < 0.5:
+        return (random_expression(gen, depth - 1) + gen.choice([" + ", " - ", "*"])
+                + random_expression(gen, depth - 1))
+    if pick < 0.7:
+        return f"({random_expression(gen, depth - 1)})"
+    if pick < 0.85:
+        return "-" + random_expression(gen, depth - 1)
+    return f"({random_expression(gen, depth - 1)})^{gen.randint(0, 3)}"
+
+
+def test_small_trees_compare_hash_and_print_as_nested_tuples():
+    gen = random.Random(7)
+    trees = [parse(random_expression(gen, 5)) for _ in range(120)]
+    trees += [parse(text) for text in ("a", "a + b", "a + b", "b + a", "--a", "a*b + a")]
+    trees += [Add(1, 2), Add(1, 2), Add(Var("a"), 1.5), Neg(Neg(IntLit(1))), Neg(Neg("x"))]
+    refs = [nested_reference(tree) for tree in trees]
+    for tree, ref in zip(trees, refs):
+        assert hash(tree) == hash(ref)
+        assert repr(tree) == repr(ref)
+    for x, rx in zip(trees, refs):
+        for y, ry in zip(trees, refs):
+            assert (x == y) is (rx == ry)
+            assert (x != y) is (rx != ry)
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_a_long_chain_compares_hashes_and_prints_without_recursing(op):
+    text = op.join(["a"] * 5000)
+    e, same = parse(text), parse(text)
+    assert e == same and not e != same
+    assert hash(e) == hash(same)
+    assert repr(e) == repr(same)
+    assert repr(e).count("Var(name='a')") == 5000
+    assert e != parse(text + op + "b") and e != parse("b" + text[1:])
+    assert e != parse(text[:-1] + "b")
+    assert len({e, same, parse(text[:-1] + "b")}) == 2
+
+
+def test_a_long_chain_of_negations_walks_without_recursing():
+    e = same = Var("a")
+    for _ in range(5000):
+        e, same = Neg(e), Neg(same)
+    assert e == same and hash(e) == hash(same)
+    assert repr(e) == "Neg(operand=" * 5000 + "Var(name='a')" + ")" * 5000
+    assert e != Neg(same) and Neg(e) == Neg(same)
