@@ -10,14 +10,12 @@ eigenvalue of the symmetric tridiagonal matrix C_N that represents Q.
 Eigenvalues are located by bisection on the Sturm sequence (sign-change
 count of the shifted LDL^T recurrence; Barth, Martin and Wilkinson, Numer.
 Math. 9, 1967) -- robust for symmetric tridiagonal input and free of any
-general eigensolver dependency.  One recurrence gives every count, stopped
-once it reaches a given number: a bisection step only asks whether any
-eigenvalue lies below the midpoint, so it stops at one; the two
-certificates take full counts.  Every count also stops where the rest of
-the matrix is provably positive: at a pivot no smaller than the next
-off-diagonal, once every later row's Gershgorin lower edge lies above the
-shift.  C_N's tail is diagonally dominant (row n's edge is 2n^2 + n - 1/2),
-so below 2.5 its counts end within the first rows.
+general eigensolver dependency.  One recurrence, with no options, gives
+every count, the bisection's and the two certificates' alike.  It stops
+where the rest of the matrix is provably positive: at a pivot no smaller
+than the next off-diagonal, once every later row's Gershgorin lower edge
+lies above the shift.  C_N's tail is diagonally dominant (row n's edge is
+2n^2 + n - 1/2), so below 2.5 its counts end within the first rows.
 Inverse iteration factors the shifted matrix once and reuses the factors
 for every iterate, on the leading rows only: the same floors bound each
 ratio of consecutive entries of the eigenvector, and past the row where
@@ -29,7 +27,8 @@ over the whole matrix.  The kernels (C_N, the solve, the psi2 scan), which
 ``cmatrix`` and ``psi2`` call, run on Python floats in ``array('d')``
 buffers with ``math.fsum``/``math.hypot`` reductions and no numpy; the
 public names wrap them in ndarrays.  Requests whose arrays would not fit
-in memory are refused before anything is allocated.
+in memory are refused before anything is allocated, and matrices whose
+squared off-diagonals or Gershgorin width overflow before bisection.
 """
 
 from __future__ import annotations
@@ -49,13 +48,14 @@ if TYPE_CHECKING:
     from numpy import ndarray as Array
 
 # Floats per entry of C_N charged to c_matrix and min_eigenvalue.  Each entry
-# holds the matrix, off2, the Sturm tail floors with the Gershgorin
-# temporaries they are built from, and the zero-padded eigenvector (about 7
-# floats); the factor buffers, the iteration vectors and the tuples handed to
-# math.hypot cover only the leading block, under 700 rows of C_N.  A matrix
-# without a dominant tail holds those over every row (10 floats an entry, and
-# 4 more for math.hypot).  Counted with the four working copies, 12 give 384
-# bytes an entry, and `cmatrix --n 1000000` peaks at 69 MB.
+# holds the matrix, off2, the Sturm tail (|o_k| and the floors) with the
+# Gershgorin temporaries the floors are built from, and the zero-padded
+# eigenvector (about 8 floats); the factor buffers, the iteration vectors and
+# the tuples handed to math.hypot cover only the leading block, under 700
+# rows of C_N.  A matrix without a dominant tail holds those over every row
+# (11 floats an entry, and 4 more for math.hypot).  Counted with the four
+# working copies, 12 give 384 bytes an entry, and `cmatrix --n 1000000`
+# peaks at 70 MB.
 _SOLVE_ARRAYS = 12
 # Floats per grid point of psi2_scan, a conservative bound: the grid and
 # the values (2) and the lists of a JSON report (8); 384 bytes a point with
@@ -160,50 +160,39 @@ def quadratic_form(c: Sequence[float]) -> float:
     return total
 
 
-def _count_below(diag, off2, x: float, pivmin: float, most: float = math.inf,
-                 tail: tuple | None = None) -> int:
-    """Number of eigenvalues strictly below x (Sturm sign-change count),
-    or ``most`` once the count reaches it.
+def _count_below(diag, off2, x: float, pivmin: float, tail: tuple) -> int:
+    """Number of eigenvalues strictly below x (Sturm sign-change count).
 
     The loop runs over memoryviews of the buffers, which yield Python floats
-    and copy nothing.  A pivot q with |q| < pivmin is replaced by -pivmin,
-    so every q below pivmin counts as negative.  ``tail``, the off-diagonal
-    and :func:`_gershgorin`'s floors, stops the count at the first pivot
-    ``q_k >= |o_k|`` whose floor ``floors[k]`` exceeds x: every later pivot
-    then stays above its own off-diagonal, so none counts, and the result is
-    the full recurrence's.
+    and copy nothing.  Row 0 enters as a row coupled by zero to a pivot of
+    1, so its pivot is ``(d_0 - x) - 0/1 = d_0 - x``.  A pivot q with |q| <
+    pivmin is replaced by -pivmin, so every q below pivmin counts as
+    negative.  ``tail``, :func:`_gershgorin`'s ``|o_k|`` and floors, stops
+    the count at the first pivot ``q_k >= |o_k|`` whose floor ``floors[k]``
+    exceeds x: every later pivot then stays above its own off-diagonal, so
+    none counts, and the result is the full recurrence's.
     """
-    neg_pivmin = -pivmin
-    q = float(diag[0]) - x
-    count = 0
-    if q < pivmin:
-        count = 1
-        if count >= most:
-            return count
-        if q > neg_pivmin:
-            q = neg_pivmin
+    absoff, floors = tail
+    start = bisect_right(floors, x)
     # q >= NaN never holds: no row may stop before the floors exceed x
-    limits = repeat(math.nan)
-    if tail is not None:
-        off, floors = tail
-        start = bisect_right(floors, x)
-        limits = chain(repeat(math.nan, start), map(abs, memoryview(off)[start:]))
-    for d, e2, limit in zip(memoryview(diag)[1:], memoryview(off2), limits):
+    limits = chain(repeat(math.nan, start + 1), memoryview(absoff)[start:])
+    neg_pivmin = -pivmin
+    q, count = 1.0, 0
+    for d, e2, limit in zip(memoryview(diag), chain((0.0,), memoryview(off2)), limits):
         if q >= limit:
             return count
         q = (d - x) - e2 / q
         if q < pivmin:
             count += 1
-            if count >= most:
-                return count
             if q > neg_pivmin:
                 q = neg_pivmin
     return count
 
 
-def _gershgorin(diag, off, pivmin: float) -> tuple[float, float, float, array]:
+def _gershgorin(diag, off, pivmin: float) -> tuple[float, float, float, tuple]:
     """The Gershgorin bracket ``lo, hi`` of the spectrum, the slack ``1e-12 *
-    max(|lo|, |hi|)``, and the floors of :func:`_count_below`'s tail.
+    max(|lo|, |hi|)`` (at least ``2 * pivmin``), and :func:`_count_below`'s
+    tail: ``|o_k|`` and the floors.
 
     ``floors[k]`` is the least lower edge ``d_m - |o_{m-1}| - |o_m|`` of the
     rows m > k, less a margin of the slack, ``pivmin`` and 2^-51.  If a
@@ -212,16 +201,17 @@ def _gershgorin(diag, off, pivmin: float) -> tuple[float, float, float, array]:
     plus the margin less its round-off (at most about 7 * 2^-53 of the
     largest entry, and 2^-53 where a square underflows), so by induction no
     later pivot counts.  The floors are nondecreasing in k; for C_N the
-    edge of row n < N is ``2n^2 + n - 1/2``.
+    edge of row n < N is ``2n^2 + n - 1/2``.  The slack's floor keeps an
+    exact eigenvalue from counting below itself where a pivot of the
+    certificate would otherwise fall under ``pivmin``.
     """
     absoff = array("d", map(abs, off))
     radius = array("d", map(add, chain(absoff, (0.0,)), chain((0.0,), absoff)))
-    del absoff
     hi = max(map(add, diag, radius))
     edges = array("d", map(sub, diag, radius))
     del radius
     lo = min(edges)
-    slack = 1e-12 * max(abs(lo), abs(hi))
+    slack = max(1e-12 * max(abs(lo), abs(hi)), 2.0 * pivmin)
     margin = slack + pivmin + 2.0 ** -51
     floors, least = array("d"), math.inf
     for edge in reversed(memoryview(edges)[1:]):  # rows n-1 down to 1
@@ -229,10 +219,10 @@ def _gershgorin(diag, off, pivmin: float) -> tuple[float, float, float, array]:
             least = edge
         floors.append(least - margin)
     floors.reverse()
-    return lo, hi, slack, floors
+    return lo, hi, slack, (absoff, floors)
 
 
-def _block_rows(off, floors, top: float) -> int:
+def _block_rows(absoff, floors, top: float) -> int:
     """The number ``m`` of leading rows past which every entry of a unit
     eigenvector of an eigenvalue below ``top`` is under 2^-1074.
 
@@ -247,7 +237,7 @@ def _block_rows(off, floors, top: float) -> int:
     """
     start = bisect_right(floors, top)
     scaled = 2.0 ** 1000
-    for k, (o, floor) in enumerate(zip(map(abs, memoryview(off)[start:]),
+    for k, (o, floor) in enumerate(zip(memoryview(absoff)[start:],
                                        memoryview(floors)[start:]), start):
         scaled *= o / (o + (floor - top))
         if scaled < 2.0 ** -74:
@@ -319,11 +309,6 @@ def _tridiag_apply(factored: tuple, rhs) -> array:
     return solution
 
 
-def _tridiag_solve(diag, off, sigma: float, rhs) -> array:
-    """Solve (T - sigma*I) v = rhs by elimination with partial pivoting."""
-    return _tridiag_apply(_tridiag_factor(diag, off, sigma), rhs)
-
-
 def _tridiag_product(diag, off, v) -> array:
     """``T v``, row i summed as ``(diag[i] v[i] + off[i] v[i+1]) + off[i-1] v[i-1]``."""
     rows = chain(map(add, map(mul, diag, v), map(mul, off, v[1:])), (diag[-1] * v[-1],))
@@ -339,24 +324,24 @@ def _eigenpair(diag, off, tol: float) -> tuple[float, array]:
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tolerance must be finite and positive, got {tol}")
     n = len(diag)
-    if n == 1:
-        return float(diag[0]), array("d", [1.0])
     off2 = array("d", map(mul, off, off))
-    pivmin = sys.float_info.min * max(1.0, max(off2))
-    lo, hi, slack, floors = _gershgorin(diag, off, pivmin)
-    tail = (off, floors)
+    pivmin = sys.float_info.min * max(1.0, max(off2, default=0.0))
+    lo, hi, slack, tail = _gershgorin(diag, off, pivmin)
+    if not (math.isfinite(pivmin) and math.isfinite(hi - lo)):
+        raise ValueError("matrix entries too large: the squared off-diagonal or the "
+                         "Gershgorin width hi - lo overflows")
     # lambda_min <= min(diag), so the count above this point is at least 1
     count_known_above = min(diag) + slack
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if mid > count_known_above or _count_below(diag, off2, mid, pivmin, 1, tail):
+        if mid > count_known_above or _count_below(diag, off2, mid, pivmin, tail):
             hi = mid
         else:
             lo = mid
     lam = 0.5 * (lo + hi)
-    m = _block_rows(off, floors, hi + slack)
+    m = _block_rows(*tail, hi + slack)
     head, head_off = memoryview(diag)[:m], memoryview(off)[:m - 1]
     v = array("d", [1.0 / math.sqrt(n)]) * m
     factored = _tridiag_factor(head, head_off, lam + 1e-12)
@@ -364,7 +349,7 @@ def _eigenpair(diag, off, tol: float) -> tuple[float, array]:
         w = _tridiag_apply(factored, v)
         norm = math.hypot(*w)
         if norm == 0.0 or not math.isfinite(norm):  # pathological shift; nudge and retry
-            w = _tridiag_solve(head, head_off, lam + 1e-10, v)
+            w = _tridiag_apply(_tridiag_factor(head, head_off, lam + 1e-10), v)
             norm = math.hypot(*w)
         v = array("d", map(truediv, w, repeat(norm)))
     del factored
@@ -380,48 +365,34 @@ def _eigenpair(diag, off, tol: float) -> tuple[float, array]:
     # it is the smallest only if the Sturm count finds none further below.
     residual = math.hypot(*map(sub, Cv, map(mul, repeat(rayleigh), v)))
     floor = rayleigh - residual - slack
-    below = _count_below(diag, off2, floor, pivmin, math.inf, tail)
+    below = _count_below(diag, off2, floor, pivmin, tail)
     if below:
         raise ValueError(f"eigenvalue {rayleigh:.6g} is not the smallest: {below} "
                          f"eigenvalue(s) lie below {floor:.6g}; tolerance {tol} "
                          f"is too loose")
     ceiling = rayleigh + residual + slack
-    if _count_below(diag, off2, ceiling, pivmin, math.inf, tail) < 1:
+    if _count_below(diag, off2, ceiling, pivmin, tail) < 1:
         raise ValueError(f"eigenvalue {rayleigh:.6g} is not certified: no eigenvalue "
                          f"lies below {ceiling:.6g}")
     return rayleigh, v
 
 
 def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Array]:
-    """Smallest eigenvalue (within ``tol``) and a unit eigenvector.
+    """Smallest eigenvalue and a unit eigenvector, certified by Sturm counts.
 
-    Bisection on the Sturm sequence brackets the eigenvalue; it stops at
-    ``tol`` or when the midpoint no longer lies strictly inside the bracket
-    (the bracket is one ulp wide).  Each diagonal entry is a Rayleigh
-    quotient, so no Sturm count is needed while the midpoint lies above the
-    smallest diagonal entry (plus a 1e-12 relative slack): the count there is
-    at least one.  Below it a step needs only to know whether the count is
-    at least one, so its recurrence stops at the first pivot below the
-    Sturm floor; every count also stops where the Gershgorin edges of the
-    remaining rows prove that no later pivot counts.  The vector comes from
-    inverse iteration at the converged value shifted by 1e-12: the shifted
-    matrix is factored once, and the three solves reuse the factors.  They
-    run on the leading rows only: where the Gershgorin floors of the later
-    rows clear ``top``, the bisection's upper end plus the slack, each ratio
-    ``|v_{k+1}/v_k|`` of the exact eigenvector is at most ``|o_k| / (|o_k| +
-    floor_k - top)`` < 1, and past the row where the product of these bounds
-    falls under 2^-1074 the vector is zero.  On C_N that leaves under 700
-    rows at any N; without a dominant tail every row is kept.  The vector
-    has length n either way.  A final Rayleigh quotient squeezes the
-    eigenvalue to round-off so nested truncations stay monotone well below
-    the bisection tolerance; it and the residual are formed from the rows
-    where ``C v`` can be nonzero, one past the block.  Two full Sturm counts
-    over the whole matrix then certify it against
-    its residual ``r = ||Cv - lambda v||`` and ``eps`` = 1e-12 of the
-    Gershgorin bound: none below ``lambda - r - eps`` and at least one below
-    ``lambda + r + eps``; otherwise, as when ``tol`` is so loose that
-    bisection stopped away from the bottom of the spectrum, ValueError is
-    raised.
+    Returns ``(lambda, v)``: ``v`` is a unit vector of length n with its
+    largest entry positive, and ``lambda`` its Rayleigh quotient.  ``tol``
+    is the width at which the Sturm bisection stops; the Rayleigh quotient
+    then refines the value to round-off (the method is set out in the module
+    docstring).  The certificate: with the residual ``r = ||Mv - lambda v||``
+    and ``eps``, 1e-12 of the Gershgorin bound but at least twice the pivot
+    floor, a Sturm count over the whole matrix finds no eigenvalue below
+    ``lambda - r - eps`` and at least one below ``lambda + r + eps``.
+    ValueError is raised when either count fails (as when ``tol`` is so
+    loose that bisection stopped away from the bottom of the spectrum), for
+    a ``tol`` that is not a finite positive real, and for entries so large
+    that a squared off-diagonal or the Gershgorin width ``hi - lo``
+    overflows, which is checked before bisection.
     """
     import numpy as np
 

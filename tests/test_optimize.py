@@ -403,27 +403,15 @@ def test_count_below_matches_reference_loop():
     for diag, off in random_tridiagonals(21):
         off2 = off * off
         pivmin = 1e-20 * max(1.0, float(off2.max(initial=0.0)))
+        tail = optimize._gershgorin(diag, off, pivmin)[3]
         shifts = list(diag) + [-30.0, -0.5, 0.0, 0.25, 30.0]
         for x in shifts:
             want = reference_count_below(diag, off2, x, pivmin)
-            assert optimize._count_below(diag, off2, x, pivmin) == want
+            assert optimize._count_below(diag, off2, x, pivmin, tail) == want
             zero_pivots += diag[0] - x == 0.0
         want = int(np.sum(np.linalg.eigvalsh(TridiagonalMatrix(diag, off).dense())
                           < -30.0))
-        assert optimize._count_below(diag, off2, -30.0, pivmin) == want
-    assert zero_pivots > 40  # the pivmin branch was taken
-
-
-def test_count_below_stops_once_the_count_reaches_most():
-    zero_pivots = 0
-    for diag, off in random_tridiagonals(24):
-        off2 = off * off
-        pivmin = 1e-20 * max(1.0, float(off2.max(initial=0.0)))
-        for x in list(diag) + [-30.0, -0.5, 0.0, 0.25, 30.0]:
-            full = optimize._count_below(diag, off2, x, pivmin)
-            for most in (1, 2, 3):
-                assert optimize._count_below(diag, off2, x, pivmin, most=most) == min(most, full)
-            zero_pivots += diag[0] - x == 0.0
+        assert optimize._count_below(diag, off2, -30.0, pivmin, tail) == want
     assert zero_pivots > 40  # the pivmin branch was taken
 
 
@@ -432,8 +420,8 @@ def sturm_inputs(diag, off):
     Gershgorin bracket."""
     off2 = off * off
     pivmin = sys.float_info.min * max(1.0, float(off2.max(initial=0.0)))
-    lo, hi, slack, floors = optimize._gershgorin(diag, off, pivmin)
-    return off2, pivmin, (off, floors), lo, hi, slack
+    lo, hi, slack, tail = optimize._gershgorin(diag, off, pivmin)
+    return off2, pivmin, tail, lo, hi, slack
 
 
 def dominant_tridiagonals(seed):
@@ -452,14 +440,13 @@ def test_count_below_with_the_tail_equals_the_full_count():
     zero_pivots = 0
     for diag, off in chain(random_tridiagonals(26), dominant_tridiagonals(27)):
         off2, pivmin, tail, lo, hi, _ = sturm_inputs(diag, off)
-        floors = tail[1]
+        absoff, floors = tail
+        assert list(absoff) == list(np.abs(off))
         assert all(a <= b for a, b in zip(floors, floors[1:]))
         shifts = list(diag) + list(np.linspace(lo - 1.0, hi + 1.0, 9)) + [-30.0, 0.0, 30.0]
         for x in shifts:
-            full = optimize._count_below(diag, off2, x, pivmin)
-            assert optimize._count_below(diag, off2, x, pivmin, tail=tail) == full
-            for most in (1, 2, 3):
-                assert optimize._count_below(diag, off2, x, pivmin, most, tail) == min(most, full)
+            full = reference_count_below(diag, off2, x, pivmin)
+            assert optimize._count_below(diag, off2, x, pivmin, tail) == full
             zero_pivots += diag[0] - x == 0.0
     assert zero_pivots > 40  # the pivmin branch was taken
 
@@ -471,8 +458,8 @@ def test_count_below_keeps_its_margin_at_a_floor_within_round_off():
     diag, off = np.array([2.0, 2.0]), np.array([1.0])
     off2, pivmin, tail, *_ = sturm_inputs(diag, off)
     x = 1.0 - 2.0 ** -53
-    assert optimize._count_below(diag, off2, x, pivmin) == 1
-    assert optimize._count_below(diag, off2, x, pivmin, tail=tail) == 1
+    assert reference_count_below(diag, off2, x, pivmin) == 1
+    assert optimize._count_below(diag, off2, x, pivmin, tail) == 1
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 200, 2000])
@@ -487,34 +474,41 @@ def test_count_below_on_c_n_stops_within_its_first_rows(N):
     poisoned = off2.copy()
     poisoned[40:] = np.inf
     for x in (lo, -1.0, LAMBDA_200 - 1e-9, LAMBDA_200 + 1e-9, 0.0, 2.0, 2.4):
-        full = optimize._count_below(diag, off2, x, pivmin)
-        assert optimize._count_below(diag, off2, x, pivmin, tail=tail) == full
-        assert optimize._count_below(diag, poisoned, x, pivmin, tail=tail) == full
+        full = reference_count_below(diag, off2, x, pivmin)
+        assert optimize._count_below(diag, off2, x, pivmin, tail) == full
+        assert optimize._count_below(diag, poisoned, x, pivmin, tail) == full
         if N > 40:
-            assert optimize._count_below(diag, poisoned, x, pivmin) != full
+            with np.errstate(invalid="ignore"):  # inf / inf past row 40
+                assert reference_count_below(diag, poisoned, x, pivmin) != full
     for x in (3.0, 100.0, hi):
-        full = optimize._count_below(diag, off2, x, pivmin)
-        assert optimize._count_below(diag, off2, x, pivmin, tail=tail) == full
+        full = reference_count_below(diag, off2, x, pivmin)
+        assert optimize._count_below(diag, off2, x, pivmin, tail) == full
 
 
 def test_min_eigenvalue_factors_once_and_counts_only_to_certify(monkeypatch):
-    # a bisection step passes `most`; only the two certificates count in full
-    calls = {"factor": 0, "count": 0}
+    # the bisection counts only at or below the smallest diagonal entry plus
+    # the slack; above it, only the two certificates count, around lambda
+    factors, shifts = [], []
     factor, count_below = optimize._tridiag_factor, optimize._count_below
 
     def counting_factor(*args):
-        calls["factor"] += 1
+        factors.append(args[2])
         return factor(*args)
 
-    def counting_below(diag, off2, x, pivmin, most=math.inf, tail=None):
-        calls["count"] += most == math.inf
-        return count_below(diag, off2, x, pivmin, most, tail)
+    def counting_below(diag, off2, x, pivmin, tail):
+        shifts.append(x)
+        return count_below(diag, off2, x, pivmin, tail)
 
     monkeypatch.setattr(optimize, "_tridiag_factor", counting_factor)
     monkeypatch.setattr(optimize, "_count_below", counting_below)
     lam, _ = min_eigenvalue(c_matrix(2000))
     assert lam == LAMBDA_2000
-    assert calls == {"factor": 1, "count": 2}
+    assert len(factors) == 1
+    diag, off = optimize._c_entries(2000)
+    slack = optimize._gershgorin(diag, off, 0.0)[2]
+    *bisection, floor, ceiling = shifts
+    assert bisection and max(bisection) <= min(diag) + slack
+    assert floor < lam < ceiling
 
 
 def test_matvec_matches_the_numpy_expression_bit_for_bit():
@@ -533,7 +527,7 @@ def test_tridiag_solve_matches_reference_loop():
     for diag, off in random_tridiagonals(23):
         rhs = gen.normal(size=diag.size)
         for sigma in (0.0, float(diag[0]), 0.3):
-            got = optimize._tridiag_solve(diag, off, sigma, rhs)
+            got = optimize._tridiag_apply(optimize._tridiag_factor(diag, off, sigma), rhs)
             want = reference_tridiag_solve(diag, off, sigma, rhs)
             assert np.array_equal(got, want, equal_nan=True)
 
@@ -619,24 +613,55 @@ def test_min_eigenvalue_upper_certificate(monkeypatch):
         min_eigenvalue(c_matrix(20))
 
 
+@pytest.mark.parametrize("diag,off", [([0.0] * n, [0.0] * (n - 1)) for n in (1, 2, 3, 4)]
+                         + [([1e-300, 1e-300], [0.0])]
+                         + [([d], []) for d in (0.0, -3.5, 1e20, 1e-300)])
+def test_exact_eigenvalues_are_certified_below_the_pivot_floor(diag, off):
+    # the slack 1e-12 * max(|lo|, |hi|) is 0 or subnormal here; without its
+    # floor of 2 * pivmin the exact eigenvalue counted below itself
+    lam, v = min_eigenvalue(TridiagonalMatrix(diag, off))
+    # the Rayleigh quotient of (1/sqrt(2), 1/sqrt(2)) rounds by at most one ulp
+    assert abs(lam - diag[0]) <= math.ulp(diag[0])
+    assert abs(np.linalg.norm(v) - 1.0) < 1e-15
+    if len(diag) == 1 or diag[0] == 0.0:
+        assert lam == diag[0]
+    if len(diag) == 1:
+        assert v.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("diag,off", [
+    ([1e308, 1e308], [1e308]),
+    ([1e308, -1e308], [1.0]),
+    ([1e150, 1e150], [1e155]),
+    ([1e200] * 3, [1e200] * 2),
+])
+def test_min_eigenvalue_refuses_entries_that_overflow(diag, off):
+    # a squared off-diagonal or the Gershgorin width hi - lo that is not
+    # finite is refused before bisection, not met as a zero norm or a NaN
+    with pytest.raises(ValueError, match="too large"):
+        min_eigenvalue(TridiagonalMatrix(diag, off))
+
+
 def test_inverse_iteration_retries_a_non_finite_solve(monkeypatch):
     # the first solve at the bisection shift returns NaNs; the step is
     # solved again at a shift nudged by 1e-10, and the result is unchanged
     lam, vec = min_eigenvalue(c_matrix(200))
-    original, shifts = optimize._tridiag_apply, []
+    original, factor, shifts = optimize._tridiag_apply, optimize._tridiag_factor, []
 
     def first_fails(factored, rhs):
         monkeypatch.setattr(optimize, "_tridiag_apply", original)
         return array("d", [math.nan]) * len(rhs)
 
-    def solve(diag, off, sigma, rhs):
+    def recording(diag, off, sigma):
         shifts.append(sigma)
-        return original(optimize._tridiag_factor(diag, off, sigma), rhs)
+        return factor(diag, off, sigma)
 
     monkeypatch.setattr(optimize, "_tridiag_apply", first_fails)
-    monkeypatch.setattr(optimize, "_tridiag_solve", solve)
+    monkeypatch.setattr(optimize, "_tridiag_factor", recording)
     retried, retried_vec = min_eigenvalue(c_matrix(200))
-    assert len(shifts) == 1
+    # the bisection's value plus 1e-12, then exactly one refactoring at plus 1e-10
+    assert len(shifts) == 2
+    assert abs((shifts[1] - shifts[0]) - (1e-10 - 1e-12)) < 1e-16
     assert abs(retried - lam) < 1e-12
     assert np.allclose(retried_vec, vec, atol=1e-9)
 
@@ -664,14 +689,13 @@ def full_length_eigenpair(diag, off, tol=1e-10):
         return float(diag[0]), array("d", [1.0])
     off2 = array("d", [o * o for o in off])
     pivmin = sys.float_info.min * max(1.0, max(off2))
-    lo, hi, slack, floors = optimize._gershgorin(diag, off, pivmin)
+    lo, hi, slack, tail = optimize._gershgorin(diag, off, pivmin)
     count_known_above = min(diag) + slack
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if mid > count_known_above or optimize._count_below(diag, off2, mid, pivmin, 1,
-                                                            (off, floors)):
+        if mid > count_known_above or optimize._count_below(diag, off2, mid, pivmin, tail):
             hi = mid
         else:
             lo = mid
