@@ -7,8 +7,7 @@ one; sparse exponent-vector representation) and decides equality term by
 term -- no floating point anywhere.  One walk over the expression tree
 serves both :func:`expand` and :func:`eval_expr`; they differ only in the
 leaf map, which turns a variable or an integer into a ``Polynomial`` or a
-``Fraction``, and :func:`pretty` reads the binary operators' text from the
-same table.
+``Fraction``.
 
 Grammar for :func:`parse`::
 
@@ -27,15 +26,16 @@ offset: any other name (a run of word characters other than digits and '_',
 then primes) is an unknown identifier, any other non-space character
 (a non-ASCII digit such as '٣' included) is unexpected, and so are an
 INT with more digits than ``int()`` converts and parentheses, unary minus
-signs and powers nested more than 100 levels deep.  A flat sum or product
-is a chain of binary nodes, not nesting: it may have any length.
+signs and powers nested more than 100 levels deep.  A run of ``+`` and
+``-`` is one ``Sum`` node, with a sign per term, and a run of ``*`` one
+``Product`` node, so a flat sum or product is not nesting: it may have any
+length.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 import random
 import re
 import zlib
@@ -48,7 +48,7 @@ __all__ = [
     "VARIABLES",
     "Polynomial",
     "ParseError",
-    "Var", "IntLit", "Neg", "Add", "Sub", "Mul", "Pow",
+    "Var", "IntLit", "Neg", "Sum", "Product", "Pow",
     "parse",
     "pretty",
     "expand",
@@ -64,6 +64,18 @@ _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 Exponent = tuple[int, int, int, int]
 _ZERO_EXP: Exponent = (0, 0, 0, 0)
 _TERM_BYTES = 200  # a term's exponent tuple, dict slot and int headers, digits aside
+
+
+def _as_point(point: Sequence) -> tuple[Fraction, ...]:
+    """The 4 coordinates of an evaluation point, as Fractions.  An int or a
+    Fraction of any size passes, as does any other finite real; a bool, a
+    string or a non-finite value is refused with a ValueError, not cast."""
+    if len(point) != 4 or not all(
+            not isinstance(v, bool) and (isinstance(v, numbers.Rational) or (
+                isinstance(v, numbers.Real) and math.isfinite(v))) for v in point):
+        raise ValueError(f"evaluation point must assign all 4 variables a finite real "
+                         f"number, got {point!r}")
+    return tuple(Fraction(v if isinstance(v, numbers.Rational) else float(v)) for v in point)
 
 
 class Polynomial(_Frozen):
@@ -199,9 +211,7 @@ class Polynomial(_Frozen):
         return hash(frozenset(self._terms.items()))
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != 4:
-            raise ValueError("evaluation point must assign all 4 variables")
-        values = [Fraction(v) for v in point]
+        values = _as_point(point)
         total = Fraction(0)
         for exp, coeff in self._terms.items():
             term = coeff
@@ -259,23 +269,38 @@ class Neg(Expr):
         self._init(operand)
 
 
-class _Binary(Expr):
-    __slots__ = __match_args__ = ("left", "right")
+class Sum(Expr):
+    """``terms[0] ± terms[1] ± ...``, with one sign, 1 or -1, per term.  The
+    first sign is 1: a leading minus is a ``Neg``.  A first term that is a
+    ``Sum`` is merged into this one, as the parser's left association reads
+    ``(a + b) + c``; any later term stays nested."""
 
-    def __init__(self, left: Expr, right: Expr):
-        self._init(left, right)
+    __slots__ = __match_args__ = ("terms", "signs")
+
+    def __init__(self, terms: Sequence[Expr], signs: Sequence[int]):
+        terms, signs = tuple(terms), tuple(signs)
+        if (len(terms) < 2 or len(signs) != len(terms) or signs[0] != 1
+                or any(type(s) is not int or s not in (1, -1) for s in signs)):
+            raise ValueError(f"a sum needs two or more terms and one sign, 1 or -1, per term, "
+                             f"the first 1; got {len(terms)} terms and the signs {signs}")
+        if type(terms[0]) is Sum:
+            terms, signs = terms[0].terms + terms[1:], terms[0].signs + signs[1:]
+        self._init(terms, signs)
 
 
-class Add(_Binary):
-    __slots__ = ()
+class Product(Expr):
+    """``factors[0]*factors[1]*...``; a first factor that is a ``Product`` is
+    merged into this one, as ``Sum`` merges a first term."""
 
+    __slots__ = __match_args__ = ("factors",)
 
-class Sub(_Binary):
-    __slots__ = ()
-
-
-class Mul(_Binary):
-    __slots__ = ()
+    def __init__(self, factors: Sequence[Expr]):
+        factors = tuple(factors)
+        if len(factors) < 2:
+            raise ValueError(f"a product needs two or more factors, got {len(factors)}")
+        if type(factors[0]) is Product:
+            factors = factors[0].factors + factors[1:]
+        self._init(factors)
 
 
 class Pow(Expr):
@@ -315,9 +340,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 # Parentheses, unary minus signs and powers nested deeper than this are a
-# ParseError: each level costs the parser up to six Python frames and the
-# tree walks one or two, so the limit keeps them all well inside the
-# interpreter's default recursion limit of 1000.
+# ParseError: each level costs the parser up to six Python frames, the tree
+# walks one or two, and the records' ==, hash and repr one or two, so the
+# limit keeps them all well inside the interpreter's default recursion
+# limit of 1000.
 _MAX_NESTING = 100
 
 
@@ -359,19 +385,18 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        left = self.term()
+        terms, signs = [self.term()], [1]
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            right = self.term()
-            left = Add(left, right) if op == "+" else Sub(left, right)
-        return left
+            signs.append(1 if self.take()[0] == "+" else -1)
+            terms.append(self.term())
+        return terms[0] if len(terms) == 1 else Sum(terms, signs)
 
     def term(self) -> Expr:
-        left = self.unary()
+        factors = [self.unary()]
         while self.peek()[0] == "*":
             self.take()
-            left = Mul(left, self.unary())
-        return left
+            factors.append(self.unary())
+        return factors[0] if len(factors) == 1 else Product(factors)
 
     def unary(self) -> Expr:
         if self.peek()[0] == "-":
@@ -417,67 +442,55 @@ def parse(text: str) -> Expr:
 
 
 # How tightly each node type binds, for the parentheses pretty() adds.
-_PRECEDENCE = {Var: 4, IntLit: 4, Pow: 3, Neg: 2, Mul: 1, Add: 0, Sub: 0}
-# Each binary node's operation and its text.
-_BINARY = {Add: (operator.add, " + "), Sub: (operator.sub, " - "), Mul: (operator.mul, "*")}
+_PRECEDENCE = {Var: 4, IntLit: 4, Pow: 3, Neg: 2, Product: 1, Sum: 0}
 
 
-def _wrap(child: Expr, parent_prec: int, *, tight: bool = False) -> str:
+def _wrap(child: Expr, prec: int) -> str:
+    """``pretty(child)``, in parentheses if it binds less tightly than ``prec``."""
     text = pretty(child)
-    child_prec = _PRECEDENCE[type(child)]
-    if child_prec < parent_prec or (tight and child_prec == parent_prec):
-        return f"({text})"
-    return text
+    return f"({text})" if _PRECEDENCE[type(child)] < prec else text
 
 
 def pretty(e: Expr) -> str:
-    """Canonical text form; ``parse(pretty(e))`` reproduces ``e`` exactly.
-
-    The left operands of a chain of binary nodes (a flat sum or product, as
-    the parser builds it) are walked in a loop, so a long chain does not
-    recurse once per term."""
-    tails = []
-    while type(e) in _BINARY:
-        prec = _PRECEDENCE[type(e)]
-        tails.append(_BINARY[type(e)][1] + _wrap(e.right, prec, tight=True))
-        e = e.left
-        if _PRECEDENCE.get(type(e), prec) < prec:  # a sum under a product
-            text = f"({pretty(e)})"
-            break
-    else:
-        if isinstance(e, Var):
-            text = e.name
-        elif isinstance(e, IntLit):
-            text = str(e.value)
-        elif isinstance(e, Neg):
-            text = "-" + _wrap(e.operand, 2)
-        elif isinstance(e, Pow):
-            text = _wrap(e.base, 3, tight=True) + f"^{e.exponent}"
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-    return text + "".join(reversed(tails))
+    """Canonical text form; ``parse(pretty(e))`` reproduces ``e`` exactly."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, IntLit):
+        return str(e.value)
+    if isinstance(e, Neg):
+        return "-" + _wrap(e.operand, 2)
+    if isinstance(e, Pow):
+        return _wrap(e.base, 4) + f"^{e.exponent}"
+    if isinstance(e, Sum):  # a later term that is a sum keeps its parentheses
+        return _wrap(e.terms[0], 0) + "".join(
+            (" + " if sign == 1 else " - ") + _wrap(term, 1)
+            for sign, term in zip(e.signs[1:], e.terms[1:]))
+    if isinstance(e, Product):
+        return _wrap(e.factors[0], 1) + "".join("*" + _wrap(f, 2) for f in e.factors[1:])
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _fold(e: Expr, leaf: dict):
     """Evaluate the tree bottom-up: each ``Var``/``IntLit`` through
-    ``leaf[type(node)]``, then ``-``, ``** exponent`` and the operations of
-    ``_BINARY`` on whatever values the leaves give.  The left operands of a
-    chain of binary nodes are walked in a loop, as :func:`pretty` walks them."""
-    rights = []
-    while type(e) in _BINARY:
-        rights.append((_BINARY[type(e)][0], e.right))
-        e = e.left
+    ``leaf[type(node)]``, then ``-``, ``** exponent``, ``+``, ``-`` and ``*``
+    on whatever values the leaves give, left to right."""
+    if isinstance(e, Sum):
+        value = _fold(e.terms[0], leaf)
+        for sign, term in zip(e.signs[1:], e.terms[1:]):
+            value = value + _fold(term, leaf) if sign == 1 else value - _fold(term, leaf)
+        return value
+    if isinstance(e, Product):
+        value = _fold(e.factors[0], leaf)
+        for factor in e.factors[1:]:
+            value = value * _fold(factor, leaf)
+        return value
     if isinstance(e, Neg):
-        value = -_fold(e.operand, leaf)
-    elif isinstance(e, Pow):
-        value = _fold(e.base, leaf) ** e.exponent
-    elif type(e) in leaf:
-        value = leaf[type(e)](e)
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    for op, right in reversed(rights):
-        value = op(value, _fold(right, leaf))
-    return value
+        return -_fold(e.operand, leaf)
+    if isinstance(e, Pow):
+        return _fold(e.base, leaf) ** e.exponent
+    if type(e) in leaf:
+        return leaf[type(e)](e)
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def expand(e: Expr) -> Polynomial:
@@ -492,7 +505,8 @@ def eval_expr(e: Expr, point: Sequence[Fraction]) -> Fraction:
     The tree walk is :func:`expand`'s, but no polynomial arithmetic is done,
     so :func:`verify` still checks ``Polynomial``'s sparse arithmetic
     against ``Fraction``'s."""
-    return _fold(e, {Var: lambda v: Fraction(point[_VAR_INDEX[v.name]]),
+    values = _as_point(point)
+    return _fold(e, {Var: lambda v: values[_VAR_INDEX[v.name]],
                      IntLit: lambda c: Fraction(c.value)})
 
 

@@ -3,10 +3,15 @@ object its submodule defines."""
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 import entwit
 import entwit.hilbert
+
+SUBMODULES = ("cli", "config", "hilbert", "operators", "optimize", "polyid", "states",
+              "witnesses")
 
 
 def test_every_public_name_resolves():
@@ -18,6 +23,16 @@ def test_star_import_binds_every_public_name():
     namespace: dict = {}
     exec("from entwit import *", namespace)
     assert set(entwit.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_every_submodule_name_resolves_and_star_imports(name):
+    module = importlib.import_module(f"entwit.{name}")
+    namespace: dict = {}
+    exec(f"from entwit.{name} import *", namespace)
+    for attr in module.__all__:
+        assert hasattr(module, attr), attr
+        assert namespace[attr] is getattr(module, attr)
 
 
 def test_reexport_is_the_submodule_object():

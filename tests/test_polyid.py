@@ -22,7 +22,7 @@ from entwit import (
     verify,
 )
 from entwit import polyid
-from entwit.polyid import Add, IntLit, Mul, Neg, Pow, Sub, Var, _tokenize
+from entwit.polyid import IntLit, Neg, Pow, Product, Sum, Var, _tokenize
 
 F = Fraction
 
@@ -34,19 +34,24 @@ def test_parse_ast_structure():
     assert parse("a") == Var("a")
     assert parse("a'") == Var("a'")
     assert parse("12") == IntLit(12)
-    assert parse("a*b - a'*b'") == Sub(
-        Mul(Var("a"), Var("b")), Mul(Var("a'"), Var("b'"))
+    assert parse("a*b - a'*b'") == Sum(
+        (Product((Var("a"), Var("b"))), Product((Var("a'"), Var("b'")))), (1, -1)
     )
-    assert parse("-a + b") == Add(Neg(Var("a")), Var("b"))
-    assert parse("(a + b)^2") == Pow(Add(Var("a"), Var("b")), 2)
+    assert parse("-a + b") == Sum((Neg(Var("a")), Var("b")), (1, 1))
+    assert parse("(a + b)^2") == Pow(Sum((Var("a"), Var("b")), (1, 1)), 2)
 
 
 def test_parse_precedence_and_associativity():
     # '*' binds tighter than '+', '^' tighter than unary '-'
-    assert parse("a + b*a'") == Add(Var("a"), Mul(Var("b"), Var("a'")))
+    assert parse("a + b*a'") == Sum((Var("a"), Product((Var("b"), Var("a'")))), (1, 1))
     assert parse("-a^2") == Neg(Pow(Var("a"), 2))
-    # left-assoc chains
-    assert parse("a - b - a'") == Sub(Sub(Var("a"), Var("b")), Var("a'"))
+    # a run of +/- or of * is one node; a parenthesized first operand joins it
+    a, b, ap = Var("a"), Var("b"), Var("a'")
+    assert parse("a - b - a'") == Sum((a, b, ap), (1, -1, -1)) == parse("(a - b) - a'")
+    assert parse("a - (b - a')") == Sum((a, Sum((b, ap), (1, -1))), (1, -1))
+    assert parse("a*b*a'") == Product((a, b, ap)) == parse("(a*b)*a'")
+    assert parse("a*(b*a')") == Product((a, Product((b, ap))))
+    assert parse("a + -b") == Sum((a, Neg(b)), (1, 1)) != parse("a - b")
 
 
 def test_parse_exponent_constant_folding():
@@ -158,9 +163,10 @@ def _random_expr(gen: random.Random, depth: int):
         return Neg(_random_expr(gen, depth - 1))
     if kind == "pow":
         return Pow(_random_expr(gen, depth - 1), gen.randrange(0, 4))
-    left = _random_expr(gen, depth - 1)
-    right = _random_expr(gen, depth - 1)
-    return {"add": Add, "sub": Sub, "mul": Mul}[kind](left, right)
+    operands = (_random_expr(gen, depth - 1), _random_expr(gen, depth - 1))
+    if kind == "mul":
+        return Product(operands)
+    return Sum(operands, (1, 1 if kind == "add" else -1))
 
 
 def test_expand_is_a_ring_homomorphism():
@@ -174,9 +180,10 @@ def test_expand_is_a_ring_homomorphism():
 
 def _node_kinds(e):
     yield type(e)
-    for child in e._values():
-        if isinstance(child, polyid.Expr):
-            yield from _node_kinds(child)
+    for field in e._values():
+        for child in field if isinstance(field, tuple) else (field,):
+            if isinstance(child, polyid.Expr):
+                yield from _node_kinds(child)
 
 
 def test_eval_expr_matches_python_on_the_printed_tree():
@@ -191,7 +198,7 @@ def test_eval_expr_matches_python_on_the_printed_tree():
         names = dict(zip(("a", "ap", "b", "bp"), point))
         text = pretty(e).replace("^", "**").replace("'", "p")
         assert eval(text, {"__builtins__": {}}, names) == eval_expr(e, point), text
-    assert kinds == {Var, IntLit, Neg, Add, Sub, Mul, Pow}
+    assert kinds == {Var, IntLit, Neg, Sum, Product, Pow}
 
 
 def test_pretty_round_trips_exactly():
@@ -345,23 +352,96 @@ def test_tree_walks_refuse_a_non_node(walk):
 
 @pytest.mark.parametrize("walk", [expand, pretty, lambda e: eval_expr(e, (0, 0, 0, 0))])
 def test_tree_walks_refuse_a_non_node_inside_a_chain(walk):
-    for bad in (Add(Mul(polyid.Expr(), Var("a")), Var("b")),
-                Sub(Add(Var("a"), Var("b")), "c")):
+    for bad in (Sum((Product((polyid.Expr(), Var("a"))), Var("b")), (1, 1)),
+                Sum((Sum((Var("a"), Var("b")), (1, 1)), "c"), (1, -1)),
+                Product((Var("a"), Sum((Var("b"), polyid.Expr()), (1, -1))))):
         with pytest.raises(TypeError, match="not an expression node"):
             walk(bad)
 
 
 @pytest.mark.parametrize("op,value", [("+", 5000), ("-", -4998), ("*", 1)])
 def test_a_long_flat_chain_walks_without_recursing(op, value):
-    # the parser builds a flat chain left-deep; 5000 levels would exceed the
-    # interpreter's recursion limit if each were a call
+    # the parser builds a flat chain as one node; 5000 levels would exceed
+    # the interpreter's recursion limit if each were a call
     text = op.join(["a"] * 5000)
     e = parse(text)
+    assert type(e) is (Product if op == "*" else Sum)
     assert eval_expr(e, (1, 0, 0, 0)) == value
     assert expand(e) == (Polynomial({(5000, 0, 0, 0): 1}) if op == "*"
                          else Polynomial({(1, 0, 0, 0): value}))
     assert pretty(e) == text.replace(op, f" {op} " if op != "*" else op)
     assert pretty(parse(pretty(e))) == pretty(e)
+
+
+@pytest.mark.parametrize("make", [lambda e: Sum((e, Var("a")), (1, 1)),
+                                  lambda e: Product((e, Var("a")))], ids=["Sum", "Product"])
+def test_a_node_built_in_a_loop_is_one_flat_node(make):
+    e = same = Var("a")
+    for _ in range(5000):
+        e, same = make(e), make(same)
+    assert type(e) in (Sum, Product) and len(e._values()[0]) == 5001
+    assert e == same and hash(e) == hash(same) and repr(e) == repr(same)
+    assert repr(e).count("Var(name='a')") == 5001
+    assert e != make(e) and make(e) == make(same)
+    op = " + " if type(e) is Sum else "*"
+    assert pretty(e) == op.join(["a"] * 5001)
+    assert parse(pretty(e)) == e
+    assert expand(e) == (Polynomial({(1, 0, 0, 0): 5001}) if type(e) is Sum
+                         else Polynomial({(5001, 0, 0, 0): 1}))
+
+
+def test_only_a_first_operand_of_the_same_kind_is_merged():
+    a, b = Var("a"), Var("b")
+    assert Sum((Sum((a, b), (1, -1)), a), (1, -1)) == Sum((a, b, a), (1, -1, -1))
+    assert Sum((a, Sum((b, a), (1, 1))), (1, 1)).terms == (a, Sum((b, a), (1, 1)))
+    assert Sum((Product((a, b)), a), (1, 1)).terms == (Product((a, b)), a)
+    assert Product((Product((a, b)), a)) == Product((a, b, a))
+    assert Product((a, Product((b, a)))).factors == (a, Product((b, a)))
+    assert Product((Sum((a, b), (1, 1)), a)).factors == (Sum((a, b), (1, 1)), a)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Sum((), ()),
+    lambda: Sum((Var("a"),), (1,)),
+    lambda: Sum((Var("a"), Var("b")), (1,)),
+    lambda: Sum((Var("a"), Var("b")), (1, 1, 1)),
+    lambda: Sum((Var("a"), Var("b")), (1, 2)),
+    lambda: Sum((Var("a"), Var("b")), (1, 0)),
+    lambda: Sum((Var("a"), Var("b")), (1, -1.0)),
+    lambda: Sum((Var("a"), Var("b")), (True, 1)),
+    lambda: Sum((Var("a"), Var("b")), (-1, 1)),
+    lambda: Product(()),
+    lambda: Product((Var("a"),)),
+], ids=["sum-none", "sum-one", "sum-few-signs", "sum-many-signs", "sum-sign-2", "sum-sign-0",
+        "sum-sign-float", "sum-sign-bool", "sum-first-sign-minus", "product-none",
+        "product-one"])
+def test_sum_and_product_refuse_a_malformed_node(make):
+    with pytest.raises(ValueError, match="two or more"):
+        make()
+
+
+# pretty(parse(text)) for each text: a parenthesized first operand of a run
+# joins it, a later one keeps its parentheses, and a sign prints as typed
+_PRETTY = [
+    ("a + (b + a')", "a + (b + a')"),
+    ("(a + b) + a'", "a + b + a'"),
+    ("a - (b - a')", "a - (b - a')"),
+    ("a + -b", "a + -b"),
+    ("a - -b", "a - -b"),
+    ("(a*b)*a'", "a*b*a'"),
+    ("a*(b*a')", "a*(b*a')"),
+    ("-a*b", "-a*b"),
+    ("a*-b", "a*-b"),
+    ("-(a + b)", "-(a + b)"),
+    ("((a - b) - a') - b'", "a - b - a' - b'"),
+    ("a^2^1", "a^2"),
+]
+
+
+@pytest.mark.parametrize("text,printed", _PRETTY, ids=[text for text, _ in _PRETTY])
+def test_pretty_prints_as_before(text, printed):
+    assert pretty(parse(text)) == printed
+    assert parse(printed) == parse(text)
 
 
 def test_a_chain_under_a_product_keeps_its_parentheses():
@@ -389,7 +469,9 @@ def test_nesting_at_the_limit_parses_and_walks():
     for text in ("(" * 100 + "a" + ")" * 100, "-" * 100 + "a",
                  "a + (" * 100 + "b" + ")" * 100, "a" + "^1" * 100,
                  "-(" * 50 + "a*b" + ")" * 50):
-        e = parse(text)
+        e, same = parse(text), parse(text)
+        assert e == same and hash(e) == hash(same) and repr(e) == repr(same)
+        assert repr(e).count("Var(name=") == text.count("a") + text.count("b")
         assert pretty(parse(pretty(e))) == pretty(e)
         assert expand(e).evaluate((2, 3, 5, 7)) == eval_expr(e, (2, 3, 5, 7))
 
@@ -474,6 +556,32 @@ def test_polynomial_evaluate_needs_four_values():
     with pytest.raises(ValueError, match="all 4 variables"):
         p.evaluate([F(1), F(2)])
     assert p.evaluate([F(5), F(0), F(0), F(0)]) == F(5)
+
+
+_EVALUATIONS = [lambda point: eval_expr(parse("a*b' - a'"), point),
+                 lambda point: expand(parse("a*b' - a'")).evaluate(point)]
+
+
+@pytest.mark.parametrize("evaluate", _EVALUATIONS, ids=["eval_expr", "evaluate"])
+@pytest.mark.parametrize("point", [
+    (1, 2), (1, 2, 3, 4, 5), (), ("1/2", 0, 0, 0), (True, 0, 0, 0), (1, 0, 0, np.bool_(1)),
+    (float("nan"), 0, 0, 0), (0, 0, float("inf"), 0), (0, np.float64("-inf"), 0, 0),
+    (1, 2, 3, None), (1, 2, 3, 1j), "1234",
+], ids=["two", "five", "empty", "string", "bool", "numpy-bool", "nan", "inf", "numpy-inf",
+        "none", "complex", "text"])
+def test_an_evaluation_point_is_checked_not_cast(evaluate, point):
+    with pytest.raises(ValueError, match="must assign all 4 variables a finite real number"):
+        evaluate(point)
+
+
+@pytest.mark.parametrize("evaluate", _EVALUATIONS, ids=["eval_expr", "evaluate"])
+def test_an_evaluation_point_takes_any_real_coordinates(evaluate):
+    big = 10**400
+    points = [((2, 3, 5, 7), F(11)), ((F(1, 3), big, F(big, 7), 1.5), F(1, 2) - big),
+              ((np.int64(3), np.float32(0.5), 0, np.float64(0.25)), F(1, 4))]
+    for point, value in points:
+        assert evaluate(point) == value
+    assert eval_expr(parse("b'"), [0, 0, 0, F(1, 2)]) == F(1, 2)
 
 
 # --- coefficient types -------------------------------------------------------
