@@ -39,6 +39,7 @@ CASES = [
     (Var, ("name",), lambda k: Var("ab"[k])),
     (IntLit, ("value",), lambda k: IntLit(k)),
     (Neg, ("operand",), lambda k: Neg(Var("ab"[k]))),
+    (Sum, ("terms", "signs"), lambda k: Sum((Var("a"), IntLit(k)), (1, 1))),
     (Sum, ("terms", "signs"), lambda k: Sum((Var("a"), IntLit(k)), (1, -1))),
     (Product, ("factors",), lambda k: Product((Var("a"), IntLit(k)))),
     (Pow, ("base", "exponent"), lambda k: Pow(Var("a"), 2 + k)),
@@ -53,7 +54,13 @@ def outcome(thunk):
         return "raises", type(exc)
 
 
-@pytest.mark.parametrize("cls,fields,make", CASES, ids=[case[0].__name__ for case in CASES])
+def case_id(case):
+    """The class name, with a sum that has a minus sign as a row of its own."""
+    cls, _, make = case
+    return cls.__name__ + ("-difference" if -1 in getattr(make(0), "signs", ()) else "")
+
+
+@pytest.mark.parametrize("cls,fields,make", CASES, ids=map(case_id, CASES))
 def test_record_contract(cls, fields, make):
     a, same, other = make(0), make(0), make(1)
     values = [getattr(a, name) for name in fields]
