@@ -129,8 +129,11 @@ def _as_real(value: Any, name: str) -> float:
 
 
 # Arrays of the state's size held at once, the state included: two to build
-# it; two partial products A_i v of a moment table and, for fourth moments,
-# one more (the products themselves are formed a small block at a time).
+# it, and a moment table none beyond the state, as it forms the four
+# products a block of the larger side at a time.  The fourth moments of the
+# power-sum condition at n = 4 overrun the count: they hold one M v per
+# right row, three, and under half a copy more in blocks of them, about
+# 4.45 copies with the state.
 _WORKING_COPIES = 4
 
 

@@ -13,15 +13,18 @@ Conventions
   tests and callers.
 * Moments have one path: :func:`expectation`, :func:`variance` and the
   conditions apply a product ``F_1 (x) ... (x) F_k`` to the state one factor
-  at a time, never reading the density or building a lifted operator, so a
-  condition holds at most ``_WORKING_COPIES`` arrays of the state's size.
-  :func:`_apply_factor` (the vec trick) is the only code that multiplies an
-  operator factor into vectors derived from a state.  It takes and returns
-  2-d arrays, ``(left, d * rest)`` in and ``(left * F.shape[0], rest)`` out,
-  with ``d = F.shape[1]`` the factor's input side, so one factor's output is
-  the next one's input, and a block of a factor's rows applies the same way
-  as the whole factor.  ``kron`` builds the dense lifted matrix and serves as
-  the reference the tests compare against.
+  at a time, never reading the density or building a lifted operator.  A
+  bipartite condition applies a block of the rows of its larger factor
+  first, the last factor's or the first's, and the other factor to that
+  block's output, so its moment table forms no array of the state's size;
+  ``config._WORKING_COPIES`` counts what each path holds.
+  :func:`_apply_factor` (the vec trick) is the only code that multiplies
+  an operator factor into vectors derived from a state.  It takes and
+  returns 2-d arrays, ``(left, d * rest)`` in and ``(left * F.shape[0],
+  rest)`` out, with ``d = F.shape[1]`` the factor's input side, so one
+  factor's output is the next one's input, and a block of a factor's rows
+  applies the same way as the whole factor.  ``kron`` builds the dense
+  lifted matrix and serves as the reference the tests compare against.
 * State constructors refuse, before allocating, any state that would take,
   with the working copies a condition makes of it, more than half of the
   machine's physical memory.
@@ -67,6 +70,13 @@ def _as_dims(dims: Iterable[int]) -> tuple[int, ...]:
     if not out or any(d < 1 for d in out):
         raise ValueError(f"factor dimensions must be positive integers, got {dims!r}")
     return out
+
+
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices of ``range(n)`` of 1/64 of it, or of 1024 entries of ``width``
+    if more: the temporaries of a block stay small next to the whole."""
+    step = max(1, n // 64, 2**10 // width)
+    return [slice(k, k + step) for k in range(0, n, step)]
 
 
 class ComplexMatrix(_Frozen):
@@ -115,9 +125,11 @@ class ComplexMatrix(_Frozen):
         return self.data.shape[0]
 
     def hermiticity_defect(self) -> float:
-        """Max-abs deviation of ``A - A†`` (scale-free for O(1) norms)."""
+        """Max-abs deviation of ``A - A†`` (scale-free for O(1) norms), taken
+        a block of rows at a time, so no temporary of the matrix's size is formed."""
         if self._defect is None:
-            defect = float(np.abs(self.data - self.data.conj().T).max())
+            defect = max(float(np.abs(self.data[rows] - self.data[:, rows].conj().T).max())
+                         for rows in _blocks(self.side, self.side))
             object.__setattr__(self, "_defect", defect)
         return self._defect
 
@@ -333,8 +345,9 @@ def _apply_factor(F: Array, X: Array) -> Array:
     F.shape[0])``, which holds the same entries in the same order, so a
     caller that needs one of the two shapes reshapes.  A block of a
     factor's rows ``F[k0:k1]`` applies the same way and gives those output
-    rows.  Every product of an operator factor with vectors derived from a
-    state goes through here."""
+    rows, so a block of either factor's rows can be applied first and the
+    other factor then to its small output.  Every product of an operator
+    factor with vectors derived from a state goes through here."""
     left, d = X.shape[0], F.shape[1]
     if X.shape[1] == d:
         return X @ F.T

@@ -49,7 +49,7 @@ if TYPE_CHECKING:
 
 # Floats per entry of C_N charged to c_matrix and min_eigenvalue.  Each entry
 # holds the matrix, off2, the Sturm tail (|o_k| and the floors) with the
-# Gershgorin temporaries the floors are built from, and the zero-padded
+# running minima the floors are built from, and the zero-padded
 # eigenvector (about 8 floats); the factor buffers, the iteration vectors and
 # the tuples handed to math.hypot cover only the leading block, under 700
 # rows of C_N.  A matrix without a dominant tail holds those over every row
@@ -204,22 +204,28 @@ def _gershgorin(diag, off, pivmin: float) -> tuple[float, float, float, tuple]:
     edge of row n < N is ``2n^2 + n - 1/2``.  The slack's floor keeps an
     exact eigenvalue from counting below itself where a pivot of the
     certificate would otherwise fall under ``pivmin``.
+
+    One pass over the rows, last to first, gives each row's edges and the
+    running least lower edge; the floors are those minima less the margin.
+    Ties keep the first row, as ``min`` and ``max`` would, so even the sign
+    of a zero bound is theirs.
     """
     absoff = array("d", map(abs, off))
-    radius = array("d", map(add, chain(absoff, (0.0,)), chain((0.0,), absoff)))
-    hi = max(map(add, diag, radius))
-    edges = array("d", map(sub, diag, radius))
-    del radius
-    lo = min(edges)
+    hi, lo, leasts = -math.inf, math.inf, array("d")
+    append = leasts.append
+    # rows n-1 down to 0, each with its radius |o_m| + |o_{m-1}| (zero past either end)
+    radii = map(add, chain((0.0,), reversed(absoff)), chain(reversed(absoff), (0.0,)))
+    for d, radius in zip(reversed(diag), radii):
+        top, edge = d + radius, d - radius
+        if top >= hi:
+            hi = top
+        if edge <= lo:
+            lo = edge
+        append(lo)  # the least lower edge of this row and every later one
     slack = max(1e-12 * max(abs(lo), abs(hi)), 2.0 * pivmin)
     margin = slack + pivmin + 2.0 ** -51
-    floors, least = array("d"), math.inf
-    for edge in reversed(memoryview(edges)[1:]):  # rows n-1 down to 1
-        if edge < least:
-            least = edge
-        floors.append(least - margin)
-    floors.reverse()
-    return lo, hi, slack, (absoff, floors)
+    del leasts[-1]  # row 0's: floors[k] reads the rows past k
+    return lo, hi, slack, (absoff, array("d", map(sub, reversed(leasts), repeat(margin))))
 
 
 def _block_rows(absoff, floors, top: float) -> int:

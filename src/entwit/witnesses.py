@@ -15,9 +15,13 @@ still flagged violated).
 
 Each bipartite condition is scalar arithmetic on one moment table: the means
 of the four lifted products ``A_i (x) B_j`` and their Gram matrix, from four
-products on the state.  Every product of an operator factor with the state,
-or with an array derived from it, goes through ``hilbert._apply_factor``,
-here as in ``expectation``, ``variance`` and :func:`multipartite`.  This
+products on the state.  One kernel, :func:`_products`, applies the four
+products a block of the larger side at a time (:func:`_grid_blocks`), for
+the table and for the fourth moments alike, so the table forms no array of
+the state's size, whatever the two sides are.  Every product of an operator
+factor with the state, or with an array derived from it, goes through
+``hilbert._apply_factor``, here as in ``expectation``, ``variance`` and
+:func:`multipartite`.  This
 module keeps, for each live state, the table of the last quadruple evaluated
 on it (``_TABLES``, keyed weakly by the state, so an entry goes with its
 state), and every condition on the same quadruple and state reads that one
@@ -50,6 +54,7 @@ from .hilbert import (
     ComplexMatrix,
     QuantumState,
     _apply_factor,
+    _blocks,
     _clamped_variance,
     _lifted_moments,
     _lifted_variance,
@@ -101,13 +106,6 @@ def _make_report(name: str, lhs: float, rhs: float, *, leq: bool,
 _LABELS = ("A", "A'", "B", "B'")
 
 
-def _blocks(n: int, width: int) -> list[slice]:
-    """Slices of ``range(n)`` of 1/64 of it, or of 1024 entries of ``width``
-    if more: the temporaries of a block stay small next to the state."""
-    step = max(1, n // 64, 2**10 // width)
-    return [slice(k, k + step) for k in range(0, n, step)]
-
-
 def _check_quadruple(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix,
                      Bp: ComplexMatrix, s: QuantumState) -> None:
     """Validate the quadruple against the state: the dims, and the Hermiticity
@@ -126,14 +124,47 @@ def _check_quadruple(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix,
             _require_hermitian((Ai, Bj), f"{a} (x) {b}")
 
 
+def _grid_blocks(A: ComplexMatrix, B: ComplexMatrix, r: int) -> list[tuple[slice, slice]]:
+    """The blocks ``(rows, cols)`` of the ``(A.side, B.side)`` grid of ``r``
+    vectors that :func:`_products` forms at a time: blocks of the larger
+    side's indices (:func:`hilbert._blocks`), the B side's on a tie, so a
+    block is a small part of the state whatever the two sides are."""
+    if B.side >= A.side:
+        return [(slice(None), cols) for cols in _blocks(B.side, r * A.side)]
+    return [(rows, slice(None)) for rows in _blocks(A.side, r * B.side)]
+
+
+def _products(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
+              X: np.ndarray, block: tuple[slice, slice]) -> np.ndarray:
+    """The block ``(rows, cols)`` of :func:`_grid_blocks` of ``P_p x`` for
+    every vector ``x`` along the last axis of ``X``, ``(..., A.side *
+    B.side)``: the four lifted products ``P_p = A_i (x) B_j``, ``p = 2i + j``
+    (``A_0 = A``, ``A_1 = A'``, ``B_0 = B``, ``B_1 = B'``), as ``(4, ...,
+    height, width)``.  The stacked rows of the blocked side, ``[B[cols];
+    B'[cols]]`` as the last factor or ``[A[rows]; A'[rows]]`` as the first,
+    apply first, and the other side's two operators each to that small
+    output, all through ``hilbert._apply_factor``, so no array of the
+    state's size is formed."""
+    (rows, cols), n = block, X.size // X.shape[-1]
+    if B.side >= A.side:  # A_i Y is (n * a, 2 * width): the products 2i, 2i + 1
+        BB = np.concatenate((B.data[cols], Bp.data[cols]))
+        Y = _apply_factor(BB, X.reshape(-1, B.side)).reshape(n, -1)
+        out = np.empty((2, 2, n, A.side, len(BB) // 2), dtype=complex)
+        for i, Ai in enumerate((A, Ap)):
+            out[i] = _apply_factor(Ai.data, Y).reshape(n, A.side, 2, -1).transpose(2, 0, 1, 3)
+    else:  # Y B_j^T is (n * 2 * height, b): the products j, 2 + j
+        AA = np.concatenate((A.data[rows], Ap.data[rows]))
+        Y = _apply_factor(AA, X.reshape(n, -1)).reshape(-1, B.side)
+        out = np.empty((2, 2, n, len(AA) // 2, B.side), dtype=complex)
+        for j, Bj in enumerate((B, Bp)):
+            out[:, j] = _apply_factor(Bj.data, Y).reshape(n, 2, -1, B.side).transpose(1, 0, 2, 3)
+    return out.reshape(4, *X.shape[:-1], *out.shape[3:])
+
+
 def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
                   s: QuantumState) -> tuple:
-    """Moment table of the lifted products ``P_p = A_i (x) B_j``, ``p = 2i + j``
-    (``A_0 = A``, ``A_1 = A'``, ``B_0 = B``, ``B_1 = B'``), applied to the
-    state as ``P_p v = Z_i B_j^T`` from ``Z_i = A_i v``, viewed as ``(r *
-    A.side, B.side)``: six factor products, each through
-    ``hilbert._apply_factor``, the ``B_j`` ones a block of rows of ``Z_i``
-    at a time.
+    """Moment table of the lifted products ``P_p`` of :func:`_products`,
+    applied to the state a block of :func:`_grid_blocks` at a time.
 
     Validates the quadruple (:func:`_check_quadruple`).  Returns the means
     and the second moments as tuples and the read-only Gram matrix
@@ -142,15 +173,11 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
     reads ``<[A,A'] (x) [B,B']>`` off it that way.
     """
     _check_quadruple(A, Ap, B, Bp, s)
-    # reshaped, as a B of side 1 makes A the last factor and Z_i (r, A.side)
-    Zs = [_apply_factor(Ai.data, s.vectors).reshape(-1, B.side) for Ai in (A, Ap)]
-    left, b = Zs[0].shape
-    # a block of rows at a time; the Gram matrix of its products and v holds G and the means
-    w, Vr, H = np.repeat(s.weights, A.side)[:, None], s.vectors.reshape(left, b), 0.0
-    for rows in _blocks(left, b):
-        Y = np.array([_apply_factor(Bj.data, Z[rows]) for Z in Zs for Bj in (B, Bp)]
-                     + [Vr[rows]])
-        H = H + (Y.conj() * w[rows]).reshape(5, -1) @ Y.reshape(5, -1).T
+    V, w, H = s.vectors.reshape(-1, A.side, B.side), s.weights[:, None, None], 0.0
+    # the Gram matrix of the four products and v holds G and the means
+    for block in _grid_blocks(A, B, len(V)):
+        Y = np.concatenate((_products(A, Ap, B, Bp, s.vectors, block), V[None][(..., *block)]))
+        H = H + (Y.conj() * w).reshape(5, -1) @ Y.reshape(5, -1).T
     G = H[:4, :4]
     G.setflags(write=False)  # a stored table is shared with every later caller
     return tuple(H[:4, 4].real.tolist()), tuple(G.diagonal().real.tolist()), G
@@ -257,35 +284,20 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
 def _fourth_moments(rows: Sequence[tuple[int, ...]], A: ComplexMatrix, Ap: ComplexMatrix,
                     B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> list[float]:
     """``<M^4> = sum_r w_r ||M^2 v_r||^2`` for each sum ``M = sum_p c_p P_p``
-    with coefficients ``c`` in ``rows``: with ``Z_i = A_i v`` and ``C_i =
-    c_2i B + c_2i+1 B'`` (``B`` or ``B'`` itself for a unit pair, else built
-    once per call), ``M v = Z_0 C_0^T + Z_1 C_1^T`` by blocks of rows, then
-    ``M^2 v = A (M v) C_0^T + A' (M v) C_1^T`` by blocks of columns, that is
-    by blocks of the rows of ``C_i``.  Every factor product goes through
-    ``hilbert._apply_factor``, and the ``Z_i`` and ``M v`` are the only
-    arrays of the state's size."""
-    Zs = [_apply_factor(Ai.data, s.vectors).reshape(-1, B.side) for Ai in (A, Ap)]
-    (left, b), r = Zs[0].shape, s.weights.size
-    combos = {(1, 0): B.data, (0, 1): Bp.data}
-    for pair in (c[k:k + 2] for c in rows for k in (0, 2)):
-        if pair not in combos:
-            C = combos[pair] = pair[0] * B.data
-            C += pair[1] * Bp.data
-    w, row_blocks, col_blocks = s.weights[:, None], _blocks(left, b), _blocks(b, left)
-    Mv, out = np.empty_like(Zs[0]), []
-    for c in rows:
-        C0, C1 = combos[c[:2]], combos[c[2:]]
-        for block in row_blocks:
-            Mv[block] = _apply_factor(C0, Zs[0][block])
-            Mv[block] += _apply_factor(C1, Zs[1][block])
-        total = 0.0
-        for cols in col_blocks:
-            U = _apply_factor(A.data, _apply_factor(C0[cols], Mv).reshape(r, -1))
-            U += _apply_factor(Ap.data, _apply_factor(C1[cols], Mv).reshape(r, -1))
-            # U is (r * A.side, width), or (r, A.side) for a block of one column
-            total += float(np.vdot(U, w * U.reshape(r, -1)).real)
-        out.append(total)
-    return out
+    with coefficients ``c`` in ``rows``: one pass of :func:`_products` over
+    the state forms every ``M v``, and a second pass over those ``M v``
+    gives ``M^2 v``, both a block of :func:`_grid_blocks` at a time.  The
+    ``M v`` are the only arrays of the state's size, one per row."""
+    C, V, w = np.array(rows, dtype=float), s.vectors, s.weights[:, None, None]
+    m, r, blocks = len(C), len(V), _grid_blocks(A, B, len(V))
+    Mv = np.empty((m, r, A.side, B.side), dtype=complex)
+    for block in blocks:  # each row k applied to every v
+        Mv[(..., *block)] = np.einsum("kp,p...->k...", C, _products(A, Ap, B, Bp, V, block))
+    X, total = Mv.reshape(m, r, -1), np.zeros(m)
+    for block in blocks:  # each row k applied to its own M_k v
+        U = np.einsum("kp,pk...->k...", C, _products(A, Ap, B, Bp, X, block))
+        total += (U.conj() * (w * U)).real.reshape(m, -1).sum(axis=1)
+    return total.tolist()
 
 
 # The right rows of each identity as coefficients c_p of P_p, for c^T G c.

@@ -140,6 +140,32 @@ def test_dagger_and_hermiticity_defect():
     assert not M.hermiticity_defect() <= DEFAULT.hermitian
 
 
+@pytest.mark.parametrize("side", [1, 2, 3, 63, 64, 65, 130, 1100])
+def test_hermiticity_defect_equals_the_dense_formula(side):
+    # the defect is taken a block of rows at a time; a max does not depend on
+    # the order, so it is the same float as the dense formula's
+    gen = rng(side)
+    G = gen.normal(size=(side, side)) + 1j * gen.normal(size=(side, side))
+    H = G + G.conj().T
+    H[-1, 0] += 1e-9  # a defect in the last block of rows only
+    for data in (G, G + G.conj().T, H):
+        M = ComplexMatrix(data, (side,))
+        assert M.hermiticity_defect() == float(np.abs(M.data - M.data.conj().T).max())
+
+
+def test_hermiticity_defect_forms_no_temporary_of_the_matrix_size():
+    import tracemalloc
+
+    M = ComplexMatrix(rng(13).normal(size=(1024, 1024)), (1024,))
+    tracemalloc.start()
+    try:
+        M.hermiticity_defect()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < M.data.nbytes / 4
+
+
 def test_matrix_algebra_checks_dims():
     A = ComplexMatrix(np.eye(2), (2,))
     B = ComplexMatrix(np.eye(3), (3,))

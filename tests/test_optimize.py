@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 import sys
 from array import array
 from itertools import chain
+from operator import add, sub
 
 import numpy as np
 import pytest
@@ -483,6 +485,52 @@ def test_count_below_on_c_n_stops_within_its_first_rows(N):
     for x in (3.0, 100.0, hi):
         full = reference_count_below(diag, off2, x, pivmin)
         assert optimize._count_below(diag, off2, x, pivmin, tail) == full
+
+
+def full_length_gershgorin(diag, off, pivmin):
+    """The bracket, the slack and the tail as :func:`optimize._gershgorin`
+    formed them from full-length arrays of the radii and the lower edges."""
+    absoff = array("d", map(abs, off))
+    radius = array("d", map(add, chain(absoff, (0.0,)), chain((0.0,), absoff)))
+    hi = max(map(add, diag, radius))
+    edges = array("d", map(sub, diag, radius))
+    lo = min(edges)
+    slack = max(1e-12 * max(abs(lo), abs(hi)), 2.0 * pivmin)
+    margin = slack + pivmin + 2.0 ** -51
+    floors, least = array("d"), math.inf
+    for edge in reversed(edges[1:]):  # rows n-1 down to 1
+        if edge < least:
+            least = edge
+        floors.append(least - margin)
+    floors.reverse()
+    return lo, hi, slack, (absoff, floors)
+
+
+def assert_gershgorin_as_full_length(diag, off):
+    """``_gershgorin`` gives the former results byte for byte, so the sign
+    of a zero counts too, with and without a pivot floor."""
+    def bits(lo, hi, slack, tail):
+        return struct.pack("3d", lo, hi, slack), tail[0].tobytes(), tail[1].tobytes()
+
+    for pivmin in (0.0, sys.float_info.min * max(1.0, max((o * o for o in off), default=0.0))):
+        assert (bits(*optimize._gershgorin(diag, off, pivmin))
+                == bits(*full_length_gershgorin(diag, off, pivmin)))
+
+
+@pytest.mark.parametrize("Ns", [range(0, 400), [20000], [200000]],
+                         ids=["0-399", "20000", "200000"])
+def test_gershgorin_one_pass_equals_the_full_length_arrays_on_c_n(Ns):
+    for N in Ns:
+        assert_gershgorin_as_full_length(*optimize._c_entries(N))
+
+
+def test_gershgorin_one_pass_equals_the_full_length_arrays_on_tridiagonals():
+    for diag, off in chain(random_tridiagonals(26), dominant_tridiagonals(27)):
+        assert_gershgorin_as_full_length(diag, off)
+    # ties between a zero and a negative zero keep the first row's, as min and max do
+    for diag, off in (([-0.0, 0.0], [0.0]), ([0.0, -0.0], [0.0]),
+                      ([0.0, -0.0, 0.0], [0.0, 0.0]), ([-0.0], []), ([2.0, 2.0], [1.0])):
+        assert_gershgorin_as_full_length(array("d", diag), array("d", off))
 
 
 def test_min_eigenvalue_factors_once_and_counts_only_to_certify(monkeypatch):

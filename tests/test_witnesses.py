@@ -964,6 +964,112 @@ def test_conditions_stay_within_working_copies(state_index):
         assert peak <= budget, (condition, peak / s.vectors.nbytes)
 
 
+def traced_peak(call) -> int:
+    """The most memory ``call()`` held at once, as tracemalloc reads it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def lopsided_cases():
+    """States whose B side is too small to block, 2 and 1, as mixtures of a
+    vector per dimension, so each is 4 MB next to 1 and 4 MB operators on A,
+    with block spins on A and a random Hermitian pair on B."""
+    from entwit import block_spin
+
+    gen = rng(7)
+    cases = []
+    for a, b in ((256, 2), (512, 1)):
+        parts = [QuantumState.pure(random_unit_vector(gen, a * b), (a, b)) for _ in range(a * b)]
+        X, Y, _ = block_spin(a)
+        quad = (X, Y, hermitian_on(gen, (b,)), hermitian_on(gen, (b,)))
+        cases.append((mix(parts, [1.0 / (a * b)] * (a * b)), quad))
+    return cases
+
+
+def traced_case(index):
+    """Case ``index``: the two ``memory_states`` with block spins on both
+    sides, then the two :func:`lopsided_cases`."""
+    from entwit import block_spin
+
+    if index >= 2:
+        return lopsided_cases()[index - 2]
+    s = memory_states()[index]
+    X, Y, _ = block_spin(s.dims[0])
+    return s, (X, Y, X, Y)
+
+
+def test_conditions_on_a_small_b_side_stay_within_working_copies():
+    # the budget of test_conditions_stay_within_working_copies on the (256, 2)
+    # case, whose grid is blocked over A's rows; its operators' share of the
+    # budget is one state copy (the (512, 1) case's operators are as large
+    # as its state, so a budget there would leave four copies of room)
+    from entwit.hilbert import _WORKING_COPIES
+
+    s, quad = lopsided_cases()[0]
+    assert s.vectors.nbytes >= 4 * quad[0].data.nbytes
+    budget = (_WORKING_COPIES - 1) * s.vectors.nbytes + 4 * quad[0].data.nbytes
+    for condition in BIPARTITE:
+        peak = traced_peak(lambda: condition(*quad, s))
+        assert peak <= budget, (condition, peak / s.vectors.nbytes)
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3])
+def test_moment_table_forms_no_array_of_the_states_size(case):
+    # the four products are formed a block of the larger side at a time; a
+    # table that formed A v and A' v in full would hold two copies more, and
+    # one blocked over a B side of 1 or 2 about seven
+    from entwit.witnesses import _moment_table
+
+    s, quad = traced_case(case)
+    peak = traced_peak(lambda: _moment_table(*quad, s))
+    assert peak < s.vectors.nbytes, peak / s.vectors.nbytes
+
+
+@pytest.mark.parametrize("case", [0, 1, 2, 3])
+def test_fourth_moments_hold_one_state_sized_array_per_row(case):
+    # the three M v of the power-sum rows, and under half a copy for the
+    # blocks the kernel forms of them; A v and A' v held in full as well
+    # would pass the bound
+    from entwit.config import _IDENTITY_ROWS
+    from entwit.witnesses import _fourth_moments
+
+    s, quad = traced_case(case)
+    rows = _IDENTITY_ROWS["ramanujan"][1]
+    peak = traced_peak(lambda: _fourth_moments(rows, *quad, s))
+    assert peak < (len(rows) + 0.5) * s.vectors.nbytes, peak / s.vectors.nbytes
+
+
+@pytest.mark.parametrize("dims,block", [((12, 12), (slice(None), slice(0, 1))),
+                                        ((12, 11), (slice(0, 1), slice(None)))])
+def test_products_in_blocks_of_one_match_dense_kron(dims, block):
+    # a full-rank density on about 12 x 12 holds over 1024 entries per index
+    # of the larger side (B's on a tie), so that side is taken one index at
+    # a time
+    from entwit.witnesses import _fourth_moments, _grid_blocks, _moment_table
+
+    gen = rng(47)
+    s = random_mixed(gen, dims)
+    A, Ap = hermitian_on(gen, dims[:1]), hermitian_on(gen, dims[:1])
+    B, Bp = hermitian_on(gen, dims[1:]), hermitian_on(gen, dims[1:])
+    assert _grid_blocks(A, B, s.weights.size)[0] == block
+    rho = s.density.data
+    P = [kron(X, Y).data for X in (A, Ap) for Y in (B, Bp)]
+    means, _, G = _moment_table(A, Ap, B, Bp, s)
+    for p in range(4):
+        assert_matches(means[p], np.trace(rho @ P[p]).real)
+        for q in range(4):
+            assert_matches(abs(G[p, q] - np.trace(rho @ P[p] @ P[q])), 0.0)
+    for value, c in zip(_fourth_moments(OTHER_POWER_SUMS, A, Ap, B, Bp, s), OTHER_POWER_SUMS):
+        M = sum(cp * Pp for cp, Pp in zip(c, P))
+        assert_matches(value, np.trace(rho @ np.linalg.matrix_power(M, 4)).real)
+
+
 # --- the moment table shared across conditions -------------------------------
 #
 # The registry ``witnesses._TABLES`` keeps, for each live state, the table of
