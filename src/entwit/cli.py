@@ -32,7 +32,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from . import __version__
-from .config import _IDENTITY_ROWS, DEFAULT
+from .config import _IDENTITY_ROWS, DEFAULT, _as_unit
 
 if TYPE_CHECKING:
     from .hilbert import ComplexMatrix, QuantumState
@@ -139,10 +139,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_cmatrix(args) -> tuple[dict, dict, dict]:
-    from .optimize import _c_entries, _eigenpair, _mixing_weight, vmax_from_lambda
+    from .optimize import _c_entries, _eigenpair, vmax_from_lambda
 
     diag, off = _c_entries(args.n)
-    _mixing_weight(args.p)  # a bad --p is refused before the solve
+    _as_unit(args.p, "p", "mixing weight")  # a bad --p is refused before the solve
     lam, vec = _eigenpair(diag, off, args.tol)
     results = {
         "lambda_min": lam,

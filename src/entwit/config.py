@@ -1,15 +1,19 @@
 """Shared tolerances, the input checks and the rows of the polynomial identities.
 
 Every quantity handled by this package is O(1) to O(10^2), so absolute
-tolerances are used throughout.  The table below is the only setting: no
-function takes a per-call override, except the bisection tolerance ``tol``
-of ``optimize.min_eigenvalue`` (``cmatrix --tol``).  The CLI echoes the
-table under ``meta.tolerances``.
+tolerances are used throughout.  The table below is the only setting, and
+it is fixed: ``Tolerances()`` takes no argument, every module reads the one
+instance ``DEFAULT``, and nothing overrides it.  No function takes a
+per-call tolerance, except the bisection tolerance ``tol`` of
+``optimize.min_eigenvalue`` (``cmatrix --tol``).  The CLI echoes the table
+under ``meta.tolerances``.
 
 Every integer parameter of the library (a dimension, a cutoff, a truncation
 order, a grid size, an exponent) goes through :func:`_as_int`, and every
-real one through :func:`_as_real`, and :func:`_refuse_oversize` refuses a
-request too large for memory; none of them imports numpy.
+real one through :func:`_as_real`; a weight in [0, 1] goes through
+:func:`_as_unit` and a squeezing parameter through :func:`_as_squeezing`,
+so each rule and its message are stated once.  :func:`_refuse_oversize`
+refuses a request too large for memory; none of them imports numpy.
 
 ``_IDENTITY_ROWS`` is data, not a setting: each builtin identity
 ``sum_k (L_k . x)^n = sum_k (R_k . x)^n`` as its left and right rows, stated
@@ -79,17 +83,18 @@ class Tolerances(_Record):
     __slots__ = __match_args__ = ("state_norm", "density_atol", "eigenvalue_floor", "hermitian",
                                   "variance_clamp", "violation", "ratio_guard", "tail_mass")
 
-    def __init__(self,
-                 state_norm: float = 1e-12,       # pure-state normalization
-                 density_atol: float = 1e-12,     # density Hermiticity / trace deviation
-                 eigenvalue_floor: float = 1e-10,  # most negative admissible density eigenvalue
-                 hermitian: float = 1e-10,        # observable Hermiticity (max-abs deviation)
-                 variance_clamp: float = 1e-6,    # variances below -this are an error
-                 violation: float = 1e-9,         # witness violation threshold on delta
-                 ratio_guard: float = 1e-12,      # smallest denominator for the V ratio
-                 tail_mass: float = 1e-12):       # truncation tail bound for cutoff rules
-        self._init(state_norm, density_atol, eigenvalue_floor, hermitian,
-                   variance_clamp, violation, ratio_guard, tail_mass)
+    def __init__(self) -> None:
+        self._init(1e-12,   # pure-state normalization
+                   1e-12,   # density Hermiticity / trace deviation
+                   1e-10,   # most negative admissible density eigenvalue
+                   1e-10,   # observable Hermiticity (max-abs deviation)
+                   1e-6,    # variances below -this are an error
+                   1e-9,    # witness violation threshold on delta
+                   1e-12,   # smallest denominator for the V ratio
+                   1e-12)   # truncation tail bound for cutoff rules
+
+    def __reduce__(self):
+        return type(self), ()
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.__match_args__, self._values()))
@@ -126,6 +131,22 @@ def _as_real(value: Any, name: str) -> float:
     if not math.isfinite(out):
         raise ValueError(f"{name!r} must be finite, got {value!r}")
     return out
+
+
+def _as_unit(value: Any, name: str, what: str) -> float:
+    """``value`` as a real in [0, 1]; ``what`` names it in the message."""
+    value = _as_real(value, name)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must lie in [0, 1], got {value}")
+    return value
+
+
+def _as_squeezing(value: Any) -> float:
+    """``value`` as a squeezing parameter: a real with ``|lambda| < 1``."""
+    value = _as_real(value, "lambda")
+    if abs(value) >= 1.0:
+        raise ValueError(f"squeezing parameter must satisfy |lambda| < 1, got {value}")
+    return value
 
 
 # Arrays of the state's size held at once, the state included: two to build

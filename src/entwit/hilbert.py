@@ -48,7 +48,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .config import _WORKING_COPIES, DEFAULT, _Frozen, _as_int, _as_real, _refuse_oversize
+from .config import DEFAULT, _Frozen, _as_int, _as_real, _refuse_oversize
 
 Array = np.ndarray
 

@@ -42,7 +42,7 @@ from itertools import chain, islice, repeat
 from operator import add, mul, neg, sub, truediv
 from typing import TYPE_CHECKING, Any, Sequence
 
-from .config import _Record, _as_int, _as_real, _refuse_oversize
+from .config import _Record, _as_int, _as_real, _as_unit, _refuse_oversize
 
 if TYPE_CHECKING:
     from numpy import ndarray as Array
@@ -406,17 +406,9 @@ def min_eigenvalue(M: TridiagonalMatrix, tol: float = 1e-10) -> tuple[float, Arr
     return lam, np.asarray(v)
 
 
-def _mixing_weight(p: Any) -> float:
-    """``p`` as a mixing weight: a real in [0, 1]."""
-    p = _as_real(p, "p")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
-    return p
-
-
 def vmax_from_lambda(lambda_min: float, p: float = 1.0) -> float:
     """Peak violation measure (1/4) / (1/4 + p*lambda_min) of the mixture family."""
-    p = _mixing_weight(p)
+    p = _as_unit(p, "p", "mixing weight")
     denominator = 0.25 + p * _as_real(lambda_min, "lambda_min")
     if denominator <= 0.0:
         raise ValueError(f"1/4 + p*lambda_min = {denominator!r} is not positive; "

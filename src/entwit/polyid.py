@@ -273,7 +273,10 @@ class Sum(Expr):
     """``terms[0] ± terms[1] ± ...``, with one sign, 1 or -1, per term.  The
     first sign is 1: a leading minus is a ``Neg``.  A first term that is a
     ``Sum`` is merged into this one, as the parser's left association reads
-    ``(a + b) + c``; any later term stays nested."""
+    ``(a + b) + c``; any later term stays nested.  Each merge copies the
+    first sum's tuples, so build a long sum from one collected term list:
+    ``Sum(terms, signs)`` is linear, while ``e = Sum((e, x), (1, 1))`` in a
+    loop is quadratic in the number of terms."""
 
     __slots__ = __match_args__ = ("terms", "signs")
 

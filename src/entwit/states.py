@@ -22,7 +22,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import DEFAULT, _Record, _as_int, _as_real, _refuse_oversize
+from .config import (DEFAULT, _Record, _as_int, _as_real, _as_squeezing, _as_unit,
+                     _refuse_oversize)
 from .hilbert import QuantumState, _as_reals, mix
 
 __all__ = [
@@ -59,9 +60,7 @@ def squeezed_cutoff(lam: float) -> int:
     against the exact condition, so the result is that of stepping D = 2,
     4, ... until the condition holds, in O(1) time even for |lambda| near 1.
     """
-    r = abs(_as_real(lam, "lambda"))
-    if r >= 1.0:
-        raise ValueError(f"squeezing parameter must satisfy |lambda| < 1, got {lam}")
+    r = abs(_as_squeezing(lam))
     tail = DEFAULT.tail_mass
     D = 2
     if r > 0.0:
@@ -91,9 +90,7 @@ def fock_pair_superposition(c: Sequence[float], cutoff: int | None = None) -> Qu
 
 def vacuum_mixture(p: float, c: Sequence[float], cutoff: int | None = None) -> QuantumState:
     """Mixture p * |psi><psi| + (1 - p) * |00><00| of a paired state with vacuum."""
-    p = _as_real(p, "p")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
+    p = _as_unit(p, "p", "mixture weight")
     psi = fock_pair_superposition(c, cutoff)
     return mix([psi, _paired(psi.dims[0], [1.0], 1)], [p, 1.0 - p])
 
@@ -105,9 +102,7 @@ def squeezed_vacuum(lam: float, cutoff: int | None = None) -> QuantumState:
     keeps the discarded tail mass below 1e-12 (so the renormalization factor
     differs from sqrt(1 - lambda^2) by less than 1e-12).
     """
-    lam = _as_real(lam, "lambda")
-    if abs(lam) >= 1.0:
-        raise ValueError(f"squeezing parameter must satisfy |lambda| < 1, got {lam}")
+    lam = _as_squeezing(lam)
     D = squeezed_cutoff(lam) if cutoff is None else _as_int(cutoff, "cutoff")
     if D < 1:
         raise ValueError(f"cutoff must be positive, got {D}")
@@ -198,9 +193,7 @@ _SPIN_FAMILIES = frozenset({"bell", "schmidt"})
 
 
 def _psi2_coeffs(c0: float) -> list[float]:
-    c0 = _as_real(c0, "c0")
-    if not 0.0 <= c0 <= 1.0:
-        raise ValueError(f"psi2 coefficient c0 must lie in [0, 1], got {c0}")
+    c0 = _as_unit(c0, "c0", "psi2 coefficient c0")
     return [c0, math.sqrt(max(0.0, 1.0 - c0 * c0))]
 
 

@@ -281,14 +281,14 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
     return _product_report("multipartite", var_prod, var_prod_p, abs(m_comm) / 2.0**n, details)
 
 
-def _fourth_moments(rows: Sequence[tuple[int, ...]], A: ComplexMatrix, Ap: ComplexMatrix,
+def _fourth_moments(rows: Sequence[Sequence[float]], A: ComplexMatrix, Ap: ComplexMatrix,
                     B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> list[float]:
     """``<M^4> = sum_r w_r ||M^2 v_r||^2`` for each sum ``M = sum_p c_p P_p``
     with coefficients ``c`` in ``rows``: one pass of :func:`_products` over
     the state forms every ``M v``, and a second pass over those ``M v``
     gives ``M^2 v``, both a block of :func:`_grid_blocks` at a time.  The
     ``M v`` are the only arrays of the state's size, one per row."""
-    C, V, w = np.array(rows, dtype=float), s.vectors, s.weights[:, None, None]
+    C, V, w = np.asarray(rows, dtype=float), s.vectors, s.weights[:, None, None]
     m, r, blocks = len(C), len(V), _grid_blocks(A, B, len(V))
     Mv = np.empty((m, r, A.side, B.side), dtype=complex)
     for block in blocks:  # each row k applied to every v
@@ -311,7 +311,7 @@ def _identity_terms(name: str, n: int, A: ComplexMatrix, Ap: ComplexMatrix, B: C
     rows, and ``<(R_k . P)^n>`` for each right row (``c^T G c`` at n = 2,
     :func:`_fourth_moments` at n = 4)."""
     means, _, G = _shared_table(A, Ap, B, Bp, s)
-    left, right = _IDENTITY_ROWS[name]
+    left, right = _IDENTITY_ROWS[name][0], _RIGHT_COEFFS[name]
     lhs = 0.0
     for row in left:  # each form summed left to right, as displayed
         form = 0.0
@@ -319,7 +319,7 @@ def _identity_terms(name: str, n: int, A: ComplexMatrix, Ap: ComplexMatrix, B: C
             form += c * m
         lhs += form ** n
     if n == 2:  # <M^2> = ||M psi||^2 = c^T G c
-        powers = ((_RIGHT_COEFFS[name] @ G) * _RIGHT_COEFFS[name]).sum(axis=1).real.tolist()
+        powers = ((right @ G) * right).sum(axis=1).real.tolist()
     else:
         powers = _fourth_moments(right, A, Ap, B, Bp, s)
     return {f"m_{label}": m for label, m in zip(_PRODUCTS, means)}, lhs, powers

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from entwit.cli import run
-from entwit.config import DEFAULT, Tolerances
+from entwit.config import DEFAULT
 from entwit.hilbert import ComplexMatrix, QuantumState
 from entwit.operators import QuadraturePair, quadratures
 from entwit.optimize import ScanResult, TridiagonalMatrix
@@ -25,9 +25,6 @@ _Q = quadratures(4)
 # class, its fields in constructor order, and make(k): make(0) twice gives
 # two equal objects, make(1) one that differs in a field
 CASES = [
-    (Tolerances, ("state_norm", "density_atol", "eigenvalue_floor", "hermitian",
-                  "variance_clamp", "violation", "ratio_guard", "tail_mass"),
-     lambda k: Tolerances(violation=(1e-9, 1e-6)[k])),
     (QuadraturePair, ("x", "p", "dim"), lambda k: QuadraturePair(_Q.x, _Q.p, 4 + k)),
     (StateSpec, ("family", "params", "cutoff"),
      lambda k: StateSpec("bell", {"parties": 2 + k})),
@@ -128,11 +125,6 @@ def test_expression_nodes_differ_by_type():
 
 
 def test_keyword_construction_with_defaults():
-    loose = Tolerances(violation=1e-6)
-    assert loose.violation == 1e-6
-    assert loose.as_dict() == {**DEFAULT.as_dict(), "violation": 1e-6}
-    assert Tolerances() == DEFAULT and loose != DEFAULT
-
     spec = StateSpec(family="bell", params={"parties": 2})
     assert spec.cutoff is None and spec == StateSpec("bell", {"parties": 2}, None)
     assert StateSpec("bell").params == {}

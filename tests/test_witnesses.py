@@ -929,7 +929,7 @@ def test_non_hermitian_operator_rejected_with_cached_defect(position, label):
 
 # --- working memory ----------------------------------------------------------
 #
-# The size refusal counts hilbert._WORKING_COPIES arrays of the state's size,
+# The size refusal counts config._WORKING_COPIES arrays of the state's size,
 # the state included.  The arrays a condition allocates must fit in the rest,
 # apart from operator-sized temporaries (sums of B and B'), bounded by the
 # operators' own size.
@@ -948,7 +948,7 @@ def test_conditions_stay_within_working_copies(state_index):
     import tracemalloc
 
     from entwit import block_spin
-    from entwit.hilbert import _WORKING_COPIES
+    from entwit.config import _WORKING_COPIES
 
     s = memory_states()[state_index]
     assert s.vectors.nbytes >= 2**20
@@ -1009,7 +1009,7 @@ def test_conditions_on_a_small_b_side_stay_within_working_copies():
     # case, whose grid is blocked over A's rows; its operators' share of the
     # budget is one state copy (the (512, 1) case's operators are as large
     # as its state, so a budget there would leave four copies of room)
-    from entwit.hilbert import _WORKING_COPIES
+    from entwit.config import _WORKING_COPIES
 
     s, quad = lopsided_cases()[0]
     assert s.vectors.nbytes >= 4 * quad[0].data.nbytes
