@@ -33,7 +33,8 @@ _EXPORTS = {
     for module, names in {
         "config": "DEFAULT Tolerances",
         "hilbert": "ComplexMatrix QuantumState commutator expectation kron mix variance",
-        "operators": "QuadraturePair annihilation block_spin quadratures spin_ops",
+        "operators": "QuadraturePair annihilation block_spin builtin_operator quadratures "
+                     "spin_ops",
         "optimize": "ScanResult TridiagonalMatrix c_matrix min_eigenvalue psi2_scan "
                     "quadratic_form vmax_from_lambda",
         "polyid": "ParseError Polynomial builtin_identity equal eval_expr expand parse "

@@ -28,7 +28,6 @@ import gc
 import json
 import os
 import sys
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from . import __version__
@@ -236,10 +235,6 @@ def _run_eval(args) -> tuple[dict, dict, dict]:
     return inputs, {"equal": equal(lhs, rhs)}, {}
 
 
-# The builtin operators, in the groups that one call builds together.
-_GROUPS = (("sx", "sy", "sz"), ("x", "p"), ("blockx", "blocky"))
-_BUILTIN_NAMES = sum(_GROUPS, ())
-
 # Each `witness --condition`, in the order of its choices, with the fields of
 # its operator spec ("n" optional); each evaluates through `witnesses.<name>`,
 # ramanujan through `ramanujan_witness(..., n)`.
@@ -250,34 +245,19 @@ _CONDITIONS = {"variance_product": _QUADRUPLE, "variance_sum": _QUADRUPLE,
 
 
 def _builtin_operators(requests: list[tuple[Any, int]]) -> list[ComplexMatrix]:
-    """The builtin operator for each ``(name, factor dimension)``, checked in
-    order.  A group is built once per dimension and keeps only its requested
-    members, so equal requests share one object and the block ``Z`` is freed."""
-    from .operators import block_spin, quadratures, spin_ops
+    """The builtin operator for each ``(name, factor dimension)``, built in
+    order by :func:`operators.builtin_operator`, which checks the request.
+    Equal requests share one object, and no operator that is not named is
+    built."""
+    from .operators import builtin_operator
 
-    wanted = {(name, dim) for name, dim in requests if isinstance(name, str)}
-    built: dict[tuple[tuple[str, ...], int], dict[str, ComplexMatrix]] = {}
+    built: dict[tuple[str, int], ComplexMatrix] = {}
     out = []
-    for name, dim in requests:
-        if not isinstance(name, str):
-            raise ValueError(f"operator names must be strings, got {name!r}")
-        if name not in _BUILTIN_NAMES:
-            raise ValueError(f"unknown builtin operator {name!r}; "
-                             f"expected one of {', '.join(_BUILTIN_NAMES)}")
-        if name in _GROUPS[0] and dim != 2:
-            raise ValueError(f"operator {name!r} needs a two-level factor, "
-                             f"got dimension {dim}")
-        group = next(g for g in _GROUPS if name in g)
-        if (group, dim) not in built:
-            if group is _GROUPS[0]:
-                members = spin_ops()
-            elif group is _GROUPS[1]:
-                members = attrgetter("x", "p")(quadratures(dim))
-            else:
-                members = block_spin(dim)
-            built[group, dim] = {m: op for m, op in zip(group, members) if (m, dim) in wanted}
-            del members
-        out.append(built[group, dim][name])
+    for key in requests:
+        # a name that is not a string is refused before the key is hashed
+        if not isinstance(key[0], str) or key not in built:
+            built[key] = builtin_operator(*key)
+        out.append(built[key])
     return out
 
 

@@ -509,6 +509,17 @@ def test_witness_operator_mismatch_exits_1(capsys, tmp_path):
     assert "two-level factor" in err
 
 
+def test_witness_block_spins_need_an_even_cutoff(capsys, tmp_path):
+    state = write_json(tmp_path, "state.json",
+                       {"family": "fock_pair", "params": {"c": [1.0]}, "cutoff": 3})
+    ops = write_json(tmp_path, "ops.json", {"A": "blockx", "Aprime": "blocky",
+                                            "B": "blockx", "Bprime": "blocky"})
+    assert run(["witness", "--state", state, "--ops", ops, "--condition", "uffink"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: block_spin needs an even dim, got 3\n"
+
+
 SPIN_OPS = {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"}
 
 
@@ -522,6 +533,10 @@ SPIN_OPS = {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"}
     (2, {"A": ["sx"] * 3, "Aprime": ["sy"] * 3}, "multipartite",
      "need one operator name per factor (2 factors)"),
     (3, SPIN_OPS, "uffink", "condition 'uffink' is bipartite; state has 3 factors"),
+    # non-string names of other types, last so that the rows above keep their ids
+    (2, {**SPIN_OPS, "B": ["sy"]}, "uffink", "operator names must be strings, got ['sy']"),
+    (2, {**SPIN_OPS, "B": {"sy": 1}}, "uffink",
+     "operator names must be strings, got {'sy': 1}"),
 ])
 def test_witness_refuses_bad_operator_specs(capsys, tmp_path, parties, ops, condition, message):
     state = write_json(tmp_path, "state.json", {"family": "bell", "params": {"parties": parties}})
@@ -946,24 +961,46 @@ def test_psi2_results_equal_the_public_scan():
     assert handler_results("psi2", "--scan", "41") == {"scan": psi2_scan(41).to_json()}
 
 
-def test_witness_builds_each_operator_group_once(capsys, tmp_path, monkeypatch):
+def test_witness_builds_each_named_operator_once(capsys, tmp_path, monkeypatch):
     import entwit.operators
 
-    calls = []
-    original = entwit.operators.block_spin
+    built, blocks = [], []
+    build, block = entwit.operators.builtin_operator, entwit.operators._block_spin
 
-    def counting(dim):
-        calls.append(dim)
-        return original(dim)
+    def counting_build(name, dim):
+        built.append((name, dim))
+        return build(name, dim)
 
-    monkeypatch.setattr(entwit.operators, "block_spin", counting)
+    def counting_block(dim, name):
+        blocks.append(name)
+        return block(dim, name)
+
+    monkeypatch.setattr(entwit.operators, "builtin_operator", counting_build)
+    monkeypatch.setattr(entwit.operators, "_block_spin", counting_block)
     state = write_json(tmp_path, "state.json",
                        {"family": "squeezed", "params": {"lambda": 0.5}})
     ops = write_json(tmp_path, "ops.json", {"A": "blockx", "Aprime": "blocky",
                                             "B": "blockx", "Bprime": "blocky"})
     code, doc, _ = invoke(capsys, "witness", "--state", state, "--ops", ops,
                           "--condition", "variance_product")
-    assert code == 0 and calls == [doc["meta"]["cutoffs"]["state"]]
+    dim = doc["meta"]["cutoffs"]["state"]
+    assert code == 0 and built == [("blockx", dim), ("blocky", dim)]
+    assert blocks == ["blockx", "blocky"]  # the block Z is never built
+
+
+def test_block_spin_requests_hold_only_the_named_operators():
+    import tracemalloc
+
+    dim = 400
+    cli._builtin_operators([("blockx", 2)])  # imports outside the trace
+    tracemalloc.start()
+    try:
+        ops = cli._builtin_operators([("blockx", dim), ("blocky", dim)] * 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({id(op) for op in ops}) == 2 and ops[0] is ops[2]
+    assert peak < 3 * 16 * dim * dim
 
 
 def test_witness_resolves_the_squeezed_cutoff_once(capsys, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from entwit import (
     QuantumState,
     annihilation,
     block_spin,
+    builtin_operator,
     commutator,
     expectation,
     quadratures,
@@ -131,3 +132,32 @@ def test_block_spin_entries_are_exact(dim):
         want[2, lo, lo], want[2, hi, hi] = 1.0, -1.0
     for got, expected in zip(block_spin(dim), want):
         assert got.data.tobytes() == expected.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("dim", [2, 4, 7, 10])
+def test_builtin_operator_equals_its_factory_member(dim):
+    quad = quadratures(dim)
+    expected = {"x": quad.x, "p": quad.p}
+    if dim == 2:
+        expected.update(zip(("sx", "sy", "sz"), spin_ops()))
+    if dim % 2 == 0:
+        expected.update(zip(("blockx", "blocky"), block_spin(dim)))
+    for name, op in expected.items():
+        got = builtin_operator(name, dim)
+        assert got.dims == op.dims
+        assert got.data.tobytes() == op.data.tobytes()  # signed zeros included
+
+
+@pytest.mark.parametrize("name,dim,message", [
+    (["sy"], 2, "operator names must be strings, got ['sy']"),
+    ("sw", 2, "unknown builtin operator 'sw'; expected one of sx, sy, sz, x, p, blockx, blocky"),
+    ("blockz", 2, "unknown builtin operator 'blockz'"),
+    ("sz", 4, "operator 'sz' needs a two-level factor, got dimension 4"),
+    ("sx", 2.0, "'dim' must be an integer, got 2.0"),
+    ("x", 1, "annihilation needs dim >= 2, got 1"),
+    ("blockx", 3, "block_spin needs an even dim, got 3"),
+])
+def test_builtin_operator_refuses_bad_requests(name, dim, message):
+    with pytest.raises(ValueError) as err:
+        builtin_operator(name, dim)
+    assert str(err.value).startswith(message)

@@ -51,3 +51,18 @@ def test_counter_prints_each_module_and_the_total():
     modules = {path.name for path in (TOOL.parent.parent / "src" / "entwit").glob("*.py")}
     assert set(counts) == modules | {"total"}
     assert counts["total"] == sum(counts[name] for name in modules)
+
+
+def test_counter_takes_a_package_directory(tmp_path):
+    (tmp_path / "a.py").write_text(SAMPLE, encoding="utf-8")
+    (tmp_path / "b.py").write_text("x = 1\n\ny = [\n    2]\n", encoding="utf-8")
+    (tmp_path / "notes.txt").write_text("x = 1\n", encoding="utf-8")
+    out = subprocess.run([sys.executable, str(TOOL), str(tmp_path)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "     8  a.py\n     3  b.py\n    11  total\n"
+
+
+def test_counter_refuses_a_missing_directory(tmp_path):
+    done = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "missing")],
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "not a directory" in done.stderr

@@ -863,8 +863,10 @@ def test_conditions_with_a_factor_of_side_one_match_oracle(dims, kind):
 
 
 def test_fourth_moments_in_columns_of_one_match_dense_kron():
-    # 72 ensemble vectors of a (24, 3) density give 1728 rows of M v, so the
-    # columns of B's side are taken one at a time
+    # the A side of a (24, 3) density is the larger, so both passes take
+    # blocks of its rows, 4 at a time for its 72 ensemble vectors
+    # (_grid_blocks -> _blocks(24, 216)); blocks of one are covered by
+    # test_products_in_blocks_of_one_match_dense_kron
     from entwit.witnesses import _blocks, _fourth_moments
 
     gen = rng(43)

@@ -1,17 +1,19 @@
-"""Count the code lines of each ``src/entwit`` module and their total.
+"""Count the code lines of each module of a package and their total.
 
 A code line holds a token.  Docstrings (of a module, class or function),
 comments and blank lines are not code; neither is a line that holds only
 the end of a statement or an indentation change.  A string literal that is
 not a docstring counts every line it spans.  Uses the standard library only.
 
-Run from the repository root, or anywhere::
+Run from the repository root, or anywhere; the package directory defaults
+to ``src/entwit``::
 
-    python tools/src_lines.py
+    python tools/src_lines.py [PACKAGE_DIR]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -46,9 +48,15 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="Count the code lines of each module.")
+    parser.add_argument("package", nargs="?", type=Path, default=PACKAGE,
+                        help="package directory (default: src/entwit)")
+    package = parser.parse_args(argv).package
+    if not package.is_dir():
+        parser.error(f"not a directory: {package}")
     total = 0
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         count = code_lines(path.read_text(encoding="utf-8"))
         total += count
         print(f"{count:6d}  {path.name}")
