@@ -6,10 +6,19 @@ The package splits into small layers:
 - :mod:`entwit.hilbert` — matrices, states, moments and variances;
 - :mod:`entwit.operators` — ladder/quadrature, spin and paired-level spin
   operators;
-- :mod:`entwit.states` — the state families under study and a declarative
-  :class:`~entwit.states.StateSpec`;
-- :mod:`entwit.witnesses` — the entanglement conditions themselves, each
-  returning a :class:`~entwit.witnesses.WitnessReport`;
+- :mod:`entwit.families` — the declarative state spec and the checks of
+  the families' parameters, with no numpy;
+- :mod:`entwit.states` — the state families under study, built dense, and
+  :func:`~entwit.states.build_state` for a
+  :class:`~entwit.families.StateSpec`;
+- :mod:`entwit.conditions` — the conditions' arithmetic on a table of
+  moments, with no numpy, returning a
+  :class:`~entwit.conditions.WitnessReport`;
+- :mod:`entwit.witnesses` — the entanglement conditions on dense states:
+  the moment table, then that arithmetic;
+- :mod:`entwit.pauli` — the spin families on sparse amplitudes with
+  Pauli-string operators, which the command line evaluates exactly with no
+  numpy;
 - :mod:`entwit.optimize` — the truncated quadratic-form matrix, its minimal
   eigenvalue by Sturm bisection, and scans over the small families;
 - :mod:`entwit.polyid` — exact rational polynomial algebra behind the

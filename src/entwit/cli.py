@@ -12,6 +12,14 @@ byte-identical documents.  The document is streamed: it is rounded and
 written piece by piece, with the bytes ``json.dumps(..., indent=2)`` would
 give, so a long scan is never held as one string.
 
+A run on a spin family (``bell``, ``schmidt``, and ``witness`` on those
+families) whose op spec names only ``sx``, ``sy`` and ``sz`` is evaluated
+exactly on sparse amplitudes with Pauli-string operators (``pauli``), with
+no ``2^n`` vector and no numpy; every other run, and the library API, is
+dense.  Both go through the same checks of the state spec and the op spec
+and the same condition arithmetic (``conditions``), which each handler
+imports when it runs, so ``import entwit.cli`` loads neither.
+
 :func:`main`, the one exit path of the ``entwit`` script, ``python -m
 entwit`` and ``python -m entwit.cli``, calls :func:`gc.freeze` after
 :func:`run` has returned, so the full collections of the interpreter's
@@ -34,8 +42,8 @@ from . import __version__
 from .config import _IDENTITY_ROWS, DEFAULT, _as_unit
 
 if TYPE_CHECKING:
+    from .families import StateSpec
     from .hilbert import ComplexMatrix, QuantumState
-    from .states import StateSpec
 
 __all__ = ["run", "main"]
 
@@ -159,17 +167,41 @@ def _run_psi2(args) -> tuple[dict, dict, dict]:
 
 def _evaluate_spec(spec: StateSpec, condition: str, ops: Any) -> tuple[dict, dict]:
     """``{"report": ...}`` for ``condition`` on the state of ``spec``, and the
-    resolved cutoffs: a Fock state's cutoff is the side of each mode."""
-    from .states import _SPIN_FAMILIES
+    resolved cutoffs: a Fock state's cutoff is the side of each mode.
 
-    state = spec.build()
-    cutoffs = {} if spec.family in _SPIN_FAMILIES else {"state": state.dims[0]}
-    return {"report": _evaluate(condition, ops, state).to_json()}, cutoffs
+    Once its parameter names pass, a spin family whose op spec names only
+    ``sx``, ``sy`` and ``sz`` is evaluated on sparse amplitudes (``pauli``);
+    any other run is evaluated on the dense state."""
+    from .families import _SPIN_FAMILIES, _check_spec
+
+    if spec.family not in _SPIN_FAMILIES:
+        state = spec.build()
+        return {"report": _evaluate(condition, ops, state).to_json()}, {"state": state.dims[0]}
+    from . import pauli
+
+    _check_spec(spec)
+    spins = _spins_only(condition, ops, pauli.SPINS)
+    state = pauli.spin_state(spec) if spins else spec.build()
+    return {"report": _evaluate(condition, ops, state, spins).to_json()}, {}
+
+
+def _spins_only(condition: str, ops: Any, spins: Mapping) -> bool:
+    """Whether ``ops`` is a mapping whose every operator field for
+    ``condition`` (a list of names for ``multipartite``) holds only names of
+    ``spins``; anything else takes the dense path, which reports it."""
+    if not isinstance(ops, Mapping):
+        return False
+    for field in _CONDITIONS[condition]:
+        value = ops.get(field)
+        listed = value if condition == "multipartite" and isinstance(value, list) else [value]
+        if field != "n" and not all(isinstance(name, str) and name in spins for name in listed):
+            return False
+    return True
 
 
 def _run_mixture(args) -> tuple[dict, dict, dict]:
+    from .families import StateSpec
     from .optimize import quadratic_form
-    from .states import StateSpec
 
     spec = StateSpec("vacuum_mixture", {"p": args.p, "c": args.coeffs}, args.cutoff)
     results, cutoffs = _evaluate_spec(spec, "variance_product",
@@ -182,7 +214,7 @@ def _run_mixture(args) -> tuple[dict, dict, dict]:
 
 
 def _run_squeezed(args) -> tuple[dict, dict, dict]:
-    from .states import StateSpec
+    from .families import StateSpec
 
     spec = StateSpec("squeezed", {"lambda": args.lam}, args.cutoff)
     results, cutoffs = _evaluate_spec(spec, "variance_product", {
@@ -196,11 +228,14 @@ def _run_squeezed(args) -> tuple[dict, dict, dict]:
 
 
 def _run_bell(args) -> tuple[dict, dict, dict]:
-    from .states import StateSpec
+    from .families import StateSpec
 
     inputs: dict[str, Any] = {"parties": args.parties, "condition": args.condition}
     condition, ops = args.condition, {"A": "sx", "Aprime": "sy", "B": "sx", "Bprime": "sy"}
     if condition == "variance":
+        from .conditions import _bound_divisor
+
+        _bound_divisor(args.parties)  # a bound out of range is refused before the op lists
         condition = "multipartite"
         ops = {"A": ["sx"] * args.parties, "Aprime": ["sy"] * args.parties}
     elif condition == "ramanujan":
@@ -209,7 +244,7 @@ def _run_bell(args) -> tuple[dict, dict, dict]:
 
 
 def _run_schmidt(args) -> tuple[dict, dict, dict]:
-    from .witnesses import schmidt_optimal_witness
+    from .pauli import schmidt_optimal_witness
 
     *_, report = schmidt_optimal_witness(args.alpha, args.beta)
     inputs = {"alpha": [args.alpha.real, args.alpha.imag],
@@ -261,10 +296,19 @@ def _builtin_operators(requests: list[tuple[Any, int]]) -> list[ComplexMatrix]:
     return out
 
 
-def _evaluate(condition: str, ops: Any, state: QuantumState):
-    """``condition`` on ``state`` with the builtin operators the op spec names."""
-    from . import witnesses
+def _evaluate(condition: str, ops: Any, state: QuantumState, spins: bool = False):
+    """``condition`` on ``state`` with the builtin operators the op spec names:
+    dense matrices through ``witnesses``, or, with ``spins``, Pauli terms on
+    a sparse spin-family state through ``pauli``, which has the same
+    conditions by name."""
+    if spins:
+        from . import pauli as lib
 
+        build = lib.spin_operators
+    else:
+        from . import witnesses as lib
+
+        build = _builtin_operators
     if not isinstance(ops, Mapping):
         raise ValueError("operator spec must be a JSON object")
     allowed = set(_CONDITIONS[condition])
@@ -283,22 +327,22 @@ def _evaluate(condition: str, ops: Any, state: QuantumState):
         if len(names) != len(state.dims) or len(primed) != len(state.dims):
             raise ValueError(f"need one operator name per factor "
                              f"({len(state.dims)} factors)")
-        built = _builtin_operators([*zip(names, state.dims), *zip(primed, state.dims)])
-        return witnesses.multipartite(built[:len(names)], built[len(names):], state)
+        built = build([*zip(names, state.dims), *zip(primed, state.dims)])
+        return lib.multipartite(built[:len(names)], built[len(names):], state)
 
     if len(state.dims) != 2:
         raise ValueError(f"condition {condition!r} is bipartite; "
                          f"state has {len(state.dims)} factors")
     dim_a, dim_b = state.dims
-    quadruple = _builtin_operators([(ops["A"], dim_a), (ops["Aprime"], dim_a),
-                                    (ops["B"], dim_b), (ops["Bprime"], dim_b)])
+    quadruple = build([(ops["A"], dim_a), (ops["Aprime"], dim_a),
+                       (ops["B"], dim_b), (ops["Bprime"], dim_b)])
     if condition == "ramanujan":
-        return witnesses.ramanujan_witness(*quadruple, state, ops.get("n", 2))
-    return getattr(witnesses, condition)(*quadruple, state)
+        return lib.ramanujan_witness(*quadruple, state, ops.get("n", 2))
+    return getattr(lib, condition)(*quadruple, state)
 
 
 def _run_witness(args) -> tuple[dict, dict, dict]:
-    from .states import StateSpec
+    from .families import StateSpec
 
     with open(args.state, encoding="utf-8") as handle:
         spec = StateSpec.from_json(json.load(handle))

@@ -12,12 +12,13 @@ Every integer parameter of the library (a dimension, a cutoff, a truncation
 order, a grid size, an exponent) goes through :func:`_as_int`, and every
 real one through :func:`_as_real`; a weight in [0, 1] goes through
 :func:`_as_unit` and a squeezing parameter through :func:`_as_squeezing`,
-so each rule and its message are stated once.  :func:`_refuse_oversize`
-refuses a request too large for memory; none of them imports numpy.
+so each rule and its message are stated once (``families`` states those of
+the state families).  :func:`_refuse_oversize` refuses a request too large
+for memory; none of them imports numpy.
 
 ``_IDENTITY_ROWS`` is data, not a setting: each builtin identity
 ``sum_k (L_k . x)^n = sum_k (R_k . x)^n`` as its left and right rows, stated
-once for the ``polyid`` proof and the ``witnesses`` evaluation.
+once for the ``polyid`` proof and the ``conditions`` evaluation.
 """
 
 from __future__ import annotations

@@ -25,6 +25,10 @@ Conventions
   factor's output is the next one's input, and a block of a factor's rows
   applies the same way as the whole factor.  ``kron`` builds the dense
   lifted matrix and serves as the reference the tests compare against.
+  This dense ensemble is also the oracle of the one other representation,
+  the sparse spin families of ``pauli``, which the command line uses for
+  ``bell`` and ``schmidt`` with spin operators; both feed the same
+  condition arithmetic (``conditions``).
 * State constructors refuse, before allocating, any state that would take,
   with the working copies a condition makes of it, more than half of the
   machine's physical memory.
@@ -33,8 +37,9 @@ Conventions
   an array its caller hands in, but owns without a copy the fresh array of
   an operation (``+ - @ *``, :func:`kron`, :func:`commutator`,
   :attr:`QuantumState.density`) or of an operator factory.  It
-  computes its largest entry at construction, which doubles as the
-  finiteness check, and its Hermiticity defect once, on first use.  A state
+  computes its largest entry at construction, a block of rows at a time,
+  which doubles as the finiteness check, and its Hermiticity defect once,
+  on first use.  A state
   holds only its own data and is never written after construction; it
   takes weak references, so a cache may key on it without keeping it alive.
 """
@@ -48,6 +53,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from .conditions import _clamped_variance
 from .config import DEFAULT, _Frozen, _as_int, _as_real, _refuse_oversize
 
 Array = np.ndarray
@@ -103,15 +109,22 @@ class ComplexMatrix(_Frozen):
         arr = data if _owned else np.array(data, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"matrix must be square, got shape {arr.shape}")
-        resolved = (arr.shape[0],) if dims is None else _as_dims(dims)
+        resolved = _as_dims((arr.shape[0],) if dims is None else dims)
         if math.prod(resolved) != arr.shape[0]:
             raise ValueError(
                 f"dims {resolved} have product {math.prod(resolved)}, "
                 f"but the matrix side is {arr.shape[0]}"
             )
-        # a NaN or an infinity carries through the max; a finite entry whose
-        # modulus overflows (1.5e308+1.5e308j) does not fail the check below
-        peak = float(np.abs(arr).max())
+        # the largest modulus a block of rows at a time, so no temporary of the
+        # matrix's size is formed; a NaN or an infinity carries through each
+        # block's max, and a NaN block, once met, stays the peak (Python's max
+        # would drop a NaN that is not first); a finite entry whose modulus
+        # overflows (1.5e308+1.5e308j) does not fail the check below
+        peak = 0.0
+        for rows in _blocks(arr.shape[0], arr.shape[0]):
+            block = float(np.abs(arr[rows]).max())
+            if block > peak or block != block:
+                peak = block
         if not math.isfinite(peak) and not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
         arr.setflags(write=False)
@@ -312,17 +325,6 @@ def _require_hermitian(factors: Sequence[ComplexMatrix], label: str) -> None:
     if bound > DEFAULT.hermitian:
         raise ValueError(f"operator {label} is not Hermitian "
                          f"({what} {bound:.3e})")
-
-
-def _clamped_variance(second: float, mean: float) -> float:
-    """``second - mean**2``, with round-off below zero (above
-    ``-DEFAULT.variance_clamp``) clamped to zero and anything lower rejected."""
-    var = second - mean * mean
-    if var < 0.0:
-        if var < -DEFAULT.variance_clamp:
-            raise ValueError(f"variance {var:.3e} is negative beyond round-off")
-        var = 0.0
-    return var
 
 
 def _lifted_variance(factors: Sequence[ComplexMatrix], s: QuantumState,

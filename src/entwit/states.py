@@ -12,18 +12,20 @@ schmidt         two-qubit alpha|00> + beta|11>
 Each constructor checks every parameter it takes, ``cutoff`` and ``alpha``/
 ``beta`` included (a wrong type is refused with a ValueError naming it, not
 cast), then builds its state once, with the bare ``QuantumState`` constructor.
+The checks of the spin families' parameters and of a spec's parameter names,
+and :class:`StateSpec` itself, live in ``families``, which imports no numpy,
+so the sparse spin families of ``pauli`` share them.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import (DEFAULT, _Record, _as_int, _as_real, _as_squeezing, _as_unit,
-                     _refuse_oversize)
+from .config import DEFAULT, _as_int, _as_squeezing, _as_unit, _refuse_oversize
+from .families import StateSpec, _as_parties, _as_schmidt, _check_spec
 from .hilbert import QuantumState, _as_reals, mix
 
 __all__ = [
@@ -113,9 +115,7 @@ def squeezed_vacuum(lam: float, cutoff: int | None = None) -> QuantumState:
 
 def bell(n: int) -> QuantumState:
     """n-party state (|0...0> + |1...1>)/sqrt(2) on dims [2]*n."""
-    n = _as_int(n, "parties")
-    if n < 2:
-        raise ValueError(f"bell needs at least 2 parties, got {n}")
+    n = _as_parties(n)
     _refuse_oversize(16 * 2**n, f"a {n}-party pure state")
     amps = np.zeros((1, 2**n), dtype=np.complex128)
     amps[0, 0] = amps[0, -1] = 1.0 / math.sqrt(2.0)
@@ -124,12 +124,7 @@ def bell(n: int) -> QuantumState:
 
 def schmidt_pair(alpha: complex, beta: complex) -> QuantumState:
     """Two-qubit pure state alpha|00> + beta|11> (computational-basis Schmidt form)."""
-    alpha = _as_complex(alpha, "alpha")
-    beta = _as_complex(beta, "beta")
-    norm2 = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(norm2 - 1.0) > DEFAULT.state_norm:
-        raise ValueError(f"|alpha|^2 + |beta|^2 is {norm2!r}, not 1 within {DEFAULT.state_norm}")
-    return _paired(2, [alpha, beta], 1)
+    return _paired(2, _as_schmidt(alpha, beta), 1)
 
 
 def _paired(D: int, values: Sequence[complex], step: int) -> QuantumState:
@@ -139,87 +134,27 @@ def _paired(D: int, values: Sequence[complex], step: int) -> QuantumState:
     return QuantumState("pure", (D, D), np.ones(1), amps)
 
 
-def _as_complex(value: Any, name: str) -> complex:
-    """``value`` as a finite complex: a real checked by :func:`_as_real`, a
-    Python or numpy complex, or a [re, im] pair of reals."""
-    if isinstance(value, numbers.Real):
-        return complex(_as_real(value, name))
-    if isinstance(value, numbers.Complex):
-        value = (value.real, value.imag)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(_as_real(value[0], name), _as_real(value[1], name))
-    raise ValueError(f"parameter {name!r} must be a real number or a [re, im] pair")
-
-
-class StateSpec(_Record):
-    """Declarative state description with the canonical JSON encoding
-    ``{"family": ..., "params": {...}, "cutoff": D}``."""
-
-    __slots__ = __match_args__ = ("family", "params", "cutoff")
-
-    def __init__(self, family: str, params: Mapping[str, Any] | None = None,
-                 cutoff: int | None = None):
-        if not isinstance(family, str) or family not in _FAMILIES:
-            raise ValueError(f"unknown state family {family!r}; "
-                             f"expected one of {', '.join(_FAMILIES)}")
-        if params is not None and not isinstance(params, Mapping):
-            raise ValueError(f"state params must be a mapping, got {params!r}")
-        self._init(family, {} if params is None else dict(params),
-                   None if cutoff is None else _as_int(cutoff, "cutoff"))
-
-    @classmethod
-    def from_json(cls, obj: Mapping[str, Any]) -> "StateSpec":
-        if not isinstance(obj, Mapping):
-            raise ValueError("state spec must be a JSON object")
-        unknown = set(obj) - {"family", "params", "cutoff"}
-        if unknown:
-            raise ValueError(f"state spec has unknown fields {sorted(unknown)}")
-        if "family" not in obj:
-            raise ValueError("state spec requires a 'family' field")
-        return cls(obj["family"], obj.get("params", {}), obj.get("cutoff"))
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"family": self.family, "params": dict(self.params)}
-        if self.cutoff is not None:
-            out["cutoff"] = self.cutoff
-        return out
-
-    def build(self) -> QuantumState:
-        return build_state(self)
-
-
-# The families without a Fock cutoff.
-_SPIN_FAMILIES = frozenset({"bell", "schmidt"})
-
-
 def _psi2_coeffs(c0: float) -> list[float]:
     c0 = _as_unit(c0, "c0", "psi2 coefficient c0")
     return [c0, math.sqrt(max(0.0, 1.0 - c0 * c0))]
 
 
-# family -> (parameter names, constructor of (params, cutoff)); the spin
-# families take no cutoff (build_state refuses one).  Each lambda looks its
-# constructor up when called, so a wrapped or patched module function is
-# the one that runs.
-_FAMILIES: dict[str, tuple[set[str], Callable[..., QuantumState]]] = {
-    "fock_pair": ({"c"}, lambda p, D: fock_pair_superposition(p["c"], D)),
-    "psi2": ({"c0"}, lambda p, D: fock_pair_superposition(_psi2_coeffs(p["c0"]), D)),
-    "vacuum_mixture": ({"p", "c"}, lambda p, D: vacuum_mixture(p["p"], p["c"], D)),
-    "squeezed": ({"lambda"}, lambda p, D: squeezed_vacuum(p["lambda"], D)),
-    "bell": ({"parties"}, lambda p, D: bell(p["parties"])),
-    "schmidt": ({"alpha", "beta"}, lambda p, D: schmidt_pair(p["alpha"], p["beta"])),
+# family -> constructor of (params, cutoff), in the order of
+# ``families._FAMILY_PARAMS``; the spin families take no cutoff (build_state
+# refuses one).  Each lambda looks its constructor up when called, so a
+# wrapped or patched module function is the one that runs.
+_FAMILIES: dict[str, Callable[..., QuantumState]] = {
+    "fock_pair": lambda p, D: fock_pair_superposition(p["c"], D),
+    "psi2": lambda p, D: fock_pair_superposition(_psi2_coeffs(p["c0"]), D),
+    "vacuum_mixture": lambda p, D: vacuum_mixture(p["p"], p["c"], D),
+    "squeezed": lambda p, D: squeezed_vacuum(p["lambda"], D),
+    "bell": lambda p, D: bell(p["parties"]),
+    "schmidt": lambda p, D: schmidt_pair(p["alpha"], p["beta"]),
 }
 
 
 def build_state(spec: StateSpec) -> QuantumState:
-    """Construct the QuantumState described by ``spec``."""
-    required, construct = _FAMILIES[spec.family]
-    missing = required - set(spec.params)
-    extra = set(spec.params) - required
-    if missing:
-        raise ValueError(f"family {spec.family!r} is missing parameters {sorted(missing)}")
-    if extra:
-        raise ValueError(f"family {spec.family!r} does not take parameters {sorted(extra)}")
-    if spec.family in _SPIN_FAMILIES and spec.cutoff is not None:
-        raise ValueError(f"family {spec.family!r} has no Fock cutoff, got {spec.cutoff}")
-    return construct(spec.params, spec.cutoff)
+    """Construct the QuantumState described by ``spec``, once its parameter
+    names pass ``families._check_spec``."""
+    _check_spec(spec)
+    return _FAMILIES[spec.family](spec.params, spec.cutoff)

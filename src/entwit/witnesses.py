@@ -1,61 +1,46 @@
-"""Entanglement conditions built from variances of tensor-lifted products.
+"""Entanglement conditions on dense states: the moment table, then the arithmetic.
 
-Every condition here is an inequality satisfied by all separable states;
-its violation certifies entanglement.  Reports normalize both inequality
-orientations into a single ``delta`` with the convention that positive
-``delta`` means violation:
+Every public condition here is "table, then that function": the moments of
+the quadruple on the state, formed by the dense kernel below, and the
+function of the same name in ``conditions`` (numpy-free, and shared with the
+sparse spin families of ``pauli``), which turns them into a
+:class:`~entwit.conditions.WitnessReport` (see ``conditions`` for the
+``delta`` convention and the two families of conditions).
 
-* conditions of the form ``lhs >= rhs`` use ``delta = rhs - lhs``;
-* conditions of the form ``lhs <= rhs`` use ``delta = lhs - rhs``.
-
-The ratio ``V = rhs / lhs`` is reported only for the variance-product
-condition and its multipartite generalization, and is omitted when the
-variance product underflows the ratio guard (the ``lhs = 0 < rhs`` case is
-still flagged violated).
-
-Each bipartite condition is scalar arithmetic on one moment table: the means
-of the four lifted products ``A_i (x) B_j`` and their Gram matrix, from four
-products on the state.  One kernel, :func:`_products`, applies the four
-products a block of the larger side at a time (:func:`_grid_blocks`), for
-the table and for the fourth moments alike, so the table forms no array of
-the state's size, whatever the two sides are.  Every product of an operator
-factor with the state, or with an array derived from it, goes through
+The table of a bipartite condition holds the means of the four lifted
+products ``A_i (x) B_j`` and their Gram matrix, from four products on the
+state.  One kernel, :func:`_products`, applies the four products a block of
+the larger side at a time (:func:`_grid_blocks`), for the table and for the
+fourth moments alike, so the table forms no array of the state's size,
+whatever the two sides are.  Every product of an operator factor with the
+state, or with an array derived from it, goes through
 ``hilbert._apply_factor``, here as in ``expectation``, ``variance`` and
-:func:`multipartite`.  This
-module keeps, for each live state, the table of the last quadruple evaluated
-on it (``_TABLES``, keyed weakly by the state, so an entry goes with its
-state), and every condition on the same quadruple and state reads that one
-table.  It holds the four operators, the four means and second moments and
-the 4x4 Gram matrix, and no array of the state's size.  The table assumes
-all four lifted products Hermitian, so a quadruple's four operators and four
+:func:`multipartite`.  This module keeps, for each live state, the table of
+the last quadruple evaluated on it (``_TABLES``, keyed weakly by the state,
+so an entry goes with its state), and every condition on the same quadruple
+and state reads that one table.  It holds the four operators, the four
+means and second moments and the 4x4 Gram matrix as rows of Python complex
+numbers, and no array of the state's size.  The table assumes all four
+lifted products Hermitian, so a quadruple's four operators and four
 products are checked once, when its table is built; a later call that finds
 the table, on the same immutable operators, checks nothing.
-
-The bipartite conditions come in two families, and each reads the table
-through one private reader: the uncertainty conditions (``variance_product``,
-``variance_sum``, ``four_variance``) through :func:`_uncertainty`, which
-returns the products' means and clamped variances and the mean of
-``[A,A'] (x) [B,B']``, and the power-sum conditions (``ramanujan_witness``,
-``uffink``) through :func:`_identity_terms`.  The bound ``sigma * sigma' >=
-rhs`` that ``variance_product`` and :func:`multipartite` share, with its
-ratio guard, is :func:`_product_report`.
 """
 
 from __future__ import annotations
 
-import math
 import weakref
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .config import _IDENTITY_ROWS, DEFAULT, _Record, _as_int
+from . import conditions
+from .conditions import WitnessReport
+from .families import _schmidt_angles
 from .hilbert import (
     ComplexMatrix,
     QuantumState,
     _apply_factor,
     _blocks,
-    _clamped_variance,
     _lifted_moments,
     _lifted_variance,
     _require_hermitian,
@@ -74,33 +59,6 @@ __all__ = [
     "heisenberg_floor",
     "schmidt_optimal_witness",
 ]
-
-
-class WitnessReport(_Record):
-    """Evaluation record of one condition.
-
-    ``details`` holds every single-product expectation (and second moment)
-    that entered the evaluation, so lhs/rhs can be recomputed independently.
-    """
-
-    __slots__ = __match_args__ = ("name", "lhs", "rhs", "delta", "V", "violated", "details")
-
-    def __init__(self, name: str, lhs: float, rhs: float, delta: float, V: float | None,
-                 violated: bool, details: dict[str, float] | None = None):
-        self._init(name, lhs, rhs, delta, V, violated, {} if details is None else details)
-
-    def to_json(self) -> dict[str, Any]:
-        """The fields by name, ``details`` as a copy."""
-        out = dict(zip(self.__match_args__, self._values()))
-        out["details"] = dict(self.details)
-        return out
-
-
-def _make_report(name: str, lhs: float, rhs: float, *, leq: bool,
-                 V: float | None, details: dict[str, float]) -> WitnessReport:
-    delta = (lhs - rhs) if leq else (rhs - lhs)
-    return WitnessReport(name=name, lhs=float(lhs), rhs=float(rhs), delta=float(delta),
-                         V=V, violated=bool(delta > DEFAULT.violation), details=details)
 
 
 _LABELS = ("A", "A'", "B", "B'")
@@ -167,10 +125,10 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
     applied to the state a block of :func:`_grid_blocks` at a time.
 
     Validates the quadruple (:func:`_check_quadruple`).  Returns the means
-    and the second moments as tuples and the read-only Gram matrix
-    ``G[p, q] = sum_r w_r <P_p v_r|P_q v_r>``.  As every
-    factor is Hermitian, ``<P_p P_q> = G[p, q]``; :func:`_uncertainty`
-    reads ``<[A,A'] (x) [B,B']>`` off it that way.
+    and the second moments as tuples and the Gram matrix ``G[p, q] =
+    sum_r w_r <P_p v_r|P_q v_r>`` as an array.  As every factor is
+    Hermitian, ``<P_p P_q> = G[p, q]``; ``conditions._uncertainty`` reads
+    ``<[A,A'] (x) [B,B']>`` off it that way.
     """
     _check_quadruple(A, Ap, B, Bp, s)
     V, w, H = s.vectors.reshape(-1, A.side, B.side), s.weights[:, None, None], 0.0
@@ -179,7 +137,6 @@ def _moment_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
         Y = np.concatenate((_products(A, Ap, B, Bp, s.vectors, block), V[None][(..., *block)]))
         H = H + (Y.conj() * w).reshape(5, -1) @ Y.reshape(5, -1).T
     G = H[:4, :4]
-    G.setflags(write=False)  # a stored table is shared with every later caller
     return tuple(H[:4, 4].real.tolist()), tuple(G.diagonal().real.tolist()), G
 
 
@@ -190,7 +147,8 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _shared_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
                   s: QuantumState) -> tuple:
-    """The means, second moments and Gram matrix of :func:`_moment_table`,
+    """The table ``(means, second, G)`` of ``conditions`` from
+    :func:`_moment_table`, with ``G`` as rows of Python complex numbers,
     computed once per quadruple and state: ``_TABLES`` keeps each live
     state's last table, keyed by the identity of the four operators (an equal
     but distinct operator recomputes).  A miss validates the quadruple in
@@ -201,54 +159,21 @@ def _shared_table(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: Com
             and entry[3] is Bp):
         return entry[4:]
     means, second, G = _moment_table(A, Ap, B, Bp, s)
+    G = tuple(map(tuple, G.tolist()))  # a stored table is shared with every later caller
     _TABLES[s] = (A, Ap, B, Bp, means, second, G)
     return means, second, G
-
-
-_PRODUCTS = ("AB", "ABp", "ApB", "ApBp")  # the labels of P_0 .. P_3
-
-
-def _uncertainty(A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix, Bp: ComplexMatrix,
-                 s: QuantumState, products: Sequence[int]) -> tuple[dict, dict, dict, float]:
-    """The uncertainty family's reading of the shared table: the means, the
-    second moments and the clamped variances of the lifted products
-    ``P_p``, ``p`` in ``products`` (clamped in that order), keyed ``m_``,
-    ``s_`` and ``var_`` plus the label in ``_PRODUCTS``, and ``<[A,A'] (x)
-    [B,B']>``, whose four terms ``P_0 P_3 - P_1 P_2 - P_2 P_1 + P_3 P_0``
-    pair into conjugate entries of ``G``."""
-    means, second, G = _shared_table(A, Ap, B, Bp, s)
-    m, sq, var = {}, {}, {}
-    for p in products:  # a loop, as each comprehension would be one more call
-        label = _PRODUCTS[p]
-        m["m_" + label], sq["s_" + label] = means[p], second[p]
-        var["var_" + label] = _clamped_variance(second[p], means[p])
-    return m, sq, var, float(2.0 * (G[0, 3] - G[1, 2]).real)
-
-
-def _product_report(name: str, var: float, var_p: float, rhs: float,
-                    details: dict[str, float]) -> WitnessReport:
-    """The report of ``sigma * sigma' >= rhs`` from the two variances, with
-    ``V = rhs / lhs`` unless ``lhs`` is below the ratio guard."""
-    lhs = math.sqrt(var) * math.sqrt(var_p)
-    V = None if lhs < DEFAULT.ratio_guard else rhs / lhs
-    return _make_report(name, lhs, rhs, leq=False, V=V, details=details)
 
 
 def variance_product(A: ComplexMatrix, Ap: ComplexMatrix,
                      B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Product condition: sigma_AB * sigma_A'B' >= (1/4)|<[A,A'] (x) [B,B']>|."""
-    m, sq, var, m_comm = _uncertainty(A, Ap, B, Bp, s, (0, 3))
-    return _product_report("variance_product", *var.values(), 0.25 * abs(m_comm),
-                           {**m, **sq, **var, "m_comm": m_comm})
+    return conditions.variance_product(_shared_table(A, Ap, B, Bp, s))
 
 
 def variance_sum(A: ComplexMatrix, Ap: ComplexMatrix,
                  B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState) -> WitnessReport:
     """Sum condition: sigma²_AB + sigma²_A'B' >= (1/2)|<[A,A'] (x) [B,B']>|."""
-    m, _, var, m_comm = _uncertainty(A, Ap, B, Bp, s, (0, 3))
-    var_ab, var_apbp = var.values()
-    return _make_report("variance_sum", var_ab + var_apbp, 0.5 * abs(m_comm), leq=False,
-                        V=None, details={**m, **var, "m_comm": m_comm})
+    return conditions.variance_sum(_shared_table(A, Ap, B, Bp, s))
 
 
 def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
@@ -256,7 +181,8 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
     """n-party product condition with the commutator bound scaled by 1/2^n.
 
     Operator k of each list acts on factor k of the state; reduces to
-    :func:`variance_product` at n = 2.
+    :func:`variance_product` at n = 2.  A count of parties whose ``2^n``
+    overflows a float is refused (``conditions.multipartite``).
     """
     n = len(As)
     if n < 2:
@@ -275,10 +201,7 @@ def multipartite(As: Sequence[ComplexMatrix], Aps: Sequence[ComplexMatrix],
     m_prod_p, var_prod_p = _lifted_variance(Aps, s, f"A'_0 (x) ... (x) A'_{n - 1}")
     m_comm = _lifted_moments([Ak.data @ Apk.data - Apk.data @ Ak.data
                               for Ak, Apk in zip(As, Aps)], s)[0].real
-    details = {"m_A1..An": m_prod, "m_Ap1..Apn": m_prod_p,
-               "var_A1..An": var_prod, "var_Ap1..Apn": var_prod_p,
-               "m_comm": m_comm, "n_parties": float(n)}
-    return _product_report("multipartite", var_prod, var_prod_p, abs(m_comm) / 2.0**n, details)
+    return conditions.multipartite(n, m_prod, var_prod, m_prod_p, var_prod_p, m_comm)
 
 
 def _fourth_moments(rows: Sequence[Sequence[float]], A: ComplexMatrix, Ap: ComplexMatrix,
@@ -300,31 +223,6 @@ def _fourth_moments(rows: Sequence[Sequence[float]], A: ComplexMatrix, Ap: Compl
     return total.tolist()
 
 
-# The right rows of each identity as coefficients c_p of P_p, for c^T G c.
-_RIGHT_COEFFS = {name: np.array(rows[1], dtype=float) for name, rows in _IDENTITY_ROWS.items()}
-
-
-def _identity_terms(name: str, n: int, A: ComplexMatrix, Ap: ComplexMatrix, B: ComplexMatrix,
-                    Bp: ComplexMatrix, s: QuantumState) -> tuple[dict, float, list[float]]:
-    """The identity ``config._IDENTITY_ROWS[name]`` on the lifted products
-    ``P``: the four means as ``details``, ``sum_k <L_k . P>^n`` over the left
-    rows, and ``<(R_k . P)^n>`` for each right row (``c^T G c`` at n = 2,
-    :func:`_fourth_moments` at n = 4)."""
-    means, _, G = _shared_table(A, Ap, B, Bp, s)
-    left, right = _IDENTITY_ROWS[name][0], _RIGHT_COEFFS[name]
-    lhs = 0.0
-    for row in left:  # each form summed left to right, as displayed
-        form = 0.0
-        for c, m in zip(row, means):
-            form += c * m
-        lhs += form ** n
-    if n == 2:  # <M^2> = ||M psi||^2 = c^T G c
-        powers = ((right @ G) * right).sum(axis=1).real.tolist()
-    else:
-        powers = _fourth_moments(right, A, Ap, B, Bp, s)
-    return {f"m_{label}": m for label, m in zip(_PRODUCTS, means)}, lhs, powers
-
-
 def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
                       B: ComplexMatrix, Bp: ComplexMatrix, s: QuantumState,
                       n: int) -> WitnessReport:
@@ -333,18 +231,12 @@ def ramanujan_witness(A: ComplexMatrix, Ap: ComplexMatrix,
     <AB + AB' + A'B>^n + <AB' + A'B + A'B'>^n + <AB - A'B'>^n
         <= <(AB' - A'B)^n> + <(AB + A'B + A'B')^n> + <(AB + AB' + A'B')^n>
 
-    with all products tensor-lifted: the rows ``config._IDENTITY_ROWS
-    ["ramanujan"]``, whose scalar identity ``polyid`` proves exact for these
-    two exponents.
+    with all products tensor-lifted: ``conditions.ramanujan``, whose
+    fourth moments at n = 4 come from :func:`_fourth_moments`.
     """
-    n = _as_int(n, "n")
-    if n not in (2, 4):
-        raise ValueError(f"power-sum condition is only available for n in {{2, 4}}, got {n}")
-    details, lhs, (pow1, pow2, pow3) = _identity_terms("ramanujan", n, A, Ap, B, Bp, s)
-    details.update({f"pow{n}_ABp_minus_ApB": pow1, f"pow{n}_ApB_plus_ApBp_plus_AB": pow2,
-                    f"pow{n}_ApBp_plus_AB_plus_ABp": pow3})
-    return _make_report(f"ramanujan_{n}", lhs, pow1 + pow2 + pow3, leq=True, V=None,
-                        details=details)
+    n = conditions._exponent(n)
+    return conditions.ramanujan(_shared_table(A, Ap, B, Bp, s), n,
+                                lambda rows: _fourth_moments(rows, A, Ap, B, Bp, s))
 
 
 def uffink(A: ComplexMatrix, Ap: ComplexMatrix,
@@ -352,9 +244,7 @@ def uffink(A: ComplexMatrix, Ap: ComplexMatrix,
     """Quadratic condition <AB - A'B'>² + <AB' + A'B>² <= <(A² + A'²)(x)(B² + B'²)>:
     the rows ``config._IDENTITY_ROWS["complex_norm"]`` at n = 2, whose right
     side sums ``<P_p²>`` over the four products."""
-    details, lhs, powers = _identity_terms("complex_norm", 2, A, Ap, B, Bp, s)
-    details["m_square_product"] = m_sq = sum(powers)
-    return _make_report("uffink", lhs, m_sq, leq=True, V=None, details=details)
+    return conditions.uffink(_shared_table(A, Ap, B, Bp, s))
 
 
 def four_variance(A: ComplexMatrix, Ap: ComplexMatrix,
@@ -363,9 +253,7 @@ def four_variance(A: ComplexMatrix, Ap: ComplexMatrix,
 
     sigma²_AB + sigma²_AB' + sigma²_A'B + sigma²_A'B' >= |<[A,A'] (x) [B,B']>|.
     """
-    m, _, var, m_comm = _uncertainty(A, Ap, B, Bp, s, range(4))
-    return _make_report("four_variance", sum(var.values()), abs(m_comm), leq=False, V=None,
-                        details={**m, **var, "m_comm": m_comm})
+    return conditions.four_variance(_shared_table(A, Ap, B, Bp, s))
 
 
 def heisenberg_floor(A: ComplexMatrix, Ap: ComplexMatrix,
@@ -377,9 +265,7 @@ def heisenberg_floor(A: ComplexMatrix, Ap: ComplexMatrix,
     conditions can possibly be violated.  No pruning decision is made here;
     callers compare it with the commutator bound themselves.
     """
-    G = _shared_table(A, Ap, B, Bp, s)[2]
-    # <[A(x)B, A'(x)B']> = G[0, 3] - G[3, 0] = 2i Im G[0, 3]
-    return float(abs(G[0, 3].imag))
+    return conditions.heisenberg_floor(_shared_table(A, Ap, B, Bp, s))
 
 
 def schmidt_optimal_witness(alpha: complex, beta: complex
@@ -387,16 +273,15 @@ def schmidt_optimal_witness(alpha: complex, beta: complex
                                        ComplexMatrix, ComplexMatrix, WitnessReport]:
     """Variance-product witness tuned to the state ``schmidt_pair(alpha, beta)``.
 
-    Builds the in-plane spin operators at angles theta = -arg(alpha),
-    eta = arg(beta) with primed partners a quarter turn ahead, which makes
-    <A(x)B> = 2|alpha*beta| and the bound rhs = 1.  The condition then reads
-    1 - 4|alpha*beta|² >= 1 and fails exactly when alpha*beta != 0.
+    Builds the in-plane spin operators at the angles of
+    ``families._schmidt_angles``, theta = -arg(alpha) and eta = arg(beta) with
+    primed partners a quarter turn ahead, which makes <A(x)B> = 2|alpha*beta|
+    and the bound rhs = 1.  The condition then reads 1 - 4|alpha*beta|² >= 1
+    and fails exactly when alpha*beta != 0.
     """
     state = schmidt_pair(alpha, beta)
-    theta = -np.angle(state.amplitudes[0])
-    eta = np.angle(state.amplitudes[3])
+    angles = np.array(_schmidt_angles(state.amplitudes[0], state.amplitudes[3]))[:, None, None]
     # s_x cos(angle) + s_y sin(angle) at the four angles, from one cos and one sin
-    angles = np.array([theta, theta + np.pi / 2.0, eta, eta + np.pi / 2.0])[:, None, None]
     spins = _SX * np.cos(angles) + _SY * np.sin(angles)
     A, Ap, B, Bp = (ComplexMatrix(spin, _owned=True) for spin in spins)
     report = variance_product(A, Ap, B, Bp, state)

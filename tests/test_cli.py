@@ -379,7 +379,8 @@ def test_cmatrix_non_finite_tolerance_exits_1(capsys, tol):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bell", "--parties", "40", "--condition", "variance"],
+        # the dense two-mode state alone is 640 GB
+        ["squeezed", "--lam", "0.5", "--cutoff", "200000"],
         # the pure component alone is 640 GB
         ["mixture", "--p", "0.5", "--coeffs", "0.8,0.6", "--cutoff", "200000"],
     ],
@@ -390,6 +391,28 @@ def test_oversized_states_refused_exit_1(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "physical memory" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("parties", [40, 1000, 1023])
+def test_bell_past_the_dense_limit_runs_on_sparse_amplitudes(capsys, parties):
+    # a dense 40-party state would take 16 TiB; the sparse one holds two entries
+    code, doc, err = invoke(capsys, "bell", "--parties", str(parties), "--condition", "variance")
+    assert code == 0 and err == ""
+    report = doc["results"]["report"]
+    even = parties % 2 == 0
+    assert report["lhs"] == 0.0
+    assert report["rhs"] == (1.0 if even else 0.0)
+    assert report["violated"] is even
+
+
+@pytest.mark.parametrize("parties", ["1024", "1000000000000"])
+def test_multipartite_bound_past_the_float_range_exits_1(capsys, parties):
+    # refused before the per-party operator lists are built
+    assert run(["bell", "--parties", parties, "--condition", "variance"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "at most 1023 parties" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -834,13 +857,36 @@ def test_cli_identity_and_eval_load_neither_dataclasses_nor_inspect():
 
 @pytest.mark.parametrize("code", [
     pytest.param("from entwit.cli import run\n"
-                 "assert run(['schmidt', '--alpha', '0.6,0', '--beta', '0.8,0']) == 0",
-                 id="schmidt-run"),
+                 "assert run(['squeezed', '--lambda', '0.5']) == 0",
+                 id="squeezed-run"),
     "import entwit.witnesses",
 ])
 def test_numpy_runs_load_no_dataclasses(code):
     loaded = loaded_after(code)
     assert "numpy" in loaded and "dataclasses" not in loaded
+
+
+def test_spin_family_runs_load_no_numpy():
+    # bell and schmidt, and witness on a spin family with spin operators,
+    # evaluate on sparse amplitudes
+    loaded = loaded_after(
+        "import json, tempfile, os\n"
+        "from entwit.cli import run\n"
+        "assert run(['bell', '--parties', '2', '--condition', 'ramanujan', '--n', '4']) == 0\n"
+        "assert run(['bell', '--parties', '1000', '--condition', 'variance']) == 0\n"
+        "assert run(['schmidt', '--alpha', '0.6,0', '--beta', '0,0.8']) == 0\n"
+        "d = tempfile.mkdtemp()\n"
+        "for name, doc in (('s.json', {'family': 'schmidt', 'params': {'alpha': 0.6, "
+        "'beta': 0.8}}), ('o.json', {'A': 'sx', 'Aprime': 'sy', 'B': 'sz', 'Bprime': 'sx'})):\n"
+        "    json.dump(doc, open(os.path.join(d, name), 'w'))\n"
+        "assert run(['witness', '--state', os.path.join(d, 's.json'), '--ops',\n"
+        "            os.path.join(d, 'o.json'), '--condition', 'uffink']) == 0")
+    assert {"entwit.pauli", "entwit.conditions"} <= loaded
+    assert not loaded & {"numpy", "entwit.hilbert", "entwit.witnesses", "entwit.states"}
+
+
+def test_importing_the_cli_loads_no_new_module():
+    assert not loaded_after("import entwit.cli") & {"entwit.pauli", "entwit.conditions"}
 
 
 @pytest.mark.parametrize("argv", [["cmatrix", "--n", "50"], ["psi2", "--scan", "50"]])

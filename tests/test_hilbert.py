@@ -104,6 +104,32 @@ def test_nonfinite_entry_rejected_in_either_part(bad):
         ComplexMatrix(data, (3,))
 
 
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.inf)])
+@pytest.mark.parametrize("row", [0, 127])
+def test_nonfinite_entry_in_any_row_block_is_rejected(bad, row):
+    # the largest modulus is taken over blocks of 8 rows at side 128; a NaN in
+    # the last block must not be dropped by the max over the blocks
+    from entwit.hilbert import _blocks
+
+    assert len(_blocks(128, 128)) == 16
+    data = np.eye(128, dtype=complex)
+    data[row, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ComplexMatrix(data, (128,))
+
+
+def test_largest_modulus_is_taken_over_every_row_block():
+    data = np.eye(128, dtype=complex)
+    data[127, 3] = 4.0 - 3.0j
+    assert ComplexMatrix(data, (128,)).max_abs() == 5.0
+
+
+def test_empty_matrix_without_dims_is_refused():
+    # the default signature (side,) is checked as a given one is
+    with pytest.raises(ValueError, match="factor dimensions must be positive"):
+        ComplexMatrix(np.zeros((0, 0)))
+
+
 def test_finite_entry_with_overflowing_modulus_is_accepted():
     # both parts are finite, so the entry is; only its modulus overflows
     M = ComplexMatrix([[1.5e308 + 1.5e308j]], (1,))

@@ -10,8 +10,8 @@ import pytest
 import entwit
 import entwit.hilbert
 
-SUBMODULES = ("cli", "config", "hilbert", "operators", "optimize", "polyid", "states",
-              "witnesses")
+SUBMODULES = ("cli", "conditions", "config", "families", "hilbert", "operators", "optimize",
+              "pauli", "polyid", "states", "witnesses")
 
 
 def test_every_public_name_resolves():

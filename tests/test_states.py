@@ -26,7 +26,8 @@ from entwit import (
     vacuum_mixture,
 )
 
-from entwit.states import _FAMILIES, _SPIN_FAMILIES
+from entwit.families import _SPIN_FAMILIES
+from entwit.states import _FAMILIES
 
 from _support import fake_sysconf
 
@@ -277,6 +278,14 @@ def test_families_build_their_state_once(monkeypatch):
         assert s.vectors.shape[1] == math.prod(s.dims)
         for v in s.vectors:  # each component passes the check it skipped
             assert np.array_equal(QuantumState.pure(v, s.dims).amplitudes, v)
+
+
+def test_every_named_family_has_one_constructor():
+    # the parameter names (numpy-free, for the spec) and the dense
+    # constructors are two tables over the same families, in one order
+    from entwit.families import _FAMILY_PARAMS
+
+    assert list(_FAMILIES) == list(_FAMILY_PARAMS)
 
 
 def test_spec_psi2_equals_two_coefficient_family():

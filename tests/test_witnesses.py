@@ -192,6 +192,19 @@ def test_multipartite_validation():
         multipartite([S_X, ComplexMatrix(np.eye(3), (3,)), S_X], [S_Y] * 3, s)
 
 
+def test_multipartite_refuses_a_bound_past_the_float_range():
+    # 1024 one-dimensional factors make a state of side 1, whose bound
+    # |<...>| / 2^1024 cannot be formed in floating point; 1023 can
+    one = ComplexMatrix([[1.0]], (1,))
+    for n, fits in ((1023, True), (1024, False)):
+        s = QuantumState.pure([1.0], (1,) * n)
+        if fits:
+            assert multipartite([one] * n, [one] * n, s).rhs == 0.0
+        else:
+            with pytest.raises(ValueError, match="at most 1023 parties"):
+                multipartite([one] * n, [one] * n, s)
+
+
 # --- ramanujan --------------------------------------------------------------
 
 
@@ -862,19 +875,21 @@ def test_conditions_with_a_factor_of_side_one_match_oracle(dims, kind):
     assert_all_conditions_match_oracle(gen, s, dims[:1], dims[1:])
 
 
-def test_fourth_moments_in_columns_of_one_match_dense_kron():
+def test_fourth_moments_in_row_blocks_of_the_larger_a_side_match_dense_kron():
     # the A side of a (24, 3) density is the larger, so both passes take
     # blocks of its rows, 4 at a time for its 72 ensemble vectors
     # (_grid_blocks -> _blocks(24, 216)); blocks of one are covered by
     # test_products_in_blocks_of_one_match_dense_kron
-    from entwit.witnesses import _blocks, _fourth_moments
+    from entwit.witnesses import _fourth_moments, _grid_blocks
 
     gen = rng(43)
     dims = (24, 3)
     s = random_mixed(gen, dims)
-    assert _blocks(3, s.weights.size * dims[0])[0] == slice(0, 1)
     A, Ap = hermitian_on(gen, dims[:1]), hermitian_on(gen, dims[:1])
     B, Bp = hermitian_on(gen, dims[1:]), hermitian_on(gen, dims[1:])
+    assert s.weights.size == 72
+    assert _grid_blocks(A, B, s.weights.size)[:2] == [(slice(0, 4), slice(None)),
+                                                      (slice(4, 8), slice(None))]
     rho = s.density.data
     P = [kron(X, Y).data for X in (A, Ap) for Y in (B, Bp)]
     for value, c in zip(_fourth_moments(OTHER_POWER_SUMS, A, Ap, B, Bp, s), OTHER_POWER_SUMS):
@@ -1314,8 +1329,9 @@ def test_shared_table_values_are_read_only():
     variance_product(*quad, s)
     means, second, G = stored_table(s)[4:]
     assert isinstance(means, tuple) and isinstance(second, tuple)
-    with pytest.raises(ValueError, match="read-only"):
-        G[0, 0] = 0.0
+    assert isinstance(G, tuple) and all(isinstance(row, tuple) for row in G)
+    with pytest.raises(TypeError):
+        G[0][0] = 0.0
 
 
 # --- the exact oracle for every bipartite condition --------------------------
